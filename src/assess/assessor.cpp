@@ -7,15 +7,6 @@
 #include "obs/trace.hpp"
 
 namespace recloud {
-namespace {
-
-/// Rounds between run_budget polls in the assessment inner loops: frequent
-/// enough to bound preemption latency to a sliver of route-and-check work,
-/// sparse enough that the clock read vanishes in the noise. An un-armed
-/// poll (budget == nullptr) is a single pointer test.
-constexpr std::size_t budget_poll_stride = 256;
-
-}  // namespace
 
 assessment_stats assess_deployment(failure_sampler& sampler, round_state& rs,
                                    reachability_oracle& oracle,
@@ -101,166 +92,6 @@ reliability_assessor::reliability_assessor(
     }
 }
 
-namespace {
-
-std::uint64_t hash_ids(std::span<const component_id> ids) noexcept {
-    std::uint64_t hash = 1469598103934665603ULL;
-    for (const component_id id : ids) {
-        hash ^= static_cast<std::uint64_t>(id);
-        hash *= 1099511628211ULL;
-    }
-    return hash;
-}
-
-}  // namespace
-
-void reliability_assessor::begin_journal(std::uint64_t seed,
-                                         std::uint64_t app_fingerprint,
-                                         std::size_t rounds) {
-    journal_valid_ = false;
-    journal_seed_ = seed;
-    journal_app_ = app_fingerprint;
-    journal_rounds_ = rounds;
-    journal_keys_.clear();
-    journal_groups_.clear();
-    journal_round_group_.clear();
-    journal_round_group_.reserve(rounds);
-    journal_residue_index_.clear();
-    journal_index_.clear();
-}
-
-void reliability_assessor::record_round(std::uint32_t round,
-                                        const verdict_cache& cache) {
-    // Group the round by its support-filtered signature. last_key() is the
-    // sorted filtered key of the lookup the seam just performed — valid on
-    // hits, misses, and the empty fast path alike.
-    const std::span<const component_id> key = cache.last_key();
-    const std::uint64_t hash = hash_ids(key);
-    std::vector<std::uint32_t>& bucket = journal_index_[hash];
-    std::uint32_t group = static_cast<std::uint32_t>(journal_groups_.size());
-    for (const std::uint32_t candidate : bucket) {
-        const journal_group& g = journal_groups_[candidate];
-        if (g.key_length == key.size() &&
-            std::equal(key.begin(), key.end(),
-                       journal_keys_.begin() + g.key_begin)) {
-            group = candidate;
-            break;
-        }
-    }
-    if (group == journal_groups_.size()) {
-        journal_group g;
-        g.key_begin = static_cast<std::uint32_t>(journal_keys_.size());
-        g.key_length = static_cast<std::uint32_t>(key.size());
-        journal_keys_.insert(journal_keys_.end(), key.begin(), key.end());
-        journal_groups_.push_back(g);
-        bucket.push_back(group);
-    }
-    ++journal_groups_[group].multiplicity;
-    journal_round_group_.push_back(group);
-
-    // Off-support residue, inverted: component -> the rounds it failed in
-    // while outside the recording plan's support. Replay probes this with
-    // the new binding's support additions only. Duplicate raw occurrences
-    // stay duplicated so a merged replay key matches the full-pass key
-    // exactly.
-    for (const component_id id : failed_scratch_) {
-        if (!cache.in_support(id)) {
-            journal_residue_index_[id].push_back(round);
-        }
-    }
-}
-
-bool reliability_assessor::replay_journal(const application& app,
-                                          const deployment_plan& plan,
-                                          verdict_cache* cache,
-                                          requirement_evaluator& evaluator,
-                                          const run_budget* budget,
-                                          assessment_stats* out) {
-    // Pass 1 (no judging): which recorded rounds are dirty under the new
-    // plan — some off-support residue entered the new support (it belongs
-    // to the swapped-in host or its dependencies)? Only the binding's
-    // support additions can differ between two bindings of the same app
-    // shape, so probing the inverted residue index with them finds every
-    // dirty round in O(|swap delta|).
-    dirty_pairs_.clear();
-    for (const component_id id : cache->bound_support_additions()) {
-        const auto it = journal_residue_index_.find(id);
-        if (it == journal_residue_index_.end()) {
-            continue;
-        }
-        for (const std::uint32_t round : it->second) {
-            dirty_pairs_.emplace_back(round, id);
-        }
-    }
-    if (dirty_pairs_.size() > journal_rounds_ / 4) {
-        // Pathological churn (e.g. a plan jump that moved many hosts):
-        // grouping no longer pays — re-record from the fresh stream.
-        // (Pairs over-count rounds with several entered residues; that only
-        // makes the bail more conservative.)
-        return false;
-    }
-    std::sort(dirty_pairs_.begin(), dirty_pairs_.end());
-    dirty_per_group_.assign(journal_groups_.size(), 0);
-    dirty_rounds_.clear();
-    dirty_pool_.clear();
-    for (std::size_t i = 0; i < dirty_pairs_.size();) {
-        const std::uint32_t round = dirty_pairs_[i].first;
-        const auto begin = static_cast<std::uint32_t>(dirty_pool_.size());
-        for (; i < dirty_pairs_.size() && dirty_pairs_[i].first == round;
-             ++i) {
-            dirty_pool_.push_back(dirty_pairs_[i].second);
-        }
-        const std::uint32_t group = journal_round_group_[round];
-        ++dirty_per_group_[group];
-        dirty_rounds_.push_back(
-            {group, begin,
-             static_cast<std::uint32_t>(dirty_pool_.size()) - begin});
-    }
-    if (dirty_rounds_.size() > journal_rounds_ / 4) {
-        return false;
-    }
-    RECLOUD_COUNTER_INC("assess.journal_replays");
-
-    // Pass 2: judge once per group for the clean multiplicity, then each
-    // dirty round individually with its residue merged into the group key
-    // (the seam's lookup filters and sorts, so plain concatenation is
-    // enough; components the new support dropped are filtered there too).
-    // A preempt mid-replay is safe to propagate: the journal was only read
-    // and the stream untouched (debt is added by the caller on success).
-    result_accumulator results;
-    for (std::size_t g = 0; g < journal_groups_.size(); ++g) {
-        if (g % budget_poll_stride == 0) {
-            throw_if_preempted(budget);
-        }
-        const journal_group& group = journal_groups_[g];
-        const std::uint32_t clean = group.multiplicity - dirty_per_group_[g];
-        if (clean == 0) {
-            continue;
-        }
-        const std::span<const component_id> key{
-            journal_keys_.data() + group.key_begin, group.key_length};
-        const bool verdict = cached_reliable_in_round(cache, key, rs_,
-                                                      *oracle_, plan,
-                                                      evaluator);
-        results.merge(verdict ? clean : 0, clean);
-    }
-    for (const dirty_round& dirty : dirty_rounds_) {
-        const journal_group& group = journal_groups_[dirty.group];
-        merged_scratch_.assign(
-            journal_keys_.begin() + group.key_begin,
-            journal_keys_.begin() + group.key_begin + group.key_length);
-        merged_scratch_.insert(merged_scratch_.end(),
-                               dirty_pool_.begin() + dirty.begin,
-                               dirty_pool_.begin() + dirty.begin +
-                                   dirty.length);
-        results.add(cached_reliable_in_round(cache, merged_scratch_, rs_,
-                                             *oracle_, plan, evaluator));
-    }
-    (void)app;
-    *out = results.stats();
-    return true;
-}
-
 void reliability_assessor::settle_stream_debt() {
     while (replay_debt_rounds_ > 0) {
         sampler_->next_round(failed_scratch_);
@@ -284,23 +115,20 @@ assessment_stats reliability_assessor::assess(const application& app,
     if (cache != nullptr) {
         cache->bind(app, plan);
     }
-    const bool incremental = cache != nullptr && cache->cross_plan();
-    const std::uint64_t app_fingerprint =
-        incremental ? application_fingerprint(app) : 0;
-    if (incremental && fresh_reset.has_value() && journal_valid_ &&
-        *fresh_reset == journal_seed_ && rounds == journal_rounds_ &&
-        app_fingerprint == journal_app_) {
-        assessment_stats replayed;
-        if (replay_journal(app, plan, cache, evaluator, budget, &replayed)) {
+    // CRN journal (DESIGN.md §11): only the first assessment after a reset
+    // knows which stream it reads, so only it records or replays.
+    const bool journaling = fresh_reset.has_value() && rounds > 0 &&
+                            cache != nullptr && cache->cross_plan();
+    if (journaling) {
+        const journal_key key{.seed = *fresh_reset,
+                              .rounds = rounds,
+                              .app = application_fingerprint(app)};
+        if (const std::optional<assessment_stats> replayed =
+                journal_.replay_or_begin(key, *cache, rs_, *oracle_, plan,
+                                         evaluator, budget)) {
             replay_debt_rounds_ += rounds;
-            return replayed;
+            return *replayed;
         }
-    }
-    const bool record = incremental && fresh_reset.has_value() && rounds > 0;
-    if (record) {
-        // A preempt below leaves the half-recorded journal invalid
-        // (journal_valid_ only flips back after a full pass).
-        begin_journal(*fresh_reset, app_fingerprint, rounds);
     }
     result_accumulator results;
     for (std::size_t round = 0; round < rounds; ++round) {
@@ -310,12 +138,13 @@ assessment_stats reliability_assessor::assess(const application& app,
         sampler_->next_round(failed_scratch_);
         results.add(cached_reliable_in_round(cache, failed_scratch_, rs_,
                                              *oracle_, plan, evaluator));
-        if (record) {
-            record_round(static_cast<std::uint32_t>(round), *cache);
+        if (journaling) {
+            journal_.record(static_cast<std::uint32_t>(round), failed_scratch_,
+                            *cache);
         }
     }
-    if (record) {
-        journal_valid_ = true;
+    if (journaling) {
+        journal_.finish();
     }
     return results.stats();
 }

@@ -6,11 +6,12 @@
 #include <cstddef>
 #include <cstdint>
 #include <optional>
-#include <unordered_map>
+#include <vector>
 
 #include "app/application.hpp"
 #include "app/deployment.hpp"
 #include "app/requirement_eval.hpp"
+#include "assess/round_journal.hpp"
 #include "assess/verdict_cache.hpp"
 #include "core/run_budget.hpp"
 #include "faults/round_state.hpp"
@@ -122,44 +123,6 @@ public:
     }
 
 private:
-    // --- CRN round journal -------------------------------------------
-    // One full pass over a freshly-reset stream records, per round, the
-    // support-filtered signature (deduplicated into groups) and an inverted
-    // index from each raw component that fell OUTSIDE the support of the
-    // recording plan to the rounds it failed in. A later assess() of the
-    // SAME stream for a DIFFERENT plan then skips sampling entirely: the
-    // new binding's support additions (plan hosts + deps — the only ids
-    // whose support membership can differ) probe the index, so finding the
-    // dirty rounds costs O(|swap delta|) instead of a scan over every
-    // recorded residue. Clean rounds are judged once per group; dirty ones
-    // individually with their entered residue merged into the key. Every
-    // verdict still flows through cached_reliable_in_round, so the replayed
-    // stats are bit-identical to the full pass by the same
-    // support-filtering invariant the cache itself rests on.
-    struct journal_group {
-        std::uint32_t key_begin = 0;
-        std::uint32_t key_length = 0;
-        std::uint32_t multiplicity = 0;
-    };
-    struct dirty_round {
-        std::uint32_t group = 0;
-        std::uint32_t begin = 0;
-        std::uint32_t length = 0;
-    };
-
-    void begin_journal(std::uint64_t seed, std::uint64_t app_fingerprint,
-                       std::size_t rounds);
-    void record_round(std::uint32_t round, const verdict_cache& cache);
-    /// Replays the journal for `plan`; returns false (without judging
-    /// anything) when the dirty fraction is too high — the caller then runs
-    /// and re-records a full pass over the freshly-reset stream.
-    [[nodiscard]] bool replay_journal(const application& app,
-                                      const deployment_plan& plan,
-                                      verdict_cache* cache,
-                                      requirement_evaluator& evaluator,
-                                      const run_budget* budget,
-                                      assessment_stats* out);
-
     round_state rs_;
     reachability_oracle* oracle_;
     failure_sampler* sampler_;
@@ -168,24 +131,7 @@ private:
 
     std::optional<std::uint64_t> pending_reset_seed_;
     std::uint64_t replay_debt_rounds_ = 0;
-    bool journal_valid_ = false;
-    std::uint64_t journal_seed_ = 0;
-    std::uint64_t journal_app_ = 0;
-    std::size_t journal_rounds_ = 0;
-    std::vector<component_id> journal_keys_;          ///< group-key arena
-    std::vector<journal_group> journal_groups_;
-    std::vector<std::uint32_t> journal_round_group_;  ///< per round
-    std::unordered_map<component_id, std::vector<std::uint32_t>>
-        journal_residue_index_;  ///< off-support component -> its rounds
-    std::unordered_map<std::uint64_t, std::vector<std::uint32_t>>
-        journal_index_;  ///< key hash -> candidate group ids (exact-checked)
-
-    // Replay scratch.
-    std::vector<std::pair<std::uint32_t, component_id>> dirty_pairs_;
-    std::vector<std::uint32_t> dirty_per_group_;
-    std::vector<dirty_round> dirty_rounds_;
-    std::vector<component_id> dirty_pool_;
-    std::vector<component_id> merged_scratch_;
+    round_journal journal_;  ///< of the master stream (DESIGN.md §11)
 };
 
 }  // namespace recloud

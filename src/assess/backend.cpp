@@ -136,11 +136,18 @@ assessment_stats parallel_backend::assess(const application& app,
     // partial tally is discarded by throwing search_preempted.
     std::atomic<bool> aborted{false};
     const run_budget* budget = budget_;
+    const std::uint64_t epoch = epoch_;
+    // CRN journals (DESIGN.md §11) need a known stream: without a reset
+    // nothing is recorded or replayed.
+    const std::optional<std::uint64_t> seed = reset_seed_;
+    const std::uint64_t app_fingerprint =
+        seed.has_value() ? application_fingerprint(app) : 0;
     std::vector<std::future<batch_counts>> futures;
     futures.reserve(workers);
     for (std::size_t w = 0; w < workers && w < batches; ++w) {
         futures.push_back(pool_.submit([this, &app, &plan, rounds, batch_rounds,
-                                        batches, workers, w, budget,
+                                        batches, workers, w, budget, epoch,
+                                        seed, app_fingerprint,
                                         &aborted]() -> batch_counts {
             worker_context& context = *contexts_[w];
             requirement_evaluator evaluator{app, plan};
@@ -148,6 +155,8 @@ assessment_stats parallel_backend::assess(const application& app,
             if (cache != nullptr) {
                 cache->bind(app, plan);
             }
+            const bool journaling =
+                seed.has_value() && cache != nullptr && cache->cross_plan();
             std::vector<component_id> failed;
             batch_counts counts;
             for (std::size_t b = w; b < batches; b += workers) {
@@ -159,10 +168,32 @@ assessment_stats parallel_backend::assess(const application& app,
                 }
                 RECLOUD_SPAN("assess.batch");
                 RECLOUD_COUNTER_INC("assess.batches");
-                const std::unique_ptr<failure_sampler> substream =
-                    sampler_->fork(substream_id(epoch_, b));
                 const std::size_t begin = b * batch_rounds;
                 const std::size_t count = std::min(batch_rounds, rounds - begin);
+                round_journal* journal = nullptr;
+                if (journaling) {
+                    // The batch is the preemption unit here: a replay runs
+                    // whole, so it gets no budget of its own.
+                    const std::size_t slot = b / workers;
+                    if (context.journals.size() <= slot) {
+                        context.journals.resize(slot + 1);
+                    }
+                    journal = &context.journals[slot];
+                    const journal_key key{.seed = *seed,
+                                          .epoch = epoch,
+                                          .rounds = count,
+                                          .app = app_fingerprint};
+                    if (const std::optional<assessment_stats> replayed =
+                            journal->replay_or_begin(key, *cache, context.rs,
+                                                     *context.oracle, plan,
+                                                     evaluator, nullptr)) {
+                        counts.rounds += replayed->rounds;
+                        counts.reliable += replayed->reliable;
+                        continue;
+                    }
+                }
+                const std::unique_ptr<failure_sampler> substream =
+                    sampler_->fork(substream_id(epoch, b));
                 for (std::size_t i = 0; i < count; ++i) {
                     substream->next_round(failed);
                     ++counts.rounds;
@@ -171,6 +202,13 @@ assessment_stats parallel_backend::assess(const application& app,
                                                  evaluator)) {
                         ++counts.reliable;
                     }
+                    if (journal != nullptr) {
+                        journal->record(static_cast<std::uint32_t>(i), failed,
+                                        *cache);
+                    }
+                }
+                if (journal != nullptr) {
+                    journal->finish();
                 }
             }
             return counts;
@@ -191,6 +229,7 @@ assessment_stats parallel_backend::assess(const application& app,
 void parallel_backend::reset_stream(std::uint64_t seed) {
     sampler_->reset(seed);
     epoch_ = 0;
+    reset_seed_ = seed;
 }
 
 const verdict_cache_stats* parallel_backend::cache_stats() const noexcept {

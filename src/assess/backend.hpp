@@ -28,6 +28,7 @@
 #include <vector>
 
 #include "assess/assessor.hpp"
+#include "assess/round_journal.hpp"
 #include "routing/oracle.hpp"
 #include "sampling/sampler.hpp"
 #include "util/thread_pool.hpp"
@@ -133,6 +134,13 @@ struct parallel_backend_options {
 /// and per-batch (reliable, rounds) counts are summed — so any worker count
 /// produces bit-identical stats. Each worker owns its route-and-check
 /// context (round_state + oracle from the factory + evaluator).
+///
+/// Batch b always runs on worker b mod W. After a reset_stream(seed), in
+/// cross-plan incremental mode, that worker keeps one CRN round journal per
+/// batch it runs (DESIGN.md §11), keyed by (seed, epoch, batch rounds,
+/// application shape): a later assessment of the same substream replays the
+/// journal through the worker's private cache instead of forking and
+/// sampling it.
 class parallel_backend final : public assessment_backend {
 public:
     /// `forest` may be nullptr; the sampler must outlive the backend and
@@ -170,6 +178,8 @@ private:
         round_state rs;
         std::unique_ptr<reachability_oracle> oracle;
         std::optional<verdict_cache> cache;  ///< private to this worker
+        /// Journal of batch w + i * W (w this worker, W the worker count).
+        std::vector<round_journal> journals;
 
         worker_context(std::size_t component_count,
                        const fault_tree_forest* forest,
@@ -188,6 +198,7 @@ private:
     thread_pool pool_;
     std::vector<std::unique_ptr<worker_context>> contexts_;
     std::uint64_t epoch_ = 0;  ///< assessments since construction/reset
+    std::optional<std::uint64_t> reset_seed_;  ///< of the last reset_stream()
     mutable verdict_cache_stats cache_stats_{};  ///< scratch for cache_stats()
 };
 

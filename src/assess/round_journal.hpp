@@ -1,0 +1,125 @@
+// CRN round journal (DESIGN.md §11): under common random numbers every
+// candidate plan is assessed on the same failure stream, so one full pass
+// over a freshly-reset stream can stand in for sampling it again.
+//
+// A recording pass stores, per round, the support-filtered signature
+// (deduplicated into groups with multiplicities) and an inverted index from
+// each raw component that fell OUTSIDE the support of the recording plan to
+// the rounds it failed in. A replay for a DIFFERENT plan of the same
+// application shape then skips sampling entirely: the new binding's support
+// additions (plan hosts + deps — the only ids whose support membership can
+// differ) probe the index, so finding the dirty rounds costs O(|swap delta|)
+// instead of a scan over every recorded residue. Clean rounds are judged
+// once per group; dirty ones individually with their entered residue merged
+// into the key. Every verdict still flows through cached_reliable_in_round,
+// so replayed stats are bit-identical to the full pass by the same
+// support-filtering invariant the verdict cache itself rests on.
+//
+// One journal describes one stream. Its owner decides which stream that is
+// and keeps the journal next to the verdict cache that records and replays
+// it: the serial assessor owns one for its master stream, each parallel
+// worker one per (epoch, batch) substream it always runs.
+#pragma once
+
+#include <cstddef>
+#include <cstdint>
+#include <optional>
+#include <span>
+#include <unordered_map>
+#include <utility>
+#include <vector>
+
+#include "app/deployment.hpp"
+#include "app/requirement_eval.hpp"
+#include "assess/verdict_cache.hpp"
+#include "core/run_budget.hpp"
+#include "faults/round_state.hpp"
+#include "routing/oracle.hpp"
+#include "sampling/result_stats.hpp"
+
+namespace recloud {
+
+/// Rounds (or journal groups) between run_budget polls in the assessment
+/// inner loops: frequent enough to bound preemption latency to a sliver of
+/// route-and-check work, sparse enough that the clock read vanishes in the
+/// noise. An un-armed poll (budget == nullptr) is a single pointer test.
+inline constexpr std::size_t budget_poll_stride = 256;
+
+/// Which stream a journal holds: the reset seed, the assessment index since
+/// that reset (always 0 for the serial master stream; the parallel epoch for
+/// a batch substream), the rounds of the recorded pass, and the application
+/// shape (application_fingerprint) whose support filtered the signatures.
+struct journal_key {
+    std::uint64_t seed = 0;
+    std::uint64_t epoch = 0;
+    std::uint64_t rounds = 0;
+    std::uint64_t app = 0;
+
+    friend bool operator==(const journal_key&, const journal_key&) = default;
+};
+
+class round_journal {
+public:
+    /// The one protocol both owners share, called with `cache` already bound
+    /// to (app, plan) and `key` naming the stream about to be judged. When a
+    /// COMPLETE pass recorded under `key` is held and at most a quarter of
+    /// its rounds turn dirty under `plan`, judges the journal instead of the
+    /// stream and returns the stats — bit-identical to a full pass. Otherwise
+    /// starts recording under `key` and returns nullopt: the caller samples
+    /// the stream, calls record() after judging each round and finish() after
+    /// the last one. A pass abandoned midway (preemption) stays invalid and
+    /// is never replayed. `budget` (nullable) is polled every
+    /// budget_poll_stride groups of a replay; a preempt there leaves the
+    /// journal valid, since a replay only reads it.
+    [[nodiscard]] std::optional<assessment_stats> replay_or_begin(
+        const journal_key& key, verdict_cache& cache, round_state& rs,
+        reachability_oracle& oracle, const deployment_plan& plan,
+        requirement_evaluator& evaluator, const run_budget* budget);
+
+    /// Records round `round` right after the seam judged `failed` (the raw
+    /// sampled set) through `cache`: last_key() is then the sorted filtered
+    /// key of that lookup — valid on hits, misses and the empty fast path.
+    void record(std::uint32_t round, std::span<const component_id> failed,
+                const verdict_cache& cache);
+
+    /// Marks the pass begun by replay_or_begin() complete.
+    void finish() noexcept { valid_ = true; }
+
+private:
+    struct group {
+        std::uint32_t key_begin = 0;
+        std::uint32_t key_length = 0;
+        std::uint32_t multiplicity = 0;
+    };
+    struct dirty_round {
+        std::uint32_t group = 0;
+        std::uint32_t begin = 0;
+        std::uint32_t length = 0;
+    };
+
+    void begin(const journal_key& key);
+    /// nullopt (nothing judged) when churn exceeds a quarter of the rounds.
+    [[nodiscard]] std::optional<assessment_stats> replay(
+        verdict_cache& cache, round_state& rs, reachability_oracle& oracle,
+        const deployment_plan& plan, requirement_evaluator& evaluator,
+        const run_budget* budget);
+
+    bool valid_ = false;
+    journal_key key_;
+    std::vector<component_id> keys_;          ///< group-key arena
+    std::vector<group> groups_;
+    std::vector<std::uint32_t> round_group_;  ///< per round
+    std::unordered_map<component_id, std::vector<std::uint32_t>>
+        residue_index_;  ///< off-support component -> its rounds
+    std::unordered_map<std::uint64_t, std::vector<std::uint32_t>>
+        index_;  ///< key hash -> candidate group ids (exact-checked)
+
+    // Replay scratch.
+    std::vector<std::pair<std::uint32_t, component_id>> dirty_pairs_;
+    std::vector<std::uint32_t> dirty_per_group_;
+    std::vector<dirty_round> dirty_rounds_;
+    std::vector<component_id> dirty_pool_;
+    std::vector<component_id> merged_;
+};
+
+}  // namespace recloud

@@ -313,8 +313,8 @@ private:
 };
 
 /// Structural fingerprint of an application (replica counts + requirement
-/// shape). The cache keys binding identity on it; the assessor's round
-/// journal reuses the same identity.
+/// shape). The cache keys binding identity on it; the CRN round journal
+/// (assess/round_journal.hpp) reuses the same identity.
 [[nodiscard]] std::uint64_t application_fingerprint(
     const application& app) noexcept;
 

@@ -113,8 +113,8 @@ struct recloud_options {
     /// Cross-plan incremental assessment (assess/verdict_cache.hpp §bind,
     /// DESIGN.md §11): on every plan change the cache keeps memoized
     /// verdicts provably unaffected by the swap delta instead of wiping,
-    /// and the serial assessor replays its CRN round journal so the SA
-    /// inner loop becomes sublinear in the plan change. Results are
+    /// and the serial and parallel backends replay their CRN round journals
+    /// so the SA inner loop becomes sublinear in the plan change. Results are
     /// bit-identical on or off — purely a speed knob. Requires (and is
     /// gated on) verdict_cache. The environment variable
     /// RECLOUD_INCREMENTAL overrides it ("0"/"off"/"false" disable,

@@ -827,7 +827,9 @@ private:
                                    return e.worker_id == t.worker_id;
                                });
         if (it == fleet_.end()) {
-            fleet_.push_back(fleet_slot_totals{t.worker_id});
+            fleet_slot_totals totals;
+            totals.worker_id = t.worker_id;
+            fleet_.push_back(totals);
             it = std::prev(fleet_.end());
             std::sort(fleet_.begin(), fleet_.end(),
                       [](const fleet_slot_totals& a,

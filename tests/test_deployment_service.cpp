@@ -337,7 +337,8 @@ TEST(Service, HotScenarioShedsOnItsOwnShardOnly) {
     std::string hot = "s0";
     std::string cold;
     for (int i = 1; i < 64 && cold.empty(); ++i) {
-        const std::string candidate = "s" + std::to_string(i);
+        std::string candidate = "s";
+        candidate += std::to_string(i);
         if (service.shard_of(candidate) != service.shard_of(hot)) {
             cold = candidate;
         }

@@ -1,23 +1,29 @@
 // Cross-plan incremental assessment (DESIGN.md §11): the swap-delta
 // retention rule in verdict_cache::bind, the oracle cleanliness classifiers
-// it rests on, the serial assessor's CRN round journal, and — the load-
-// bearing property — bit-identical assessment_stats and search trajectories
-// with incremental mode on or off, across samplers, backends, worker counts
-// and transports (CI re-runs the equivalence suites under ASan with
-// RECLOUD_INCREMENTAL forced on).
+// it rests on, the CRN round journal of the serial assessor and of every
+// parallel batch, and — the load-bearing property — bit-identical
+// assessment_stats and search trajectories with incremental mode on or off,
+// across samplers, backends, worker counts and transports (CI re-runs the
+// equivalence suites under ASan with RECLOUD_INCREMENTAL forced on).
 #include "assess/verdict_cache.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <cstdlib>
+#include <limits>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
 
 #include "assess/backend.hpp"
 #include "core/recloud.hpp"
+#include "core/scenario.hpp"
 #include "exec/engine.hpp"
+#include "obs/metrics.hpp"
 #include "report/report.hpp"
 #include "routing/bfs_reachability.hpp"
 #include "routing/fat_tree_routing.hpp"
@@ -793,6 +799,316 @@ TEST(IncrementalTrajectory, EnvVarOverridesOptions) {
     EXPECT_GT(warm_rebinds_after_search(false, "1"), 0u);  // env wins: on
     EXPECT_EQ(warm_rebinds_after_search(false, nullptr), 0u);
     EXPECT_GT(warm_rebinds_after_search(true, nullptr), 0u);
+}
+
+/// The journal_replays registry counter, or 0 while the registry is off.
+std::uint64_t journal_replays() {
+    return obs::metrics_registry::global().snapshot().value(
+        "assess.journal_replays");
+}
+
+TEST(IncrementalEquivalence, ParallelBatchJournalsReplayOnlyTheirOwnStream) {
+    // Every parallel batch keeps its own CRN journal on the worker that
+    // always runs it, keyed by (reset seed, epoch, batch rounds, app shape).
+    // The sequence below makes each key component differ from the held
+    // journal once; those steps must re-sample, the rest may replay, and
+    // every step must equal incremental-off bit for bit.
+    incr_fixture f;
+    const application app = application::k_of_n(2, 3);
+    const application other_app = application::k_of_n(1, 3);
+    const deployment_plan plan_a = f.plan_for(app, 0);
+    const deployment_plan plan_b = f.plan_for(app, 1);
+    const deployment_plan other_plan = f.plan_for(other_app, 2);
+    const verdict_support support = f.support();
+    // 1100 rounds in 250-round batches: the fifth batch is 100 rounds short.
+    constexpr std::size_t rounds = 1100;
+    constexpr std::size_t batch_rounds = 250;
+    static_assert(rounds % batch_rounds != 0);
+
+    struct step {
+        const char* name;
+        bool may_replay;
+    };
+    const std::vector<step> steps = {
+        {"reset 5, plan A: records epoch 1", false},
+        {"plan A again: epoch 2 is another stream", false},
+        {"reset 7, plan A: another seed", false},
+        {"reset 5, plan B: the journals hold seed 7", false},
+        {"reset 5, plan A: replays plan B's recording", true},
+        {"reset 5, plan B, 1200 rounds: the last batch grows", true},
+        {"reset 5, other app shape", false},
+    };
+    const auto run = [&](parallel_backend& backend) {
+        std::vector<assessment_stats> out;
+        std::vector<std::uint64_t> replays;
+        const auto assess = [&](const application& a,
+                                const deployment_plan& plan, std::size_t n) {
+            const std::uint64_t before = journal_replays();
+            out.push_back(backend.assess(a, plan, n));
+            replays.push_back(journal_replays() - before);
+        };
+        backend.reset_stream(5);
+        assess(app, plan_a, rounds);
+        assess(app, plan_a, rounds);
+        backend.reset_stream(7);
+        assess(app, plan_a, rounds);
+        backend.reset_stream(5);
+        assess(app, plan_b, rounds);
+        backend.reset_stream(5);
+        assess(app, plan_a, rounds);
+        backend.reset_stream(5);
+        assess(app, plan_b, 1200);
+        backend.reset_stream(5);
+        assess(other_app, other_plan, rounds);
+        return std::pair{out, replays};
+    };
+
+    obs::metrics_registry::global().set_enabled(true);
+    std::optional<std::vector<assessment_stats>> reference;
+    for (const std::size_t workers : {1u, 2u, 8u}) {
+        for (const bool incremental : {false, true}) {
+            extended_dagger_sampler sampler{f.registry.probabilities(), 41};
+            parallel_backend_options options{.threads = workers,
+                                             .batch_rounds = batch_rounds};
+            options.verdict_cache.enabled = true;
+            options.verdict_cache.support = &support;
+            options.verdict_cache.cross_plan = incremental;
+            parallel_backend backend{f.registry.size(), &f.forest, f.factory(),
+                                     sampler, options};
+            const auto [stats, replays] = run(backend);
+            ASSERT_EQ(stats.size(), steps.size());
+            if (!reference) {
+                reference = stats;
+            }
+            std::uint64_t total_replays = 0;
+            for (std::size_t i = 0; i < steps.size(); ++i) {
+                SCOPED_TRACE("workers " + std::to_string(workers) +
+                             " incremental " + std::to_string(incremental) +
+                             " step " + steps[i].name);
+                expect_identical(stats[i], (*reference)[i]);
+                if (!incremental || !steps[i].may_replay) {
+                    EXPECT_EQ(replays[i], 0u);
+                }
+                total_replays += replays[i];
+            }
+            if (incremental) {
+                EXPECT_GT(total_replays, 0u) << "workers " << workers;
+            }
+        }
+    }
+    obs::metrics_registry::global().set_enabled(false);
+}
+
+/// Delegating oracle that cancels a run_budget from inside a round judgment
+/// once a shared countdown of judged rounds runs out: a deterministic way
+/// to preempt a search in the middle of an assessment.
+class tripwire_oracle final : public reachability_oracle {
+public:
+    struct wire {
+        std::atomic<std::int64_t> rounds_left{
+            std::numeric_limits<std::int64_t>::max()};
+        std::atomic<std::uint64_t> judged{0};
+        std::atomic<run_budget*> budget{nullptr};
+    };
+
+    tripwire_oracle(std::unique_ptr<reachability_oracle> inner,
+                    std::shared_ptr<wire> w)
+        : inner_(std::move(inner)), wire_(std::move(w)) {}
+
+    void begin_round(round_state& rs) override {
+        tick();
+        inner_->begin_round(rs);
+    }
+    void begin_round(round_state& rs,
+                     std::span<const node_id> query_hosts) override {
+        tick();
+        inner_->begin_round(rs, query_hosts);
+    }
+    bool border_reachable(node_id host) override {
+        return inner_->border_reachable(host);
+    }
+    bool host_to_host(node_id a, node_id b) override {
+        return inner_->host_to_host(a, b);
+    }
+    bool round_fully_connected(
+        std::span<const component_id> raw_failed) override {
+        return inner_->round_fully_connected(raw_failed);
+    }
+    round_class classify_round(
+        std::span<const component_id> raw_failed) override {
+        return inner_->classify_round(raw_failed);
+    }
+    std::unique_ptr<reachability_oracle> clone() const override {
+        return std::make_unique<tripwire_oracle>(inner_->clone(), wire_);
+    }
+    const link_attachment* consulted_links() const noexcept override {
+        return inner_->consulted_links();
+    }
+
+private:
+    void tick() {
+        wire_->judged.fetch_add(1);
+        if (wire_->rounds_left.fetch_sub(1) == 1) {
+            if (run_budget* budget = wire_->budget.load()) {
+                budget->cancel();
+            }
+        }
+    }
+
+    std::unique_ptr<reachability_oracle> inner_;
+    std::shared_ptr<wire> wire_;
+};
+
+TEST(RunBudget, PreemptedParallelAssessmentKeepsOnlyFinishedJournals) {
+    // Backend-level twin of the search case below, where nothing overwrites
+    // the interrupted assessment's journals: the budget fires in the middle
+    // of a batch, the workers stop at the next batch boundary, and the next
+    // assessment of the same stream replays exactly the batches that
+    // finished — bit-identical to a backend that was never interrupted.
+    incr_fixture f;
+    const application app = application::k_of_n(2, 3);
+    const deployment_plan plan_a = f.plan_for(app, 0);
+    const deployment_plan plan_b = f.plan_for(app, 1);
+    const verdict_support support = f.support();
+    constexpr std::size_t rounds = 2000;
+    for (const std::size_t workers : {1u, 2u}) {
+        SCOPED_TRACE("workers " + std::to_string(workers));
+        const auto wire = std::make_shared<tripwire_oracle::wire>();
+        const auto make_backend = [&](extended_dagger_sampler& sampler) {
+            parallel_backend_options options{.threads = workers,
+                                             .batch_rounds = 250};
+            options.verdict_cache.enabled = true;
+            options.verdict_cache.support = &support;
+            options.verdict_cache.cross_plan = true;
+            return std::make_unique<parallel_backend>(
+                f.registry.size(), &f.forest,
+                [&f, wire] {
+                    return std::make_unique<tripwire_oracle>(
+                        std::make_unique<bfs_reachability>(f.topo), wire);
+                },
+                sampler, options);
+        };
+
+        // Never interrupted: plan A's rounds judged cold, then plan B.
+        extended_dagger_sampler cold_sampler{f.registry.probabilities(), 23};
+        const auto cold = make_backend(cold_sampler);
+        cold->reset_stream(5);
+        const std::uint64_t judged_before_a = wire->judged.load();
+        (void)cold->assess(app, plan_a, rounds);
+        const std::uint64_t judged_in_a = wire->judged.load() - judged_before_a;
+        ASSERT_GE(judged_in_a, 2u);
+        cold->reset_stream(5);
+        const assessment_stats expected = cold->assess(app, plan_b, rounds);
+
+        extended_dagger_sampler sampler{f.registry.probabilities(), 23};
+        const auto backend = make_backend(sampler);
+        run_budget budget;
+        backend->set_budget(&budget);
+        wire->budget.store(&budget);
+        wire->rounds_left.store(static_cast<std::int64_t>(judged_in_a / 2));
+        backend->reset_stream(5);
+        EXPECT_THROW((void)backend->assess(app, plan_a, rounds),
+                     search_preempted);
+        wire->budget.store(nullptr);
+        backend->set_budget(nullptr);
+
+        obs::metrics_registry::global().set_enabled(true);
+        const std::uint64_t replays_before = journal_replays();
+        backend->reset_stream(5);
+        expect_identical(backend->assess(app, plan_b, rounds), expected);
+        EXPECT_GT(journal_replays(), replays_before);
+        obs::metrics_registry::global().set_enabled(false);
+    }
+}
+
+TEST(RunBudget, PreemptedParallelSearchLeavesNoStaleJournal) {
+    // A budget that fires mid-assessment stops the parallel workers at a
+    // batch boundary, so some batches of the interrupted assessment hold a
+    // fresh journal and the rest an older one. A later search on the same
+    // re_cloud must answer exactly like a cold re_cloud. (The interrupted
+    // search's winner re-assessment re-records every batch on its own
+    // stream, so the backend-level case above is the one that pins which
+    // journals an interruption leaves valid.)
+    env_guard cache_env{"RECLOUD_VERDICT_CACHE", "1"};
+    env_guard incr_env{"RECLOUD_INCREMENTAL", "1"};
+    const scenario_ptr base = make_fat_tree_scenario(4);
+    const auto wire = std::make_shared<tripwire_oracle::wire>();
+    const tripwire_oracle prototype{base->make_oracle(), wire};
+    scenario_builder builder;
+    builder.topology(base->topology())
+        .registry(base->registry())
+        .workloads(*base->workloads())
+        .oracle(prototype)
+        .keep_alive(base);
+    if (base->forest() != nullptr) {
+        builder.forest(*base->forest());
+    }
+    if (base->links() != nullptr) {
+        builder.links(*base->links());
+    }
+    const scenario_ptr snapshot = builder.freeze();
+
+    std::vector<std::uint64_t> judged_after_iteration;
+    recloud_options options;
+    options.backend = assessment_backend_kind::parallel;
+    options.assessment_threads = 2;
+    options.assessment_batch_rounds = 64;
+    options.assessment_rounds = 2048;  // 32 batches per assessment
+    options.max_iterations = 20;
+    options.deterministic_schedule = true;
+    options.seed = 13;
+    options.record_trace = true;
+    options.observer = [&](const obs::search_iteration_event&) {
+        judged_after_iteration.push_back(wire->judged.load());
+    };
+    const auto request = [] {
+        deployment_request r;
+        r.app = application::k_of_n(2, 3);
+        r.desired_reliability = 2.0;  // unreachable: the full budget runs
+        r.max_search_time = std::chrono::seconds{60};
+        return r;
+    };
+
+    // A cold run. Its per-iteration judged-round counts locate a late
+    // assessment that judges at least two rounds; the trip fires between
+    // them. (Round judgments are a deterministic function of the seed and
+    // the worker count, so the interrupted run below retraces them.)
+    re_cloud cold_system{snapshot, options};
+    const deployment_response cold = cold_system.find_deployment(request());
+    std::optional<std::uint64_t> trip;
+    for (std::size_t i = judged_after_iteration.size() / 2;
+         i + 1 < judged_after_iteration.size(); ++i) {
+        if (judged_after_iteration[i + 1] - judged_after_iteration[i] >= 2) {
+            trip = (judged_after_iteration[i] + judged_after_iteration[i + 1]) /
+                   2;
+            break;
+        }
+    }
+    ASSERT_TRUE(trip.has_value()) << "no late assessment judged two rounds";
+
+    re_cloud system{snapshot, options};
+    deployment_request preempted = request();
+    preempted.budget = std::make_shared<run_budget>();
+    wire->budget.store(preempted.budget.get());
+    wire->rounds_left.store(static_cast<std::int64_t>(*trip));
+    const deployment_response aborted = system.find_deployment(preempted);
+    wire->budget.store(nullptr);
+    EXPECT_EQ(aborted.outcome, search_outcome::deadline_exceeded);
+    EXPECT_LT(aborted.search.plans_generated, cold.search.plans_generated);
+
+    obs::metrics_registry::global().set_enabled(true);
+    const std::uint64_t replays_before = journal_replays();
+    const deployment_response reused = system.find_deployment(request());
+    EXPECT_GT(journal_replays(), replays_before);
+    obs::metrics_registry::global().set_enabled(false);
+    expect_same_search(reused, cold);
+    ASSERT_EQ(reused.search.trace.size(), cold.search.trace.size());
+    for (std::size_t i = 0; i < cold.search.trace.size(); ++i) {
+        EXPECT_EQ(reused.search.trace[i].plans_evaluated,
+                  cold.search.trace[i].plans_evaluated);
+        EXPECT_EQ(reused.search.trace[i].best_score,
+                  cold.search.trace[i].best_score);
+    }
 }
 
 // ---- reporting -----------------------------------------------------------
