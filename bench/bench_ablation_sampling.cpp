@@ -12,7 +12,6 @@
 
 #include "bench_util.hpp"
 #include "core/recloud.hpp"
-#include "routing/fat_tree_routing.hpp"
 #include "sampling/antithetic.hpp"
 #include "sampling/extended_dagger.hpp"
 #include "sampling/monte_carlo.hpp"
@@ -52,15 +51,14 @@ int main() {
     std::printf("%-12s %16s %14s %16s\n", "sampler", "assess(ms)",
                 "mean R", "stddev of R-hat");
     for (auto& entry : entries) {
-        fat_tree_routing oracle{infra.tree()};
-        reliability_assessor assessor{infra.registry().size(), &infra.forest(),
-                                      oracle, *entry.sampler};
+        parallel_backend assessor =
+            bench::make_serial_backend(infra, *entry.sampler);
         const double assess_ms = bench::time_ms(
             [&] { (void)assessor.assess(app, plan, rounds); });
 
         running_stats estimates;
         for (int rep = 0; rep < repetitions; ++rep) {
-            entry.sampler->reset(100 + static_cast<std::uint64_t>(rep));
+            assessor.reset_stream(100 + static_cast<std::uint64_t>(rep));
             estimates.add(assessor.assess(app, plan, rounds).reliability);
         }
         std::printf("%-12s %16.1f %14.5f %16.2e\n", entry.label, assess_ms,

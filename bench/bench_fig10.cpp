@@ -8,7 +8,6 @@
 
 #include "bench_util.hpp"
 #include "core/recloud.hpp"
-#include "routing/fat_tree_routing.hpp"
 #include "sampling/extended_dagger.hpp"
 #include "search/neighbor.hpp"
 
@@ -29,10 +28,8 @@ int main() {
                 "evolve+assess(ms)");
     for (const data_center_scale scale : bench::all_scales()) {
         auto infra = fat_tree_infrastructure::build(scale);
-        fat_tree_routing oracle{infra.tree()};
         extended_dagger_sampler sampler{infra.registry().probabilities(), 3};
-        reliability_assessor assessor{infra.registry().size(), &infra.forest(),
-                                      oracle, sampler};
+        parallel_backend assessor = bench::make_serial_backend(infra, sampler);
         for (const auto& [k, n] : settings) {
             const application app = application::k_of_n(k, n);
             neighbor_generator neighbors{infra.topology(), anti_affinity::none,

@@ -12,7 +12,6 @@
 
 #include "bench_util.hpp"
 #include "core/recloud.hpp"
-#include "routing/fat_tree_routing.hpp"
 #include "sampling/extended_dagger.hpp"
 #include "search/neighbor.hpp"
 
@@ -40,10 +39,8 @@ int main() {
                 "#insts", "evolve+assess(ms)");
     for (const data_center_scale scale : bench::all_scales()) {
         auto infra = fat_tree_infrastructure::build(scale);
-        fat_tree_routing oracle{infra.tree()};
         extended_dagger_sampler sampler{infra.registry().probabilities(), 5};
-        reliability_assessor assessor{infra.registry().size(), &infra.forest(),
-                                      oracle, sampler};
+        parallel_backend assessor = bench::make_serial_backend(infra, sampler);
         for (const auto& s : structures) {
             const std::uint32_t instances = s.app.total_instances();
             if (instances > infra.topology().hosts.size()) {

@@ -9,7 +9,6 @@
 
 #include "bench_util.hpp"
 #include "core/recloud.hpp"
-#include "routing/fat_tree_routing.hpp"
 #include "sampling/extended_dagger.hpp"
 #include "search/neighbor.hpp"
 
@@ -33,10 +32,8 @@ int main() {
             ? std::vector<std::size_t>{1000, 3000, 10000, 30000, 100000}
             : std::vector<std::size_t>{1000, 3000, 10000, 30000};
 
-    fat_tree_routing oracle{infra.tree()};
     extended_dagger_sampler sampler{infra.registry().probabilities(), 7};
-    reliability_assessor assessor{infra.registry().size(), &infra.forest(),
-                                  oracle, sampler};
+    parallel_backend assessor = bench::make_serial_backend(infra, sampler);
     neighbor_generator neighbors{infra.topology(), anti_affinity::rack, 11};
 
     std::printf("%-12s %10s %14s %14s\n", "redundancy", "rounds", "reliability",

@@ -124,7 +124,7 @@ int main() {
                                      options};
             {
                 extended_dagger_sampler warmup{registry.probabilities(), seed};
-                (void)engine.assess(warmup, app, plan, rounds);
+                (void)engine.assess(warmup, 1, app, plan, rounds);
             }
             for (std::size_t rep = 0; rep < reps; ++rep) {
                 // Fresh sampler per rep: every rep assesses the identical
@@ -133,7 +133,7 @@ int main() {
                                                 seed};
                 stopwatch watch;
                 stats_out.push_back(
-                    engine.assess(sampler, app, plan, rounds));
+                    engine.assess(sampler, 1, app, plan, rounds));
                 if (obs_on) {
                     engine.harvest_telemetry();
                 }
@@ -178,7 +178,7 @@ int main() {
         assessment_engine engine{registry.size(), &forest, factory, loopback};
         for (std::size_t rep = 0; rep < reps + 1; ++rep) {  // warmup + reps
             extended_dagger_sampler sampler{registry.probabilities(), seed};
-            (void)engine.assess(sampler, app, plan, rounds);
+            (void)engine.assess(sampler, 1, app, plan, rounds);
         }
         loopback_floods = reg.snapshot().value("route.floods");
         reg.set_enabled(false);

@@ -1,10 +1,11 @@
 // Assessment-backend comparison: serial vs deterministic parallel vs the
 // wire-format MapReduce engine (§3.2.1, §4.2.4).
 //
-// The parallel backend removes the engine's serialization and per-assessment
-// context setup AND moves sampling into the workers (each round batch draws
-// its own forked substream), so it scales on both paper workloads — while
-// staying bit-deterministic for any worker count. Expected on a >= 4-core
+// All three run the same batch scheme (batch b from the forked substream
+// (epoch, b)), so every row must report the identical reliability; the bench
+// exits 1 when one does not. The parallel backend removes the engine's
+// serialization and per-assessment context setup AND moves sampling into the
+// workers, so it scales on both paper workloads. Expected on a >= 4-core
 // host: >= 3x speedup over serial at 10^5 rounds.
 #include <cstdio>
 #include <cstdlib>
@@ -65,26 +66,36 @@ int main() {
         std::printf("%-22s %12s %10s   reliability\n", "backend", "time (ms)",
                     "speedup");
 
-        // Serial reference.
+        // Every row must judge the serial row's rounds.
+        std::size_t reference_reliable = 0;
+        const auto check = [&](const char* label,
+                               const assessment_stats& stats) {
+            if (stats.reliable == reference_reliable) {
+                return true;
+            }
+            std::fprintf(stderr,
+                         "DETERMINISM VIOLATION: %s -> %zu reliable rounds, "
+                         "serial -> %zu\n",
+                         label, stats.reliable, reference_reliable);
+            return false;
+        };
+
+        // Serial reference: the batch scheme with one inline worker.
         extended_dagger_sampler serial_sampler{infra.registry().probabilities(), 3};
-        round_state rs{infra.registry().size(), &infra.forest()};
-        fat_tree_routing oracle{infra.tree()};
-        serial_backend serial{infra.registry().size(), &infra.forest(), oracle,
-                              serial_sampler};
+        parallel_backend serial =
+            bench::make_serial_backend(infra, serial_sampler);
         assessment_stats serial_stats;
         const double serial_ms = bench::time_ms(
             [&] { serial_stats = serial.assess(w.app, plan, rounds); });
+        reference_reliable = serial_stats.reliable;
         std::printf("%-22s %12.1f %9.2fx   %.5f\n", serial.name(), serial_ms, 1.0,
                     serial_stats.reliability);
 
         // Deterministic parallel backend at increasing worker counts.
-        std::size_t reference_reliable = 0;
-        bool have_reference = false;
         for (const std::size_t workers : worker_counts) {
             extended_dagger_sampler sampler{infra.registry().probabilities(), 3};
             parallel_backend parallel{infra.registry().size(), &infra.forest(),
-                                      factory, sampler,
-                                      {.threads = workers, .batch_rounds = 1024}};
+                                      factory, sampler, {.threads = workers}};
             (void)parallel.assess(w.app, plan, 500);  // warm the pool
             parallel.reset_stream(3);
             assessment_stats stats;
@@ -94,30 +105,19 @@ int main() {
             std::snprintf(label, sizeof label, "parallel (%zu workers)", workers);
             std::printf("%-22s %12.1f %9.2fx   %.5f\n", label, ms,
                         serial_ms / ms, stats.reliability);
-            // The determinism contract, checked live: every worker count must
-            // judge the identical rounds.
-            if (!have_reference) {
-                reference_reliable = stats.reliable;
-                have_reference = true;
-            } else if (stats.reliable != reference_reliable) {
-                std::fprintf(stderr,
-                             "DETERMINISM VIOLATION: %zu workers -> %zu reliable "
-                             "rounds, expected %zu\n",
-                             workers, stats.reliable, reference_reliable);
+            if (!check(label, stats)) {
                 return 1;
             }
         }
 
         // Wire-format engine for contrast (master-side sampling + real
         // serialization costs).
-        std::size_t engine_reliable = 0;
         for (const std::size_t workers : worker_counts) {
             extended_dagger_sampler sampler{infra.registry().probabilities(), 3};
             engine_backend engine{infra.registry().size(), &infra.forest(),
-                                  factory, sampler,
-                                  {.workers = workers, .batch_rounds = 1000}};
+                                  factory, sampler, {.workers = workers}};
             (void)engine.assess(w.app, plan, 500);  // warm the pool
-            sampler.reset(3);
+            engine.reset_stream(3);
             assessment_stats stats;
             const double ms = bench::time_ms(
                 [&] { stats = engine.assess(w.app, plan, rounds); });
@@ -125,7 +125,9 @@ int main() {
             std::snprintf(label, sizeof label, "engine (%zu workers)", workers);
             std::printf("%-22s %12.1f %9.2fx   %.5f\n", label, ms,
                         serial_ms / ms, stats.reliability);
-            engine_reliable = stats.reliable;
+            if (!check(label, stats)) {
+                return 1;
+            }
         }
 
         // Fault-injected engine: >= 20% of dispatch attempts crash or
@@ -141,11 +143,10 @@ int main() {
             engine_backend engine{infra.registry().size(), &infra.forest(),
                                   factory, sampler,
                                   {.workers = 4,
-                                   .batch_rounds = 1000,
                                    .max_attempts = 6,
                                    .chaos = &chaos}};
             (void)engine.assess(w.app, plan, 500);  // warm the pool
-            sampler.reset(3);
+            engine.reset_stream(3);
             assessment_stats stats;
             const double ms = bench::time_ms(
                 [&] { stats = engine.assess(w.app, plan, rounds); });
@@ -161,11 +162,7 @@ int main() {
                 static_cast<unsigned long long>(es.redispatches),
                 static_cast<unsigned long long>(es.degraded),
                 static_cast<unsigned long long>(es.batches));
-            if (stats.reliable != engine_reliable) {
-                std::fprintf(stderr,
-                             "RECOVERY DETERMINISM VIOLATION: chaos run -> %zu "
-                             "reliable rounds, fault-free engine -> %zu\n",
-                             stats.reliable, engine_reliable);
+            if (!check("engine (4 w, 25% chaos)", stats)) {
                 return 1;
             }
         }
@@ -174,6 +171,6 @@ int main() {
     std::printf(
         "expected shape: parallel tracks core count (no serialization, sampling\n"
         "                inside workers); engine pays Figure 12's wire + context\n"
-        "                costs; all parallel rows report identical reliability.\n");
+        "                costs; every row reports the identical reliability.\n");
     return 0;
 }

@@ -5,8 +5,8 @@
 // The incremental machinery (DESIGN.md §11) is a pure speed knob: the
 // verdict cache rebinds warm across the annealer's single-slot plan swaps
 // and a CRN round journal (assess/round_journal.hpp) is replayed instead of
-// re-sampling — the master stream's journal on the serial backend, which
-// this bench runs; the parallel backend keeps one per batch. This bench
+// re-sampling — one journal per worker of the batched backend; this bench
+// runs the serial (one-worker) one. This bench
 // ASSERTS that promise live — the winning plan, its assessment stats and
 // every search counter must be bit-identical between the two runs, or the
 // bench exits non-zero. The headline number is the speedup of the full

@@ -9,10 +9,14 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "assess/backend.hpp"
+#include "core/scenario.hpp"
+#include "routing/fat_tree_routing.hpp"
 #include "topology/fat_tree.hpp"
 #include "util/stopwatch.hpp"
 
@@ -45,6 +49,17 @@ inline void print_header(const char* title, const char* paper_ref) {
                              : "  [reduced budgets; RECLOUD_FULL=1 for paper scale]");
     std::printf("hardware threads: %u\n", std::thread::hardware_concurrency());
     std::printf("================================================================\n");
+}
+
+/// The serial assessment backend — the batch scheme with one inline worker
+/// — judging on `infra`'s closed-form fat-tree oracle. `infra` and `sampler`
+/// must outlive it.
+inline parallel_backend make_serial_backend(
+    const fat_tree_infrastructure& infra, failure_sampler& sampler) {
+    return parallel_backend{
+        infra.registry().size(), &infra.forest(),
+        [&infra] { return std::make_unique<fat_tree_routing>(infra.tree()); },
+        sampler, {.threads = 1}};
 }
 
 /// Times a callable once and returns milliseconds.

@@ -1,6 +1,7 @@
 #include "assess/backend.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <future>
 #include <stdexcept>
 #include <thread>
@@ -12,15 +13,6 @@
 #include "sampling/result_stats.hpp"
 
 namespace recloud {
-namespace {
-
-/// Per-task tally a worker hands back to the reducer.
-struct batch_counts {
-    std::size_t rounds = 0;
-    std::size_t reliable = 0;
-};
-
-}  // namespace
 
 assessment_stats assessment_backend::assess_until_ciw(
     const application& app, const deployment_plan& plan,
@@ -28,9 +20,10 @@ assessment_stats assessment_backend::assess_until_ciw(
     if (options.target_ciw <= 0.0) {
         throw std::invalid_argument{"assess_until_ciw: target must be > 0"};
     }
-    // Same prediction loop as the serial free function (assessor.cpp), built
-    // on the backend's assess(): run an initial burst, then repeatedly
-    // predict the total rounds needed and run the shortfall.
+    // Run an initial burst, then repeatedly predict the total rounds needed
+    // from the current estimate and run the shortfall (at least as many as
+    // already done, so the prediction error of early noisy estimates cannot
+    // stall progress). Each burst is one assess(), i.e. one epoch.
     result_accumulator results;
     const auto run_rounds = [&](std::size_t rounds) {
         const assessment_stats chunk = assess(app, plan, rounds);
@@ -53,56 +46,44 @@ assessment_stats assessment_backend::assess_until_ciw(
     }
 }
 
-serial_backend::serial_backend(std::size_t component_count,
-                               const fault_tree_forest* forest,
-                               reachability_oracle& oracle,
-                               failure_sampler& sampler,
-                               const verdict_cache_options& cache_options)
-    : assessor_(component_count, forest, oracle, sampler, cache_options),
-      sampler_(&sampler),
-      oracle_(&oracle) {}
+/// One assess() call as every worker sees it.
+struct parallel_backend::assessment {
+    const application& app;
+    const deployment_plan& plan;
+    std::size_t rounds = 0;
+    std::size_t batches = 0;
+    std::uint64_t epoch = 0;
+    /// The reset seed when the worker journals may record or replay.
+    std::optional<std::uint64_t> journal_seed;
+    std::uint64_t app_fingerprint = 0;
+    const run_budget* budget = nullptr;
 
-assessment_stats serial_backend::assess(const application& app,
-                                        const deployment_plan& plan,
-                                        std::size_t rounds) {
-    return assessor_.assess(app, plan, rounds, budget_);
-}
-
-assessment_stats serial_backend::assess_until_ciw(
-    const application& app, const deployment_plan& plan,
-    const adaptive_assess_options& options) {
-    // The CIW loop drives the sampler directly: pay back any rounds a
-    // journal replay skipped and drop the fresh-reset flag so a later
-    // assess() cannot mistake the advanced stream for a reset one.
-    assessor_.settle_stream_debt();
-    assessor_.invalidate_stream_reset();
-    return recloud::assess_until_ciw(*sampler_, assessor_.state(), *oracle_, app,
-                                     plan, options, assessor_.cache(), budget_);
-}
-
-void serial_backend::reset_stream(std::uint64_t seed) {
-    sampler_->reset(seed);
-    assessor_.note_stream_reset(seed);
-}
+    [[nodiscard]] std::size_t batch_size(std::size_t b,
+                                         std::size_t batch_rounds) const {
+        return std::min(batch_rounds, rounds - b * batch_rounds);
+    }
+};
 
 parallel_backend::parallel_backend(std::size_t component_count,
                                    const fault_tree_forest* forest,
                                    oracle_factory make_oracle,
                                    failure_sampler& sampler,
                                    const parallel_backend_options& options)
-    : sampler_(&sampler),
-      options_(options),
-      pool_(options.threads != 0 ? options.threads
-                                 : std::max(1u, std::thread::hardware_concurrency())) {
+    : sampler_(&sampler), options_(options) {
     if (options_.batch_rounds == 0) {
-        throw std::invalid_argument{"parallel_backend: batch_rounds must be >= 1"};
+        throw std::invalid_argument{
+            "parallel_backend: batch_rounds must be >= 1"};
     }
     if (sampler_->fork(0) == nullptr) {
         throw std::invalid_argument{
             "parallel_backend: sampler does not support substreams (fork)"};
     }
-    contexts_.reserve(pool_.size());
-    for (std::size_t w = 0; w < pool_.size(); ++w) {
+    const std::size_t workers =
+        options_.threads != 0
+            ? options_.threads
+            : std::max(1u, std::thread::hardware_concurrency());
+    contexts_.reserve(workers);
+    for (std::size_t w = 0; w < workers; ++w) {
         std::unique_ptr<reachability_oracle> oracle = make_oracle();
         if (oracle == nullptr) {
             throw std::invalid_argument{
@@ -112,113 +93,119 @@ parallel_backend::parallel_backend(std::size_t component_count,
             component_count, forest, std::move(oracle),
             options_.verdict_cache));
     }
+    if (workers > 1) {
+        pool_.emplace(workers);
+    }
+}
+
+result_accumulator parallel_backend::run_worker(std::size_t w,
+                                                const assessment& job,
+                                                std::atomic<bool>& aborted) {
+    worker_context& context = *contexts_[w];
+    const std::size_t workers = contexts_.size();
+    const std::size_t batch_rounds = options_.batch_rounds;
+    requirement_evaluator evaluator{job.app, job.plan};
+    verdict_cache* cache = context.cache ? &*context.cache : nullptr;
+    if (cache != nullptr) {
+        cache->bind(job.app, job.plan);
+    }
+    const round_judge judge{context.rs, *context.oracle, job.plan, evaluator,
+                            cache};
+    result_accumulator results;
+    round_journal* journal = nullptr;
+    try {
+        if (job.journal_seed.has_value() && cache != nullptr &&
+            cache->cross_plan()) {
+            std::size_t share = 0;
+            for (std::size_t b = w; b < job.batches; b += workers) {
+                share += job.batch_size(b, batch_rounds);
+            }
+            const journal_key key{.seed = *job.journal_seed,
+                                  .epoch = job.epoch,
+                                  .rounds = share,
+                                  .app = job.app_fingerprint};
+            if (const std::optional<assessment_stats> replayed =
+                    context.journal.replay_or_begin(key, *cache, context.rs,
+                                                    *context.oracle, job.plan,
+                                                    evaluator, job.budget)) {
+                results.merge(replayed->reliable, replayed->rounds);
+                return results;
+            }
+            journal = &context.journal;
+        }
+        for (std::size_t b = w; b < job.batches; b += workers) {
+            if (aborted.load(std::memory_order_relaxed)) {
+                return results;  // a recording journal stays unfinished
+            }
+            RECLOUD_SPAN("assess.batch");
+            RECLOUD_COUNTER_INC("assess.batches");
+            const std::unique_ptr<failure_sampler> substream =
+                sampler_->fork(substream_id(job.epoch, b));
+            judge_rounds(*substream, job.batch_size(b, batch_rounds), judge,
+                         results, journal, job.budget);
+        }
+    } catch (const search_preempted&) {
+        aborted.store(true, std::memory_order_relaxed);
+        return results;
+    }
+    if (journal != nullptr) {
+        journal->finish();
+    }
+    return results;
 }
 
 assessment_stats parallel_backend::assess(const application& app,
                                           const deployment_plan& plan,
                                           std::size_t rounds) {
-    RECLOUD_SPAN("backend.parallel.assess");
+    RECLOUD_SPAN("assess.deployment");
     RECLOUD_COUNTER_ADD("assess.rounds", rounds);
     ++epoch_;
     const std::size_t batch_rounds = options_.batch_rounds;
-    const std::size_t batches = (rounds + batch_rounds - 1) / batch_rounds;
-    const std::size_t workers = pool_.size();
+    const assessment job{
+        .app = app,
+        .plan = plan,
+        .rounds = rounds,
+        .batches = (rounds + batch_rounds - 1) / batch_rounds,
+        .epoch = epoch_,
+        // CRN journals (DESIGN.md §11) need a known stream: without a reset
+        // nothing is recorded or replayed.
+        .journal_seed = reset_seed_,
+        .app_fingerprint =
+            reset_seed_.has_value() ? application_fingerprint(app) : 0,
+        .budget = budget_};
 
-    // One task per worker; worker w judges batches w, w+workers, ... Batch
-    // b's rounds come from substream (epoch, b) no matter which worker runs
-    // it, and the per-batch counts are summed — addition commutes, so the
-    // schedule cannot affect the result.
+    // Worker w judges batches w, w+W, ... Batch b's rounds come from
+    // substream (epoch, b) whichever worker runs it, and the per-batch
+    // counts are summed — addition commutes, so the schedule cannot affect
+    // the result.
     //
-    // Lifecycle: workers poll the armed budget between batches; the first
-    // to see it fire raises `aborted` so siblings stop at their next batch
-    // boundary too. Every future still completes (the master must not
-    // outrun tasks holding references to this frame), then the whole
-    // partial tally is discarded by throwing search_preempted.
+    // Lifecycle: workers poll the armed budget inside their batches; the
+    // first to see it fire raises `aborted` so siblings stop at their next
+    // batch boundary too. Every worker finishes (the master must not outrun
+    // tasks holding references to this frame), then the whole partial tally
+    // is discarded by throwing search_preempted.
     std::atomic<bool> aborted{false};
-    const run_budget* budget = budget_;
-    const std::uint64_t epoch = epoch_;
-    // CRN journals (DESIGN.md §11) need a known stream: without a reset
-    // nothing is recorded or replayed.
-    const std::optional<std::uint64_t> seed = reset_seed_;
-    const std::uint64_t app_fingerprint =
-        seed.has_value() ? application_fingerprint(app) : 0;
-    std::vector<std::future<batch_counts>> futures;
-    futures.reserve(workers);
-    for (std::size_t w = 0; w < workers && w < batches; ++w) {
-        futures.push_back(pool_.submit([this, &app, &plan, rounds, batch_rounds,
-                                        batches, workers, w, budget, epoch,
-                                        seed, app_fingerprint,
-                                        &aborted]() -> batch_counts {
-            worker_context& context = *contexts_[w];
-            requirement_evaluator evaluator{app, plan};
-            verdict_cache* cache = context.cache ? &*context.cache : nullptr;
-            if (cache != nullptr) {
-                cache->bind(app, plan);
-            }
-            const bool journaling =
-                seed.has_value() && cache != nullptr && cache->cross_plan();
-            std::vector<component_id> failed;
-            batch_counts counts;
-            for (std::size_t b = w; b < batches; b += workers) {
-                if (budget != nullptr &&
-                    (aborted.load(std::memory_order_relaxed) ||
-                     budget->interrupted())) {
-                    aborted.store(true, std::memory_order_relaxed);
-                    break;
-                }
-                RECLOUD_SPAN("assess.batch");
-                RECLOUD_COUNTER_INC("assess.batches");
-                const std::size_t begin = b * batch_rounds;
-                const std::size_t count = std::min(batch_rounds, rounds - begin);
-                round_journal* journal = nullptr;
-                if (journaling) {
-                    // The batch is the preemption unit here: a replay runs
-                    // whole, so it gets no budget of its own.
-                    const std::size_t slot = b / workers;
-                    if (context.journals.size() <= slot) {
-                        context.journals.resize(slot + 1);
-                    }
-                    journal = &context.journals[slot];
-                    const journal_key key{.seed = *seed,
-                                          .epoch = epoch,
-                                          .rounds = count,
-                                          .app = app_fingerprint};
-                    if (const std::optional<assessment_stats> replayed =
-                            journal->replay_or_begin(key, *cache, context.rs,
-                                                     *context.oracle, plan,
-                                                     evaluator, nullptr)) {
-                        counts.rounds += replayed->rounds;
-                        counts.reliable += replayed->reliable;
-                        continue;
-                    }
-                }
-                const std::unique_ptr<failure_sampler> substream =
-                    sampler_->fork(substream_id(epoch, b));
-                for (std::size_t i = 0; i < count; ++i) {
-                    substream->next_round(failed);
-                    ++counts.rounds;
-                    if (cached_reliable_in_round(cache, failed, context.rs,
-                                                 *context.oracle, plan,
-                                                 evaluator)) {
-                        ++counts.reliable;
-                    }
-                    if (journal != nullptr) {
-                        journal->record(static_cast<std::uint32_t>(i), failed,
-                                        *cache);
-                    }
-                }
-                if (journal != nullptr) {
-                    journal->finish();
-                }
-            }
-            return counts;
-        }));
-    }
-
     result_accumulator results;
-    for (auto& future : futures) {
-        const batch_counts counts = future.get();
-        results.merge(counts.reliable, counts.rounds);
+    const std::size_t active = std::min(contexts_.size(), job.batches);
+    if (!pool_.has_value()) {
+        if (active > 0) {
+            results = run_worker(0, job, aborted);
+        }
+    } else {
+        std::vector<std::future<result_accumulator>> futures;
+        futures.reserve(active);
+        for (std::size_t w = 0; w < active; ++w) {
+            futures.push_back(pool_->submit([this, w, &job, &aborted] {
+                return run_worker(w, job, aborted);
+            }));
+        }
+        for (auto& future : futures) {
+            future.wait();
+        }
+        for (auto& future : futures) {
+            const result_accumulator counts = future.get();
+            results.merge(counts.reliable_rounds(), counts.rounds());
+        }
     }
     if (aborted.load(std::memory_order_relaxed)) {
         throw search_preempted{};

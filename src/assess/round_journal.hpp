@@ -17,8 +17,8 @@
 //
 // One journal describes one stream. Its owner decides which stream that is
 // and keeps the journal next to the verdict cache that records and replays
-// it: the serial assessor owns one for its master stream, each parallel
-// worker one per (epoch, batch) substream it always runs.
+// it: each worker of the batched backend owns one for the batches it always
+// runs (assess/backend.hpp).
 #pragma once
 
 #include <cstddef>
@@ -45,10 +45,9 @@ namespace recloud {
 /// noise. An un-armed poll (budget == nullptr) is a single pointer test.
 inline constexpr std::size_t budget_poll_stride = 256;
 
-/// Which stream a journal holds: the reset seed, the assessment index since
-/// that reset (always 0 for the serial master stream; the parallel epoch for
-/// a batch substream), the rounds of the recorded pass, and the application
-/// shape (application_fingerprint) whose support filtered the signatures.
+/// Which stream a journal holds: the reset seed, the assessment epoch since
+/// that reset, the rounds of the recorded pass, and the application shape
+/// (application_fingerprint) whose support filtered the signatures.
 struct journal_key {
     std::uint64_t seed = 0;
     std::uint64_t epoch = 0;
@@ -60,7 +59,7 @@ struct journal_key {
 
 class round_journal {
 public:
-    /// The one protocol both owners share, called with `cache` already bound
+    /// The one protocol of the journal, called with `cache` already bound
     /// to (app, plan) and `key` naming the stream about to be judged. When a
     /// COMPLETE pass recorded under `key` is held and at most a quarter of
     /// its rounds turn dirty under `plan`, judges the journal instead of the

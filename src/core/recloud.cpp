@@ -30,11 +30,10 @@ std::unique_ptr<failure_sampler> make_sampler(sampler_kind kind,
     return std::make_unique<extended_dagger_sampler>(probabilities, seed);
 }
 
-/// Wires the configured backend kind onto the scenario. The serial backend
-/// judges rounds on `serial_oracle` (a clone the caller owns); the parallel
-/// and engine backends clone per worker through the scenario — the captured
-/// scenario_ptr keeps the snapshot alive for as long as the factory (and
-/// thus the backend) exists.
+/// Wires the configured backend kind onto the scenario. Every backend clones
+/// its per-worker oracles through the scenario — the captured scenario_ptr
+/// keeps the snapshot alive for as long as the factory (and thus the
+/// backend) exists. The serial backend is the one-worker parallel backend.
 ///
 /// Lifetime: every backend stores `sampler` as a non-owning pointer and
 /// dereferences it on each assess()/reset_stream(). The caller (re_cloud's
@@ -43,22 +42,18 @@ std::unique_ptr<failure_sampler> make_sampler(sampler_kind kind,
 /// within re_cloud. Anyone else calling this owes the same guarantee.
 std::unique_ptr<assessment_backend> make_backend(
     const scenario_ptr& scenario, const recloud_options& options,
-    reachability_oracle* serial_oracle, failure_sampler& sampler,
-    const verdict_cache_options& cache_options) {
+    failure_sampler& sampler, const verdict_cache_options& cache_options) {
     const std::size_t components = scenario->registry().size();
     const fault_tree_forest* forest = scenario->forest();
-    if (options.backend == assessment_backend_kind::serial) {
-        return std::make_unique<serial_backend>(components, forest,
-                                                *serial_oracle, sampler,
-                                                cache_options);
-    }
     oracle_factory factory = [scenario] { return scenario->make_oracle(); };
-    if (options.backend == assessment_backend_kind::parallel) {
+    if (options.backend != assessment_backend_kind::engine) {
+        const bool serial = options.backend == assessment_backend_kind::serial;
         return std::make_unique<parallel_backend>(
             components, forest, std::move(factory), sampler,
-            parallel_backend_options{.threads = options.assessment_threads,
-                                     .batch_rounds = options.assessment_batch_rounds,
-                                     .verdict_cache = cache_options});
+            parallel_backend_options{
+                .threads = serial ? 1 : options.assessment_threads,
+                .batch_rounds = options.assessment_batch_rounds,
+                .verdict_cache = cache_options});
     }
     engine_options eng{.workers = options.assessment_threads != 0
                                       ? options.assessment_threads
@@ -149,11 +144,7 @@ re_cloud::re_cloud(scenario_ptr scenario, const recloud_options& options)
         cache_options_.support = &*support_;
         cache_options_.cross_plan = incremental_enabled(options_);
     }
-    if (options_.backend == assessment_backend_kind::serial) {
-        owned_oracle_ = scenario_->make_oracle();
-    }
-    backend_ = make_backend(scenario_, options_, owned_oracle_.get(), *sampler_,
-                            cache_options_);
+    backend_ = make_backend(scenario_, options_, *sampler_, cache_options_);
     if (options_.backend == assessment_backend_kind::engine) {
         engine_view_ = static_cast<engine_backend*>(backend_.get());
         // Aggregation scratch allocated up front so execution_stats() never
@@ -182,11 +173,8 @@ re_cloud::chain_stack re_cloud::make_chain_stack(std::uint64_t stream_id) const 
         throw std::invalid_argument{
             "re_cloud: multi-chain search needs a sampler supporting fork()"};
     }
-    if (options_.backend == assessment_backend_kind::serial) {
-        stack.oracle = scenario_->make_oracle();
-    }
-    stack.backend = make_backend(scenario_, options_, stack.oracle.get(),
-                                 *stack.sampler, cache_options_);
+    stack.backend =
+        make_backend(scenario_, options_, *stack.sampler, cache_options_);
     return stack;
 }
 

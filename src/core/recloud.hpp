@@ -54,8 +54,8 @@ enum class sampler_kind : std::uint8_t {
 };
 
 enum class assessment_backend_kind : std::uint8_t {
-    serial,    ///< single-threaded in-process assessor (the default)
-    parallel,  ///< thread-pool backend, deterministic for any worker count
+    serial,    ///< the parallel backend with one inline worker (the default)
+    parallel,  ///< thread pool; the same stats as serial at any thread count
     engine,    ///< MapReduce-style wire-format engine (§3.2.1, Figure 12)
 };
 
@@ -76,9 +76,9 @@ struct recloud_options {
     /// Worker threads for the parallel/engine backends; 0 = one per
     /// hardware thread. Ignored by the serial backend.
     std::size_t assessment_threads = 0;
-    /// Rounds per work unit: substream batch (parallel) or serialized batch
-    /// (engine). Part of the parallel backend's determinism contract.
-    std::size_t assessment_batch_rounds = 1024;
+    /// Rounds per batch, the work unit of every backend (DESIGN.md §6). Part
+    /// of the determinism contract: stats depend on it, not on the backend.
+    std::size_t assessment_batch_rounds = default_batch_rounds;
     /// Engine backend recovery: dispatch attempts per batch before the
     /// master degrades to local route-and-check (exec/engine.hpp). Ignored
     /// by the serial/parallel backends.
@@ -274,7 +274,6 @@ private:
     /// Declaration order inside is the same lifetime contract as the main
     /// members: the backend points into the sampler.
     struct chain_stack {
-        std::unique_ptr<reachability_oracle> oracle;  ///< serial backend only
         std::unique_ptr<failure_sampler> sampler;
         std::unique_ptr<assessment_backend> backend;
     };
@@ -286,9 +285,6 @@ private:
 
     scenario_ptr scenario_;
     recloud_options options_;
-    /// Private oracle clone feeding the serial backend (parallel/engine
-    /// backends clone per worker through the scenario instead).
-    std::unique_ptr<reachability_oracle> owned_oracle_;
     /// Static support set shared by every backend verdict cache; part of the
     /// same lifetime contract as sampler_ (backends point into it, so it
     /// must be declared before backend_). Engaged iff the cache is on.

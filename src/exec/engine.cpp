@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <future>
+#include <stdexcept>
 #include <thread>
 #include <utility>
 
@@ -146,6 +147,10 @@ assessment_engine::assessment_engine(std::size_t component_count,
       options_(options),
       transport_(build_transport(component_count, forest, make_oracle_,
                                  options)) {
+    if (options_.batch_rounds == 0) {
+        throw std::invalid_argument{
+            "assessment_engine: batch_rounds must be >= 1"};
+    }
     stats_.worker_failures.assign(transport_->workers(), 0);
 }
 
@@ -163,7 +168,8 @@ const verdict_cache_stats* assessment_engine::cache_stats() const noexcept {
     return &combined_cache_stats_;
 }
 
-assessment_stats assessment_engine::assess(failure_sampler& sampler,
+assessment_stats assessment_engine::assess(const failure_sampler& sampler,
+                                           std::uint64_t epoch,
                                            const application& app,
                                            const deployment_plan& plan,
                                            std::size_t rounds,
@@ -257,37 +263,36 @@ assessment_stats assessment_engine::assess(failure_sampler& sampler,
     result_accumulator results;
     std::unique_ptr<worker_context> local;  // lazily-built degraded path
     try {
-        // Master: sample every round up front. The sampler stream advances
-        // identically whatever faults later strike, and each batch's bytes
-        // are kept until its result validates — so retries, re-dispatches
-        // and degraded local runs all judge the identical rounds.
+        // Master: sample every batch from its substream up front. Each
+        // batch's bytes are kept until its result validates — so retries,
+        // re-dispatches and degraded local runs all judge the identical
+        // rounds.
         {
             RECLOUD_SPAN("engine.sample");
-            std::vector<std::vector<component_id>> batch_rounds;
-            std::vector<component_id> failed;
-            const auto flush = [&] {
-                if (batch_rounds.empty()) {
-                    return;
+            const std::size_t batch_rounds = options_.batch_rounds;
+            std::vector<std::vector<component_id>> batch;
+            for (std::size_t begin = 0; begin < rounds; begin += batch_rounds) {
+                const std::unique_ptr<failure_sampler> substream =
+                    sampler.fork(substream_id(epoch, batches.size()));
+                if (substream == nullptr) {
+                    throw std::invalid_argument{
+                        "assessment_engine: sampler does not support "
+                        "substreams (fork)"};
+                }
+                batch.resize(std::min(batch_rounds, rounds - begin));
+                for (std::vector<component_id>& failed : batch) {
+                    substream->next_round(failed);
                 }
                 byte_writer writer;
-                wire::encode_round_batch(writer, batch_rounds);
+                wire::encode_round_batch(writer, batch);
                 pending_batch b;
                 b.id = batches.size();
-                b.rounds = batch_rounds.size();
+                b.rounds = batch.size();
                 b.framed_task = frame_message(writer.bytes());
                 b.failed_on.assign(worker_count, false);
                 batches.push_back(std::move(b));
-                batch_rounds.clear();
-            };
-            for (std::size_t produced = 0; produced < rounds; ++produced) {
-                sampler.next_round(failed);
-                batch_rounds.push_back(failed);
-                if (batch_rounds.size() >= options_.batch_rounds) {
-                    flush();
-                    throw_if_preempted(budget);
-                }
+                throw_if_preempted(budget);
             }
-            flush();
         }
         stats_.batches += batches.size();
 
@@ -398,16 +403,22 @@ engine_backend::engine_backend(std::size_t component_count,
                                failure_sampler& sampler,
                                const engine_options& options)
     : sampler_(&sampler),
-      engine_(component_count, forest, std::move(make_oracle), options) {}
+      engine_(component_count, forest, std::move(make_oracle), options) {
+    if (sampler_->fork(0) == nullptr) {
+        throw std::invalid_argument{
+            "engine_backend: sampler does not support substreams (fork)"};
+    }
+}
 
 assessment_stats engine_backend::assess(const application& app,
                                         const deployment_plan& plan,
                                         std::size_t rounds) {
-    return engine_.assess(*sampler_, app, plan, rounds, budget_);
+    return engine_.assess(*sampler_, ++epoch_, app, plan, rounds, budget_);
 }
 
 void engine_backend::reset_stream(std::uint64_t seed) {
     sampler_->reset(seed);
+    epoch_ = 0;
 }
 
 }  // namespace recloud

@@ -2,11 +2,13 @@
 // route-and-check process can be performed in parallel via MapReduce",
 // evaluated in §4.2.4 / Figure 12).
 //
-// A master partitions the sampled rounds into batches, SERIALIZES each
-// batch (plus the plan and application, sent once per assessment) into a
-// byte buffer, and hands it to a worker. Workers deserialize, set up their
-// route-and-check context (their own round_state + routing oracle), judge
-// their rounds, and serialize a result record back; the master aggregates.
+// A master samples the rounds batch by batch — batch b of assessment epoch
+// e from sampler.fork(substream_id(e, b)), the batch scheme every backend
+// shares (assess/backend.hpp) — SERIALIZES each batch (plus the plan and
+// application, sent once per assessment) into a byte buffer, and hands it
+// to a worker. Workers deserialize, set up their route-and-check context
+// (their own round_state + routing oracle), judge their rounds, and
+// serialize a result record back; the master aggregates.
 //
 // The serialization is real even though workers are in-process threads:
 // Figure 12's shape — parallelism only pays off for very large round
@@ -73,8 +75,9 @@ void encode_batch_result(byte_writer& out, const batch_result& result);
 struct engine_options {
     std::size_t workers = 1;
     /// Rounds per serialized batch ("portions of rounds" the master
-    /// distributes).
-    std::size_t batch_rounds = 1000;
+    /// distributes) — the batch of the shared batch scheme, so part of the
+    /// determinism contract.
+    std::size_t batch_rounds = default_batch_rounds;
     /// Dispatch attempts per batch before the master gives up on workers
     /// and runs the batch locally. 0 skips workers entirely (every batch
     /// degrades to master-local route-and-check).
@@ -138,20 +141,24 @@ struct engine_stats {
 class assessment_engine {
 public:
     /// `forest` may be nullptr. The factory is invoked once per worker per
-    /// assessment (context setup).
+    /// assessment (context setup). Throws std::invalid_argument when
+    /// `options.batch_rounds` is 0.
     assessment_engine(std::size_t component_count, const fault_tree_forest* forest,
                       oracle_factory make_oracle, const engine_options& options);
 
-    /// Assesses one plan over `rounds` rounds. Sampling stays on the master
-    /// (the failure schedule is the data being distributed); workers do the
-    /// route-and-check. `budget` (nullable, borrowed) is the request
-    /// lifecycle token: the master polls it between batches and WHILE
+    /// Assesses one plan over `rounds` rounds as assessment `epoch`: batch b
+    /// is sampled from sampler.fork(substream_id(epoch, b)) (throws
+    /// std::invalid_argument when the sampler cannot fork). Sampling stays on
+    /// the master (the failure schedule is the data being distributed);
+    /// workers do the route-and-check. `budget` (nullable, borrowed) is the
+    /// request lifecycle token: the master polls it between batches and WHILE
     /// waiting on dispatched results (sliced waits), and when it fires the
     /// assessment aborts cleanly — outstanding dispatches are abandoned,
     /// drained, and their late results dropped; the transport stays
     /// reusable (no zombie workers, no desync) — then search_preempted
     /// propagates with the partial tally discarded.
-    [[nodiscard]] assessment_stats assess(failure_sampler& sampler,
+    [[nodiscard]] assessment_stats assess(const failure_sampler& sampler,
+                                          std::uint64_t epoch,
                                           const application& app,
                                           const deployment_plan& plan,
                                           std::size_t rounds,
@@ -200,11 +207,11 @@ private:
     mutable verdict_cache_stats combined_cache_stats_;
 };
 
-/// assessment_backend adapter over the wire-format engine: sampling stays on
-/// the master (the backend's base sampler), workers do the route-and-check.
-/// Unlike parallel_backend, results are deterministic for any worker count
-/// because the master's single stream defines every round — but serialization
-/// and context setup are paid per assessment (Figure 12's fixed costs).
+/// assessment_backend adapter over the wire-format engine: the master samples
+/// every batch from the backend's base sampler (same epochs and substreams as
+/// parallel_backend, so the same stats), workers do the route-and-check —
+/// but serialization and context setup are paid per assessment (Figure 12's
+/// fixed costs).
 class engine_backend final : public assessment_backend {
 public:
     /// `forest` may be nullptr. LIFETIME CONTRACT: the backend keeps a
@@ -212,7 +219,8 @@ public:
     /// reset_stream() — the sampler must strictly outlive the backend.
     /// re_cloud satisfies this by owning the sampler in a member declared
     /// before the backend (destroyed after it); anyone constructing an
-    /// engine_backend directly owes the same guarantee.
+    /// engine_backend directly owes the same guarantee. The sampler must
+    /// support fork() (throws std::invalid_argument otherwise).
     engine_backend(std::size_t component_count, const fault_tree_forest* forest,
                    oracle_factory make_oracle, failure_sampler& sampler,
                    const engine_options& options = {});
@@ -243,6 +251,7 @@ public:
 private:
     failure_sampler* sampler_;  ///< non-owning; see ctor lifetime contract
     assessment_engine engine_;
+    std::uint64_t epoch_ = 0;  ///< assessments since construction/reset
 };
 
 }  // namespace recloud

@@ -1,10 +1,13 @@
-// In-process transport backend: worker "nodes" are thread-pool threads
-// judging through worker_context — the engine's historic execution path,
-// rehomed behind the transport seam with zero behavior change (same
-// serialization, same byte accounting, same chaos semantics), so the whole
-// recovery test matrix keeps proving the same machine.
+// In-process transport backend: each worker "node" is one thread judging
+// through worker_context — the engine's historic execution path behind the
+// transport seam (same serialization, same byte accounting, same chaos
+// semantics), so the whole recovery test matrix keeps proving the same
+// machine. Like a socket worker process, a node runs its batches one at a
+// time in dispatch order, so its oracle and cache see the same round
+// sequence (and count the same route.* telemetry) on either transport.
 #include "exec/transport.hpp"
 
+#include <string>
 #include <utility>
 
 #include "exec/worker_context.hpp"
@@ -26,37 +29,46 @@ namespace {
 class loopback_transport final : public engine_transport {
 public:
     loopback_transport(std::size_t workers, transport_env env)
-        : env_(std::move(env)), pool_(workers) {}
+        : env_(std::move(env)) {
+        nodes_.reserve(workers);
+        for (std::size_t w = 0; w < workers; ++w) {
+            const std::string name = "recloud-node" + std::to_string(w);
+            nodes_.push_back(std::make_unique<thread_pool>(1, name.c_str()));
+        }
+    }
 
     [[nodiscard]] const char* name() const noexcept override {
         return "loopback";
     }
     [[nodiscard]] std::size_t workers() const noexcept override {
-        return pool_.size();
+        return nodes_.size();
     }
 
     std::uint64_t begin_assessment(
         std::span<const std::byte> framed_setup) override {
-        if (env_.verdict_cache.cross_plan && contexts_.size() == pool_.size()) {
+        // Every node sets up (or rebinds) its own context on its own thread,
+        // from its own setup copy — what shipping the job to a remote node
+        // would cost (Figure 12's fixed costs). Built there, a context's
+        // memory also comes from its node's allocator arena instead of
+        // sitting next to a sibling's hot state.
+        if (env_.verdict_cache.cross_plan &&
+            contexts_.size() == nodes_.size()) {
             // Cross-plan incremental mode: contexts persist across
             // assessments so each worker's verdict cache can rebind
             // in-place and keep the entries the plan swap cannot affect.
-            for (const auto& context : contexts_) {
-                context->rebind(framed_setup);
-            }
-            return static_cast<std::uint64_t>(framed_setup.size()) *
-                   pool_.size();
+            on_every_node([&](std::size_t w) {
+                contexts_[w]->rebind(framed_setup);
+            });
+        } else {
+            contexts_.clear();
+            contexts_.resize(nodes_.size());
+            on_every_node([&](std::size_t w) {
+                contexts_[w] = std::make_unique<worker_context>(
+                    framed_setup, env_.component_count, env_.forest,
+                    env_.make_oracle, env_.verdict_cache);
+            });
         }
-        contexts_.clear();
-        contexts_.reserve(pool_.size());
-        for (std::size_t w = 0; w < pool_.size(); ++w) {
-            contexts_.push_back(std::make_unique<worker_context>(
-                framed_setup, env_.component_count, env_.forest,
-                env_.make_oracle, env_.verdict_cache));
-        }
-        // Every worker deserializes its own setup copy — what shipping the
-        // job to a remote node would cost (Figure 12's fixed costs).
-        return static_cast<std::uint64_t>(framed_setup.size()) * pool_.size();
+        return static_cast<std::uint64_t>(framed_setup.size()) * nodes_.size();
     }
 
     void end_assessment() override {
@@ -78,8 +90,9 @@ public:
         RECLOUD_COUNTER_INC("engine.transport.dispatches");
         RECLOUD_COUNTER_ADD("engine.transport.bytes_sent", framed_task.size());
         worker_context* context = contexts_[worker].get();
-        return pool_.submit([context, framed_task, chaos = env_.chaos, batch,
-                             attempt, worker] {
+        return nodes_[worker]->submit([context, framed_task,
+                                       chaos = env_.chaos, batch, attempt,
+                                       worker] {
             return context->run_batch(framed_task, chaos, batch, attempt,
                                       worker);
         });
@@ -104,8 +117,24 @@ public:
     }
 
 private:
+    /// Runs fn(w) on every node's thread and waits for all of them.
+    template <typename F>
+    void on_every_node(const F& fn) {
+        std::vector<std::future<void>> done;
+        done.reserve(nodes_.size());
+        for (std::size_t w = 0; w < nodes_.size(); ++w) {
+            done.push_back(nodes_[w]->submit([&fn, w] { fn(w); }));
+        }
+        for (auto& f : done) {
+            f.wait();
+        }
+        for (auto& f : done) {
+            f.get();
+        }
+    }
+
     transport_env env_;
-    thread_pool pool_;
+    std::vector<std::unique_ptr<thread_pool>> nodes_;  ///< one thread each
     std::vector<std::unique_ptr<worker_context>> contexts_;
     verdict_cache_stats cache_stats_;
     mutable verdict_cache_stats live_cache_stats_;

@@ -26,7 +26,6 @@ worker_context::worker_context(std::span<const std::byte> framed_setup,
 }
 
 void worker_context::rebind(std::span<const std::byte> framed_setup) {
-    const std::lock_guard lock{busy_};
     app_ = make_app(framed_setup);
     plan_ = make_plan(framed_setup);
     evaluator_ = requirement_evaluator{app_, plan_};
@@ -50,7 +49,6 @@ deployment_plan worker_context::make_plan(
 std::vector<std::byte> worker_context::run_batch(
     std::span<const std::byte> framed_task, const chaos_schedule* chaos,
     std::uint64_t batch_id, std::uint64_t attempt, std::uint64_t worker_id) {
-    const std::lock_guard lock{busy_};
     RECLOUD_SPAN("engine.batch");
     const chaos_fault fault =
         chaos != nullptr ? chaos->fault_for(batch_id, attempt, worker_id)

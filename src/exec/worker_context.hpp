@@ -11,7 +11,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <span>
 #include <vector>
@@ -41,7 +40,8 @@ public:
     /// the framed serialized result record. `chaos` (optional) injects the
     /// scheduled fault for this (batch, attempt, worker) dispatch — the
     /// in-process path; process-backed workers apply chaos themselves
-    /// (a crash there is a real _exit).
+    /// (a crash there is a real _exit). Not thread-safe: a worker node
+    /// judges its batches one at a time, in dispatch order.
     [[nodiscard]] std::vector<std::byte> run_batch(
         std::span<const std::byte> framed_task, const chaos_schedule* chaos,
         std::uint64_t batch_id, std::uint64_t attempt, std::uint64_t worker_id);
@@ -73,10 +73,6 @@ private:
     /// Private per-context verdict memoization; bound once at construction
     /// (the context lives for exactly one (app, plan) assessment).
     std::optional<verdict_cache> cache_;
-    /// A worker node processes its batches sequentially; a pool may
-    /// schedule two batches of the same worker on different threads, so the
-    /// context serializes them itself.
-    std::mutex busy_;
 };
 
 }  // namespace recloud

@@ -248,7 +248,7 @@ bool bfs_reachability::border_reachable(node_id host) {
     return external_mark_[host] == external_stamp_;
 }
 
-bool bfs_reachability::round_fully_connected(
+round_class bfs_reachability::classify_round(
     std::span<const component_id> raw_failed) {
     (void)raw_failed;  // the flood reads the round_state directly
     if (rs_ == nullptr) {
@@ -274,7 +274,7 @@ bool bfs_reachability::round_fully_connected(
             continue;
         }
         if (!rs_->failed(h)) {
-            return false;  // alive yet unreachable: connectivity is broken
+            return round_class::unclean;  // alive yet unreachable
         }
         bool attached = false;
         const auto neighbors = topo_->graph.neighbors(h);
@@ -300,10 +300,10 @@ bool bfs_reachability::round_fully_connected(
             }
         }
         if (!attached) {
-            return false;
+            return round_class::unclean;
         }
     }
-    return true;
+    return round_class::clean;
 }
 
 bool bfs_reachability::host_to_host(node_id a, node_id b) {

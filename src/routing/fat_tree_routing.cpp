@@ -45,7 +45,7 @@ fat_tree_routing::fat_tree_routing(const fat_tree& tree,
                   {patch_kind::ext_zero, static_cast<std::uint32_t>(j), 0});
     }
 
-    // Role table for round_fully_connected. Node roles first; link
+    // Role table for classify_round. Node roles first; link
     // components are folded in below once their edge ids are resolved.
     full_group_mask_ =
         g >= 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << g) - 1;
@@ -230,11 +230,6 @@ void fat_tree_routing::assign_link_role(component_id component,
     } else if (role_[component] != role) {
         role_[component] = role_unclean;
     }
-}
-
-bool fat_tree_routing::round_fully_connected(
-    std::span<const component_id> raw_failed) {
-    return classify_round(raw_failed) == round_class::clean;
 }
 
 round_class fat_tree_routing::classify_round(

@@ -60,22 +60,19 @@ public:
     using reachability_oracle::begin_round;
     [[nodiscard]] bool border_reachable(node_id host) override;
     [[nodiscard]] bool host_to_host(node_id a, node_id b) override;
-    /// Closed-form cleanliness: a round is fully connected for any plan iff
-    /// no edge switch, host-uplink link, or unclassifiable component (e.g. a
-    /// fault-tree dependency) failed AND at least one core group — its
-    /// aggregation switches across all pods, its cores, its border switch,
-    /// and every link among them — is completely untouched. That surviving
-    /// group carries any rack to any rack and to the border, so every query
-    /// degenerates to host aliveness. O(|raw_failed|) via a role table.
-    [[nodiscard]] bool round_fully_connected(
-        std::span<const component_id> raw_failed) override;
-    /// Three-way refinement: rounds whose non-group failures are ONLY edge
-    /// switches or host-uplink links are `semi` (with the same untouched-
-    /// group requirement). Such a failure cuts exactly its own racks off
-    /// while the surviving group still carries every attached rack anywhere,
-    /// so the verdict is a pure function of slot-wise attachment-effective
-    /// aliveness — precisely the contract reachability_oracle::classify_round
-    /// demands for semi.
+    /// Closed-form cleanliness, O(|raw_failed|) via a role table. A round is
+    /// `clean` (fully connected for any plan) iff no edge switch, host-uplink
+    /// link, or unclassifiable component (e.g. a fault-tree dependency)
+    /// failed AND at least one core group — its aggregation switches across
+    /// all pods, its cores, its border switch, and every link among them — is
+    /// completely untouched. That surviving group carries any rack to any
+    /// rack and to the border, so every query degenerates to host aliveness.
+    /// Rounds whose non-group failures are ONLY edge switches or host-uplink
+    /// links are `semi` (with the same untouched-group requirement). Such a
+    /// failure cuts exactly its own racks off while the surviving group still
+    /// carries every attached rack anywhere, so the verdict is a pure
+    /// function of slot-wise attachment-effective aliveness — precisely the
+    /// contract reachability_oracle::classify_round demands for semi.
     [[nodiscard]] round_class classify_round(
         std::span<const component_id> raw_failed) override;
     [[nodiscard]] std::unique_ptr<reachability_oracle> clone() const override;

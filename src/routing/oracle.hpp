@@ -51,42 +51,37 @@ public:
     /// structures, §3.2.4). a == b reduces to "a is effectively alive".
     [[nodiscard]] virtual bool host_to_host(node_id a, node_id b) = 0;
 
-    /// Round cleanliness classifier for cross-plan verdict retention. Must
-    /// return true ONLY when the round's surviving network is "fully
-    /// connected for any plan": every host of the topology — assumed alive
-    /// together with its dependencies — would be border-reachable and
-    /// pairwise-reachable under this oracle's routing. Under that condition
-    /// the round verdict is a pure function of the plan-host aliveness
-    /// vector, which is what lets the verdict cache keep the entry across a
-    /// plan swap whose delta is disjoint from the entry's key. `raw_failed`
-    /// is the round's raw failed-set (the same span begin_round's
-    /// round_state was given). May only be called while the oracle is bound
-    /// to that round. Returning false is always safe — the default
-    /// classifies nothing, so test doubles and exotic oracles simply forgo
-    /// cross-plan reuse, never corrupt it.
-    [[nodiscard]] virtual bool round_fully_connected(
-        std::span<const component_id> raw_failed) {
-        (void)raw_failed;
-        return false;
-    }
-
-    /// Three-way refinement of round_fully_connected for cross-plan verdict
-    /// retention. `clean` is exactly round_fully_connected's condition. A
-    /// round may be `semi` when its verdict is a pure function of slot-wise
+    /// Round cleanliness classifier for cross-plan verdict retention.
+    /// `raw_failed` is the round's raw failed-set (the same span
+    /// begin_round's round_state was given); may only be called while the
+    /// oracle is bound to that round.
+    ///
+    /// `clean` ONLY when the round's surviving network is "fully connected
+    /// for any plan": every host of the topology — assumed alive together
+    /// with its dependencies — would be border-reachable and
+    /// pairwise-reachable under this oracle's routing. The round verdict is
+    /// then a pure function of the plan-host aliveness vector, which is what
+    /// lets the verdict cache keep the entry across a plan swap whose delta
+    /// is disjoint from the entry's key.
+    ///
+    /// `semi` when the verdict is a pure function of slot-wise
     /// ATTACHMENT-effective aliveness: an instance is alive iff its host,
     /// the host's adjacent routing nodes, and the host's incident link
     /// components are all effectively alive, and any two attachment-alive
     /// hosts are mutually and border reachable. The verdict cache retains a
     /// semi entry across a plan swap only when its key is also disjoint from
     /// the changed hosts' attachment components as precomputed by
-    /// verdict_support::host_attachment — an oracle overriding this MUST
-    /// make its semi classification depend on hosts only through exactly
-    /// those components. Degrading any round to `unclean` is always safe;
-    /// the default refines nothing.
+    /// verdict_support::host_attachment — an oracle returning semi MUST make
+    /// that classification depend on hosts only through exactly those
+    /// components.
+    ///
+    /// Degrading any round to `unclean` is always safe — the default
+    /// classifies nothing, so test doubles and exotic oracles simply forgo
+    /// cross-plan reuse, never corrupt it.
     [[nodiscard]] virtual round_class classify_round(
         std::span<const component_id> raw_failed) {
-        return round_fully_connected(raw_failed) ? round_class::clean
-                                                 : round_class::unclean;
+        (void)raw_failed;
+        return round_class::unclean;
     }
 
     /// Creates an independent oracle over the same topology, with its own

@@ -18,15 +18,14 @@ extended_dagger_sampler::extended_dagger_sampler(
             block_length_ = std::max(block_length_, plans_.back().cycle_length);
         }
     }
-    buckets_.resize(block_length_);
     cursor_ = block_length_;  // force block generation on first next_round
 }
 
 void extended_dagger_sampler::generate_block() {
     RECLOUD_SPAN("sample.dagger_block");
-    for (auto& bucket : buckets_) {
-        bucket.clear();
-    }
+    // Place every failure of the block as a (round, component) draw, in
+    // component order ...
+    draws_.clear();
     for (const component_id id : can_fail_) {
         const dagger_plan& plan = plans_[id];
         // Concatenate this component's dagger cycles across the block; the
@@ -39,12 +38,29 @@ void extended_dagger_sampler::generate_block() {
             }
             const std::uint32_t round = cycle_start + *slot;
             if (round < block_length_) {
-                buckets_[round].push_back(id);
+                draws_.emplace_back(round, id);
             }
             // else: the truncated cycle placed the failure beyond the reset
             // line — a discarded round (Figure 4).
         }
     }
+    // ... then counting-sort them by round; the sort is stable, so each
+    // round lists its components in ascending id order.
+    round_begin_.assign(block_length_ + 1, 0);
+    for (const auto& [round, id] : draws_) {
+        ++round_begin_[round + 1];
+    }
+    for (std::uint32_t r = 0; r < block_length_; ++r) {
+        round_begin_[r + 1] += round_begin_[r];
+    }
+    ids_.resize(draws_.size());
+    for (const auto& [round, id] : draws_) {
+        ids_[round_begin_[round]++] = id;  // leaves begin[r] = end of round r
+    }
+    for (std::uint32_t r = block_length_; r > 0; --r) {
+        round_begin_[r] = round_begin_[r - 1];
+    }
+    round_begin_[0] = 0;
     cursor_ = 0;
 }
 
@@ -52,8 +68,9 @@ void extended_dagger_sampler::next_round(std::vector<component_id>& failed) {
     if (cursor_ >= block_length_) {
         generate_block();
     }
-    const auto& bucket = buckets_[cursor_++];
-    failed.assign(bucket.begin(), bucket.end());
+    failed.assign(ids_.begin() + round_begin_[cursor_],
+                  ids_.begin() + round_begin_[cursor_ + 1]);
+    ++cursor_;
     RECLOUD_COUNTER_INC("sample.rounds");
     RECLOUD_HIST_OBSERVE("sample.failed_size", failed.size());
 }

@@ -15,6 +15,7 @@
 #pragma once
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "sampling/dagger.hpp"
@@ -49,8 +50,13 @@ private:
     std::uint64_t seed_;
     rng random_;
 
-    // Current block: bucket b holds the components failed in block round b.
-    std::vector<std::vector<component_id>> buckets_;
+    // Current block, flat: block round r failed ids_[round_begin_[r]] up to
+    // ids_[round_begin_[r + 1]], in ascending id order. Flat arrays keep a
+    // block (and a freshly forked substream's first block) to a handful of
+    // allocations, however many rounds it spans.
+    std::vector<component_id> ids_;
+    std::vector<std::uint32_t> round_begin_;  ///< block_length_ + 1 offsets
+    std::vector<std::pair<std::uint32_t, component_id>> draws_;  ///< scratch
     std::uint32_t cursor_ = 0;  ///< next round within the block
 };
 

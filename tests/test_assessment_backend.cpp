@@ -1,22 +1,26 @@
-// The pluggable assessment-backend layer (assess/backend.hpp): serial /
-// parallel / engine backends agree with the historic paths, and the
-// parallel backend is bit-deterministic for any worker count — the property
-// that lets re_cloud keep its common-random-numbers guarantee while using
-// every core.
+// The pluggable assessment-backend layer (assess/backend.hpp): one batch
+// scheme for every backend. Serial, parallel at any worker count and the
+// engine over any transport return bit-identical stats for one (seed,
+// batch_rounds) — the property that lets re_cloud keep its
+// common-random-numbers guarantee whatever executes the rounds.
 #include "assess/backend.hpp"
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <memory>
+#include <optional>
+#include <string>
 #include <vector>
 
-#include "app/requirement_eval.hpp"
-#include "assess/assessor.hpp"
+#include "batch_reference.hpp"
 #include "core/recloud.hpp"
 #include "exec/engine.hpp"
 #include "routing/bfs_reachability.hpp"
+#include "sampling/antithetic.hpp"
 #include "sampling/extended_dagger.hpp"
 #include "sampling/injection.hpp"
+#include "sampling/monte_carlo.hpp"
 #include "sampling/result_stats.hpp"
 #include "topology/leaf_spine.hpp"
 
@@ -41,16 +45,20 @@ struct backend_fixture {
         return [this] { return std::make_unique<bfs_reachability>(topo); };
     }
 
-    deployment_plan plan_for(const application& app) {
+    deployment_plan plan_for(const application& app, std::size_t offset = 0) {
         deployment_plan plan;
         for (std::uint32_t i = 0; i < app.total_instances(); ++i) {
-            plan.hosts.push_back(topo.hosts[(i * 5) % topo.hosts.size()]);
+            plan.hosts.push_back(
+                topo.hosts[(i * 5 + offset) % topo.hosts.size()]);
         }
         return plan;
     }
 };
 
 TEST(SerialBackend, MatchesFreeFunctionExactly) {
+    // The serial backend is the one-worker batched backend, inline on the
+    // caller's thread: the free round loop over the forked batches of
+    // epoch 1, in turn, is exactly what it computes.
     backend_fixture f;
     const application app = application::k_of_n(2, 3);
     const deployment_plan plan = f.plan_for(app);
@@ -58,15 +66,22 @@ TEST(SerialBackend, MatchesFreeFunctionExactly) {
     extended_dagger_sampler reference_sampler{f.registry.probabilities(), 21};
     round_state rs{f.registry.size(), &f.forest};
     bfs_reachability oracle{f.topo};
-    const assessment_stats expected =
-        assess_deployment(reference_sampler, rs, oracle, app, plan, 3000);
+    result_accumulator expected;
+    for (std::size_t b = 0; b * default_batch_rounds < 3000; ++b) {
+        const auto substream = reference_sampler.fork(substream_id(1, b));
+        const assessment_stats batch = assess_deployment(
+            *substream, rs, oracle, app, plan,
+            std::min(default_batch_rounds, 3000 - b * default_batch_rounds));
+        expected.merge(batch.reliable, batch.rounds);
+    }
 
     extended_dagger_sampler sampler{f.registry.probabilities(), 21};
-    bfs_reachability backend_oracle{f.topo};
-    serial_backend backend{f.registry.size(), &f.forest, backend_oracle, sampler};
+    parallel_backend backend{f.registry.size(), &f.forest, f.factory(), sampler,
+                             {.threads = 1}};
+    EXPECT_STREQ(backend.name(), "serial");
     const assessment_stats actual = backend.assess(app, plan, 3000);
-    EXPECT_EQ(actual.rounds, expected.rounds);
-    EXPECT_EQ(actual.reliable, expected.reliable);
+    EXPECT_EQ(actual.rounds, expected.rounds());
+    EXPECT_EQ(actual.reliable, expected.reliable_rounds());
 }
 
 TEST(ParallelBackend, BitIdenticalAcrossWorkerCounts) {
@@ -134,23 +149,8 @@ TEST(ParallelBackend, MatchesSerialRouteAndCheckOnSameForkedStreams) {
     extended_dagger_sampler base{f.registry.probabilities(), 77};
     round_state rs{f.registry.size(), &f.forest};
     bfs_reachability oracle{f.topo};
-    requirement_evaluator evaluator{app, plan};
-    result_accumulator acc;
-    std::vector<component_id> failed;
-    const std::size_t batches = (rounds + batch_rounds - 1) / batch_rounds;
-    for (std::size_t b = 0; b < batches; ++b) {
-        const auto substream = base.fork(parallel_backend::substream_id(1, b));
-        ASSERT_NE(substream, nullptr);
-        const std::size_t count =
-            std::min(batch_rounds, rounds - b * batch_rounds);
-        for (std::size_t i = 0; i < count; ++i) {
-            substream->next_round(failed);
-            rs.begin_round(failed);
-            oracle.begin_round(rs);
-            acc.add(evaluator.reliable_in_round(oracle, rs));
-        }
-    }
-    const assessment_stats serial = acc.stats();
+    const assessment_stats serial = forked_batch_reference(
+        base, 1, rs, oracle, app, plan, rounds, batch_rounds);
     EXPECT_EQ(parallel.rounds, serial.rounds);
     EXPECT_EQ(parallel.reliable, serial.reliable);
 }
@@ -198,7 +198,7 @@ TEST(ParallelBackend, RejectsZeroBatchRounds) {
 }
 
 TEST(ParallelBackend, AdaptiveAssessmentReachesTarget) {
-    // The base-class assess_until_ciw() layers adaptive precision on any
+    // The base-class assess_until_ciw() layers adaptive precision on every
     // backend; with the parallel one it must still converge and report
     // cumulative rounds.
     backend_fixture f;
@@ -224,7 +224,8 @@ TEST(EngineBackend, MatchesRawAssessmentEngine) {
     extended_dagger_sampler raw_sampler{f.registry.probabilities(), 19};
     assessment_engine engine{f.registry.size(), &f.forest, f.factory(),
                              {.workers = 2, .batch_rounds = 200}};
-    const assessment_stats expected = engine.assess(raw_sampler, app, plan, 2000);
+    const assessment_stats expected =
+        engine.assess(raw_sampler, 1, app, plan, 2000);
 
     extended_dagger_sampler sampler{f.registry.probabilities(), 19};
     engine_backend backend{f.registry.size(), &f.forest, f.factory(), sampler,
@@ -339,18 +340,218 @@ TEST(ReCloudBackend, EngineStreamSurvivesSearchEpochs) {
 }
 
 TEST(ReCloudBackend, SerialAndParallelSearchesAgreeOnPlanShape) {
-    // Different backends sample different streams, so scores differ — but
-    // both must return valid, fully-placed plans under the same options.
+    // Every backend samples the same batches, so the whole search —
+    // trajectory, plan and final stats — is the same on each.
     auto infra = fat_tree_infrastructure::build(data_center_scale::tiny);
+    std::optional<deployment_response> serial;
     for (const auto kind : {assessment_backend_kind::serial,
-                            assessment_backend_kind::parallel}) {
+                            assessment_backend_kind::parallel,
+                            assessment_backend_kind::engine}) {
         re_cloud system{infra, facade_options(kind, 2)};
         deployment_request request{application::k_of_n(2, 3), 1.0,
                                    std::chrono::seconds{20}};
         const deployment_response response = system.find_deployment(request);
         EXPECT_EQ(response.plan.hosts.size(), 3u);
         EXPECT_GT(response.stats.reliability, 0.5);
+        if (!serial) {
+            EXPECT_STREQ(system.backend().name(), "serial");
+            serial = response;
+            continue;
+        }
+        SCOPED_TRACE(system.backend().name());
+        EXPECT_EQ(response.plan, serial->plan);
+        EXPECT_EQ(response.stats.reliable, serial->stats.reliable);
+        EXPECT_EQ(response.stats.rounds, serial->stats.rounds);
+        EXPECT_EQ(response.search.plans_evaluated,
+                  serial->search.plans_evaluated);
+        EXPECT_EQ(response.search.plans_generated,
+                  serial->search.plans_generated);
     }
+}
+
+// ---- the contract: one batch scheme for every backend -------------------
+
+/// A CRN sequence touching every part of the contract: a reset, several
+/// epochs without one, a short last batch (1100 = 4 x 250 + 100), a reset
+/// to another seed and back, and a plan the journals already saw.
+struct contract_step {
+    std::optional<std::uint64_t> reset{};  ///< reset_stream() before the step
+    std::size_t plan = 0;
+    std::size_t rounds = 1100;
+};
+
+const std::vector<contract_step>& contract_sequence() {
+    static const std::vector<contract_step> steps = {
+        {.reset = 5, .plan = 0},  {.plan = 1},
+        {.plan = 1, .rounds = 1030},  // epoch 3, a 30-round last batch
+        {.reset = 5, .plan = 2},  {.reset = 9, .plan = 0},
+        {.reset = 5, .plan = 3},  {.reset = 5, .plan = 0},
+    };
+    return steps;
+}
+
+constexpr std::size_t contract_batch_rounds = 250;
+
+std::vector<assessment_stats> run_contract(
+    assessment_backend& backend, const application& app,
+    const std::vector<deployment_plan>& plans) {
+    std::vector<assessment_stats> out;
+    for (const contract_step& step : contract_sequence()) {
+        if (step.reset) {
+            backend.reset_stream(*step.reset);
+        }
+        out.push_back(backend.assess(app, plans[step.plan], step.rounds));
+    }
+    return out;
+}
+
+TEST(BackendContract, EveryBackendSamplesTheSameBatches) {
+    backend_fixture f;
+    const application app = application::k_of_n(2, 3);
+    const std::vector<deployment_plan> plans = {
+        f.plan_for(app, 0), f.plan_for(app, 1), f.plan_for(app, 2),
+        f.plan_for(app, 7)};
+    const verdict_support support{f.topo, f.registry.size(), &f.forest,
+                                  nullptr};
+    using sampler_factory =
+        std::function<std::unique_ptr<failure_sampler>(std::uint64_t)>;
+    const std::vector<std::pair<const char*, sampler_factory>> samplers = {
+        {"monte-carlo",
+         [&](std::uint64_t seed) {
+             return std::make_unique<monte_carlo_sampler>(
+                 f.registry.probabilities(), seed);
+         }},
+        {"dagger",
+         [&](std::uint64_t seed) {
+             return std::make_unique<extended_dagger_sampler>(
+                 f.registry.probabilities(), seed);
+         }},
+        {"antithetic",
+         [&](std::uint64_t seed) {
+             return std::make_unique<antithetic_sampler>(
+                 f.registry.probabilities(), seed);
+         }},
+    };
+    struct backend_spec {
+        std::string label;
+        std::function<std::unique_ptr<assessment_backend>(
+            failure_sampler&, const verdict_cache_options&)>
+            make;
+    };
+    std::vector<backend_spec> specs;
+    for (const std::size_t threads : {1u, 2u, 8u}) {
+        specs.push_back(
+            {threads == 1 ? "serial"
+                          : "parallel(" + std::to_string(threads) + ")",
+             [&f, threads](failure_sampler& sampler,
+                           const verdict_cache_options& cache) {
+                 return std::make_unique<parallel_backend>(
+                     f.registry.size(), &f.forest, f.factory(), sampler,
+                     parallel_backend_options{
+                         .threads = threads,
+                         .batch_rounds = contract_batch_rounds,
+                         .verdict_cache = cache});
+             }});
+    }
+    for (const auto& [transport, workers] :
+         {std::pair{transport_kind::loopback, std::size_t{1}},
+          std::pair{transport_kind::loopback, std::size_t{4}},
+          std::pair{transport_kind::socket, std::size_t{2}}}) {
+        specs.push_back(
+            {std::string{"engine("} + to_string(transport) + ", " +
+                 std::to_string(workers) + ")",
+             [&f, transport, workers](failure_sampler& sampler,
+                                      const verdict_cache_options& cache) {
+                 engine_options options{.workers = workers,
+                                        .batch_rounds = contract_batch_rounds,
+                                        .verdict_cache = cache};
+                 if (transport == transport_kind::socket) {
+                     options.transport = transport_kind::socket;
+                     options.socket.worker_binary = RECLOUD_WORKER_BIN;
+                     options.topology = &f.topo;
+                 }
+                 return std::make_unique<engine_backend>(
+                     f.registry.size(), &f.forest, f.factory(), sampler,
+                     options);
+             }});
+    }
+
+    for (const auto& [sampler_name, make_sampler] : samplers) {
+        // The reference: every step rebuilt from the forked batches of its
+        // (seed, epoch), independently of any backend.
+        std::vector<assessment_stats> expected;
+        {
+            round_state rs{f.registry.size(), &f.forest};
+            bfs_reachability oracle{f.topo};
+            std::uint64_t seed = 0;
+            std::uint64_t epoch = 0;
+            for (const contract_step& step : contract_sequence()) {
+                if (step.reset) {
+                    seed = *step.reset;
+                    epoch = 0;
+                }
+                const auto base = make_sampler(seed);
+                expected.push_back(forked_batch_reference(
+                    *base, ++epoch, rs, oracle, app, plans[step.plan],
+                    step.rounds, contract_batch_rounds));
+            }
+        }
+        for (const backend_spec& spec : specs) {
+            for (const bool incremental : {false, true}) {
+                SCOPED_TRACE(std::string{sampler_name} + " " + spec.label +
+                             (incremental ? " incremental" : " cold"));
+                verdict_cache_options cache;
+                cache.enabled = true;
+                cache.support = &support;
+                cache.cross_plan = incremental;
+                const auto sampler = make_sampler(1);
+                const auto backend = spec.make(*sampler, cache);
+                const std::vector<assessment_stats> got =
+                    run_contract(*backend, app, plans);
+                ASSERT_EQ(got.size(), expected.size());
+                for (std::size_t i = 0; i < got.size(); ++i) {
+                    SCOPED_TRACE("step " + std::to_string(i));
+                    EXPECT_EQ(got[i].rounds, expected[i].rounds);
+                    EXPECT_EQ(got[i].reliable, expected[i].reliable);
+                    EXPECT_EQ(got[i].reliability, expected[i].reliability);
+                    EXPECT_EQ(got[i].variance, expected[i].variance);
+                    EXPECT_EQ(got[i].ciw95, expected[i].ciw95);
+                }
+            }
+        }
+    }
+}
+
+TEST(BackendContract, DefaultBackendsShareOneBatchSize) {
+    // Default-constructed backends obey the same contract: the engine and
+    // the parallel backend cut the same batches.
+    backend_fixture f;
+    const application app = application::k_of_n(2, 3);
+    const deployment_plan plan = f.plan_for(app);
+    EXPECT_EQ(engine_options{}.batch_rounds, default_batch_rounds);
+    EXPECT_EQ(parallel_backend_options{}.batch_rounds, default_batch_rounds);
+    EXPECT_EQ(recloud_options{}.assessment_batch_rounds, default_batch_rounds);
+
+    extended_dagger_sampler parallel_sampler{f.registry.probabilities(), 3};
+    parallel_backend parallel{f.registry.size(), &f.forest, f.factory(),
+                              parallel_sampler, {.threads = 2}};
+    extended_dagger_sampler engine_sampler{f.registry.probabilities(), 3};
+    engine_backend engine{f.registry.size(), &f.forest, f.factory(),
+                          engine_sampler, {.workers = 2}};
+    const std::size_t rounds = 3 * default_batch_rounds + 17;
+    const assessment_stats a = parallel.assess(app, plan, rounds);
+    const assessment_stats b = engine.assess(app, plan, rounds);
+    EXPECT_EQ(a.reliable, b.reliable);
+    EXPECT_EQ(a.rounds, b.rounds);
+    EXPECT_EQ(engine.stats().batches, 4u);
+}
+
+TEST(BackendContract, EngineBackendRejectsNonForkableSampler) {
+    backend_fixture f;
+    scripted_sampler scripted{{{0}, {1}}};
+    EXPECT_THROW(engine_backend(f.registry.size(), &f.forest, f.factory(),
+                                scripted, {.workers = 1}),
+                 std::invalid_argument);
 }
 
 }  // namespace

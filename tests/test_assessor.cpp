@@ -2,11 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <tuple>
 
+#include "assess/backend.hpp"
 #include "assess/exact.hpp"
+#include "batch_reference.hpp"
 #include "routing/bfs_reachability.hpp"
 #include "sampling/extended_dagger.hpp"
 #include "sampling/monte_carlo.hpp"
@@ -23,6 +26,15 @@ struct assess_fixture {
     component_registry registry{topo.graph};
     fault_tree_forest forest{topo.graph.node_count()};
     bfs_reachability oracle{topo};
+
+    /// The serial backend: the batch scheme with one inline worker.
+    std::unique_ptr<parallel_backend> make_serial_backend(
+        failure_sampler& sampler) {
+        return std::make_unique<parallel_backend>(
+            registry.size(), &forest,
+            [this] { return std::make_unique<bfs_reachability>(topo); },
+            sampler, parallel_backend_options{.threads = 1});
+    }
 
     assess_fixture() {
         // Heterogeneous, moderately large probabilities so 2*10^4 rounds
@@ -90,22 +102,36 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 TEST(Assessor, ReusableAssessorMatchesFreeFunction) {
+    // The reusable assessor is the serial backend: its first assessment is
+    // epoch 1 of the batch scheme, i.e. the free function run over the
+    // forked batches (1, 0), (1, 1), ... in turn.
     assess_fixture f;
     const application app = application::k_of_n(1, 2);
     deployment_plan plan;
     plan.hosts = {f.topo.hosts[0], f.topo.hosts[3]};
 
-    extended_dagger_sampler s1{f.registry.probabilities(), 5};
+    extended_dagger_sampler base{f.registry.probabilities(), 5};
     round_state rs{f.registry.size(), &f.forest};
-    const assessment_stats direct =
-        assess_deployment(s1, rs, f.oracle, app, plan, 5000);
+    result_accumulator direct;
+    for (std::size_t b = 0; b * default_batch_rounds < 5000; ++b) {
+        const auto substream = base.fork(substream_id(1, b));
+        const assessment_stats batch = assess_deployment(
+            *substream, rs, f.oracle, app, plan,
+            std::min(default_batch_rounds, 5000 - b * default_batch_rounds));
+        direct.merge(batch.reliable, batch.rounds);
+    }
 
-    extended_dagger_sampler s2{f.registry.probabilities(), 5};
-    reliability_assessor assessor{f.registry.size(), &f.forest, f.oracle, s2};
-    const assessment_stats reused = assessor.assess(app, plan, 5000);
+    extended_dagger_sampler sampler{f.registry.probabilities(), 5};
+    const auto assessor = f.make_serial_backend(sampler);
+    const assessment_stats reused = assessor->assess(app, plan, 5000);
 
-    EXPECT_EQ(direct.reliable, reused.reliable);
-    EXPECT_EQ(direct.rounds, reused.rounds);
+    EXPECT_EQ(direct.reliable_rounds(), reused.reliable);
+    EXPECT_EQ(direct.rounds(), reused.rounds);
+    extended_dagger_sampler reference{f.registry.probabilities(), 5};
+    EXPECT_EQ(
+        forked_batch_reference(reference, 1, rs, f.oracle, app, plan, 5000)
+            .reliable,
+        reused.reliable);
 }
 
 TEST(Assessor, DeterministicForSameSeed) {
@@ -134,9 +160,10 @@ TEST(Assessor, MorePlacementDiversityIsMoreReliable) {
     spread.hosts = {f.topo.hosts[0], f.topo.hosts[4]};  // different leaves
 
     extended_dagger_sampler sampler{f.registry.probabilities(), 9};
-    reliability_assessor assessor{f.registry.size(), &f.forest, f.oracle, sampler};
-    const double r_colocated = assessor.assess(app, colocated, 30000).reliability;
-    const double r_spread = assessor.assess(app, spread, 30000).reliability;
+    const auto assessor = f.make_serial_backend(sampler);
+    const double r_colocated =
+        assessor->assess(app, colocated, 30000).reliability;
+    const double r_spread = assessor->assess(app, spread, 30000).reliability;
     EXPECT_GE(r_spread + 0.002, r_colocated);  // allow sampling noise
 
     const double truth_colocated =

@@ -3,8 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 
-#include "assess/assessor.hpp"
+#include "batch_reference.hpp"
 #include "routing/bfs_reachability.hpp"
 #include "sampling/extended_dagger.hpp"
 #include "topology/leaf_spine.hpp"
@@ -181,8 +182,9 @@ struct engine_fixture {
 };
 
 TEST(Engine, MatchesSerialAssessmentExactly) {
-    // Same sampler seed => the engine must judge the same rounds and return
-    // the identical reliable count, regardless of batching.
+    // Same sampler seed and batch size => the engine must judge the serial
+    // scheme's rounds (batch b of epoch 1 from fork(substream_id(1, b))) and
+    // return the identical reliable count.
     engine_fixture f;
     const application app = application::k_of_n(2, 3);
     deployment_plan plan;
@@ -191,14 +193,14 @@ TEST(Engine, MatchesSerialAssessmentExactly) {
     extended_dagger_sampler serial_sampler{f.registry.probabilities(), 101};
     round_state rs{f.registry.size(), &f.forest};
     bfs_reachability oracle{f.topo};
-    const assessment_stats serial =
-        assess_deployment(serial_sampler, rs, oracle, app, plan, 4000);
+    const assessment_stats serial = forked_batch_reference(
+        serial_sampler, 1, rs, oracle, app, plan, 4000, 128);
 
     extended_dagger_sampler engine_sampler{f.registry.probabilities(), 101};
     assessment_engine engine{f.registry.size(), &f.forest, f.factory(),
                              {.workers = 3, .batch_rounds = 128}};
     const assessment_stats parallel =
-        engine.assess(engine_sampler, app, plan, 4000);
+        engine.assess(engine_sampler, 1, app, plan, 4000);
 
     EXPECT_EQ(parallel.rounds, serial.rounds);
     EXPECT_EQ(parallel.reliable, serial.reliable);
@@ -216,29 +218,43 @@ TEST(Engine, WorkerCountDoesNotChangeResults) {
         assessment_engine engine{f.registry.size(), &f.forest, f.factory(),
                                  {.workers = workers, .batch_rounds = 100}};
         reliable_counts.push_back(
-            engine.assess(sampler, app, plan, 2000).reliable);
+            engine.assess(sampler, 1, app, plan, 2000).reliable);
     }
     EXPECT_EQ(reliable_counts[0], reliable_counts[1]);
     EXPECT_EQ(reliable_counts[1], reliable_counts[2]);
 }
 
-TEST(Engine, BatchSizeDoesNotChangeResults) {
+TEST(Engine, BatchSizeSelectsTheForkedBatches) {
+    // The batch size is part of the determinism contract: for every size
+    // (one round per batch, a short last batch, one batch for everything)
+    // the engine judges exactly the forked batches of that size.
     engine_fixture f;
     const application app = application::k_of_n(1, 2);
     deployment_plan plan;
     plan.hosts = {f.topo.hosts[2], f.topo.hosts[12]};
 
-    std::vector<std::size_t> reliable_counts;
+    round_state rs{f.registry.size(), &f.forest};
+    bfs_reachability oracle{f.topo};
     for (const std::size_t batch : {1u, 7u, 500u, 10000u}) {
+        SCOPED_TRACE("batch_rounds " + std::to_string(batch));
         extended_dagger_sampler sampler{f.registry.probabilities(), 77};
         assessment_engine engine{f.registry.size(), &f.forest, f.factory(),
                                  {.workers = 2, .batch_rounds = batch}};
-        reliable_counts.push_back(
-            engine.assess(sampler, app, plan, 1500).reliable);
+        const assessment_stats stats =
+            engine.assess(sampler, 1, app, plan, 1500);
+        EXPECT_EQ(engine.stats().batches, (1500 + batch - 1) / batch);
+        const assessment_stats expected = forked_batch_reference(
+            sampler, 1, rs, oracle, app, plan, 1500, batch);
+        EXPECT_EQ(stats.rounds, expected.rounds);
+        EXPECT_EQ(stats.reliable, expected.reliable);
     }
-    for (std::size_t i = 1; i < reliable_counts.size(); ++i) {
-        EXPECT_EQ(reliable_counts[i], reliable_counts[0]);
-    }
+}
+
+TEST(Engine, RejectsZeroBatchRounds) {
+    engine_fixture f;
+    EXPECT_THROW(assessment_engine(f.registry.size(), &f.forest, f.factory(),
+                                   {.workers = 2, .batch_rounds = 0}),
+                 std::invalid_argument);
 }
 
 TEST(Engine, HandlesRoundCountNotDivisibleByBatch) {
@@ -249,7 +265,7 @@ TEST(Engine, HandlesRoundCountNotDivisibleByBatch) {
     extended_dagger_sampler sampler{f.registry.probabilities(), 3};
     assessment_engine engine{f.registry.size(), &f.forest, f.factory(),
                              {.workers = 2, .batch_rounds = 64}};
-    const assessment_stats stats = engine.assess(sampler, app, plan, 1000);
+    const assessment_stats stats = engine.assess(sampler, 1, app, plan, 1000);
     EXPECT_EQ(stats.rounds, 1000u);
 }
 
@@ -261,7 +277,7 @@ TEST(Engine, ZeroRounds) {
     extended_dagger_sampler sampler{f.registry.probabilities(), 3};
     assessment_engine engine{f.registry.size(), &f.forest, f.factory(),
                              {.workers = 2, .batch_rounds = 64}};
-    const assessment_stats stats = engine.assess(sampler, app, plan, 0);
+    const assessment_stats stats = engine.assess(sampler, 1, app, plan, 0);
     EXPECT_EQ(stats.rounds, 0u);
 }
 

@@ -1,9 +1,9 @@
 // Recovery tests for the fault-tolerant execution engine (exec/engine.cpp):
 // under injected worker crashes, stalls past the batch deadline, corrupted
 // and truncated result frames — up to every worker dead — the engine must
-// return assessment_stats bit-identical to the serial route-and-check and
-// to its own fault-free run, at any worker count. exec/chaos.hpp supplies
-// the seeded, scheduling-independent fault schedule.
+// return assessment_stats bit-identical to the serial route-and-check of the
+// same forked batches and to its own fault-free run, at any worker count.
+// exec/chaos.hpp supplies the seeded, scheduling-independent fault schedule.
 #include "exec/chaos.hpp"
 #include "exec/engine.hpp"
 
@@ -13,7 +13,7 @@
 #include <cstdlib>
 #include <memory>
 
-#include "assess/assessor.hpp"
+#include "batch_reference.hpp"
 #include "routing/bfs_reachability.hpp"
 #include "sampling/extended_dagger.hpp"
 #include "topology/leaf_spine.hpp"
@@ -45,12 +45,14 @@ struct recovery_fixture {
         return [this] { return std::make_unique<bfs_reachability>(topo); };
     }
 
-    /// Ground truth: the single-threaded route-and-check on the same stream.
-    assessment_stats serial_reference() {
+    /// Ground truth: the single-threaded route-and-check of the batches an
+    /// engine with `batch_rounds` samples (epoch 1 of seed k_seed).
+    assessment_stats serial_reference(std::size_t batch_rounds) {
         extended_dagger_sampler sampler{registry.probabilities(), k_seed};
         round_state rs{registry.size(), &forest};
         bfs_reachability oracle{topo};
-        return assess_deployment(sampler, rs, oracle, app, plan, k_rounds);
+        return forked_batch_reference(sampler, 1, rs, oracle, app, plan,
+                                      k_rounds, batch_rounds);
     }
 
     /// One engine assessment under `options`; exposes the engine's recovery
@@ -60,7 +62,7 @@ struct recovery_fixture {
         extended_dagger_sampler sampler{registry.probabilities(), k_seed};
         assessment_engine engine{registry.size(), &forest, factory(), options};
         const assessment_stats stats =
-            engine.assess(sampler, app, plan, k_rounds);
+            engine.assess(sampler, 1, app, plan, k_rounds);
         if (stats_out != nullptr) {
             *stats_out = engine.stats();
         }
@@ -128,7 +130,7 @@ TEST(ChaosSchedule, TruncateAlwaysShortens) {
 
 TEST(EngineRecovery, WorkerCrashMidBatchIsRetried) {
     recovery_fixture f;
-    const assessment_stats serial = f.serial_reference();
+    const assessment_stats serial = f.serial_reference(64);
     const chaos_schedule chaos{{.seed = 11, .crash_rate = 0.3}};
 
     for (const std::size_t workers : {1u, 2u, 8u}) {
@@ -151,7 +153,7 @@ TEST(EngineRecovery, WorkerCrashMidBatchIsRetried) {
 
 TEST(EngineRecovery, StalledWorkerPastDeadlineIsRedispatched) {
     recovery_fixture f;
-    const assessment_stats serial = f.serial_reference();
+    const assessment_stats serial = f.serial_reference(250);
     const chaos_schedule chaos{{.seed = 21,
                                 .stall_rate = 0.25,
                                 .stall_duration = std::chrono::milliseconds{50}}};
@@ -171,7 +173,7 @@ TEST(EngineRecovery, StalledWorkerPastDeadlineIsRedispatched) {
 
 TEST(EngineRecovery, CorruptedResultFrameIsDetectedAndRetried) {
     recovery_fixture f;
-    const assessment_stats serial = f.serial_reference();
+    const assessment_stats serial = f.serial_reference(64);
     const chaos_schedule chaos{{.seed = 31, .corrupt_rate = 0.3}};
 
     for (const std::size_t workers : {1u, 2u, 8u}) {
@@ -187,7 +189,7 @@ TEST(EngineRecovery, CorruptedResultFrameIsDetectedAndRetried) {
 
 TEST(EngineRecovery, TruncatedResultFrameIsDetectedAndRetried) {
     recovery_fixture f;
-    const assessment_stats serial = f.serial_reference();
+    const assessment_stats serial = f.serial_reference(64);
     const chaos_schedule chaos{{.seed = 41, .truncate_rate = 0.3}};
 
     for (const std::size_t workers : {1u, 2u, 8u}) {
@@ -203,7 +205,7 @@ TEST(EngineRecovery, TruncatedResultFrameIsDetectedAndRetried) {
 
 TEST(EngineRecovery, AllWorkersDeadDegradesToMasterLocal) {
     recovery_fixture f;
-    const assessment_stats serial = f.serial_reference();
+    const assessment_stats serial = f.serial_reference(128);
     const chaos_schedule chaos{{.seed = 51, .crash_rate = 1.0}};
 
     for (const std::size_t workers : {1u, 2u, 8u}) {
@@ -223,7 +225,7 @@ TEST(EngineRecovery, ZeroAttemptsRunsEverythingMasterLocal) {
     engine_stats es;
     const assessment_stats stats =
         f.run_engine({.workers = 2, .batch_rounds = 128, .max_attempts = 0}, &es);
-    expect_identical(stats, f.serial_reference());
+    expect_identical(stats, f.serial_reference(128));
     EXPECT_EQ(es.dispatches, 0u);
     EXPECT_EQ(es.degraded, es.batches);
 }
@@ -237,7 +239,7 @@ TEST(EngineRecovery, RedispatchMovesBatchToAnotherWorker) {
     const assessment_stats stats = f.run_engine(
         {.workers = 4, .batch_rounds = 64, .max_attempts = 25, .chaos = &chaos},
         &es);
-    expect_identical(stats, f.serial_reference());
+    expect_identical(stats, f.serial_reference(64));
     EXPECT_GT(es.redispatches, 0u);
     EXPECT_EQ(es.redispatches, es.retries);  // exclusion => always a new worker
 }
@@ -247,7 +249,7 @@ TEST(EngineRecovery, RedispatchMovesBatchToAnotherWorker) {
 // 1, 2, or 8 workers, and the stats must show the recoveries happening.
 TEST(EngineRecovery, TwentyPercentFaultScheduleIsBitIdentical) {
     recovery_fixture f;
-    const assessment_stats serial = f.serial_reference();
+    const assessment_stats serial = f.serial_reference(64);
     const assessment_stats fault_free =
         f.run_engine({.workers = 2, .batch_rounds = 64, .max_attempts = 3});
     expect_identical(fault_free, serial);
@@ -275,9 +277,9 @@ TEST(EngineRecovery, StatsAccumulateAcrossAssessCalls) {
     extended_dagger_sampler sampler{f.registry.probabilities(), k_seed};
     assessment_engine engine{f.registry.size(), &f.forest, f.factory(),
                              {.workers = 2, .batch_rounds = 64}};
-    (void)engine.assess(sampler, f.app, f.plan, 500);
+    (void)engine.assess(sampler, 1, f.app, f.plan, 500);
     const std::uint64_t after_first = engine.stats().batches;
-    (void)engine.assess(sampler, f.app, f.plan, 500);
+    (void)engine.assess(sampler, 2, f.app, f.plan, 500);
     EXPECT_GT(engine.stats().batches, after_first);
     EXPECT_EQ(engine.stats().worker_failures.size(), 2u);
     EXPECT_GT(engine.stats().bytes_sent, 0u);
@@ -303,7 +305,7 @@ TEST(EngineRecovery, HoldsForEnvironmentChosenSeed) {
     const assessment_stats stats = f.run_engine(
         {.workers = 4, .batch_rounds = 64, .max_attempts = 25, .chaos = &chaos},
         &es);
-    expect_identical(stats, f.serial_reference());
+    expect_identical(stats, f.serial_reference(64));
 }
 
 // ---- engine_backend surface ----------------------------------------------
@@ -316,7 +318,7 @@ TEST(EngineBackendRecovery, ExposesStatsAndSurvivesChaos) {
                            {.workers = 2, .batch_rounds = 64,
                             .max_attempts = 25, .chaos = &chaos}};
     const assessment_stats stats = backend.assess(f.app, f.plan, k_rounds);
-    expect_identical(stats, f.serial_reference());
+    expect_identical(stats, f.serial_reference(64));
     EXPECT_GT(backend.stats().retries, 0u);
 }
 

@@ -1,7 +1,7 @@
 // Cross-plan incremental assessment (DESIGN.md §11): the swap-delta
 // retention rule in verdict_cache::bind, the oracle cleanliness classifiers
-// it rests on, the CRN round journal of the serial assessor and of every
-// parallel batch, and — the load-bearing property — bit-identical
+// it rests on, the CRN round journal of every worker of the batched backend,
+// and — the load-bearing property — bit-identical
 // assessment_stats and search trajectories with incremental mode on or off,
 // across samplers, backends, worker counts and transports (CI re-runs the
 // equivalence suites under ASan with RECLOUD_INCREMENTAL forced on).
@@ -192,7 +192,7 @@ TEST(CleanClassifier, FatTreeMatchesGroundTruth) {
     const auto classify = [&](const std::vector<component_id>& failed) {
         rs.begin_round(failed);
         oracle.begin_round(rs);
-        return oracle.round_fully_connected(failed);
+        return oracle.classify_round(failed) == round_class::clean;
     };
 
     // Directed cases (k=4: two core groups). One failure anywhere inside a
@@ -292,7 +292,7 @@ TEST(CleanClassifier, BfsMatchesGroundTruth) {
     const auto classify = [&](const std::vector<component_id>& failed) {
         rs.begin_round(failed);
         oracle.begin_round(rs);
-        return oracle.round_fully_connected(failed);
+        return oracle.classify_round(failed) == round_class::clean;
     };
 
     const auto spines = f.topo.graph.nodes_of_kind(node_kind::core_switch);
@@ -363,8 +363,7 @@ TEST(CleanClassifier, BfsHintTruncatedFloodStillClassifiesExactly) {
         rs2.begin_round(failed);
         full.begin_round(rs2);
 
-        EXPECT_EQ(hinted.round_fully_connected(failed),
-                  full.round_fully_connected(failed));
+        EXPECT_EQ(hinted.classify_round(failed), full.classify_round(failed));
         for (const node_id host : f.topo.hosts) {
             EXPECT_EQ(hinted.border_reachable(host),
                       full.border_reachable(host))
@@ -564,8 +563,7 @@ TEST(WarmRebind, PathologicalChurnFallsBackToEpochWipe) {
 
 /// The CRN shape of the annealing inner loop: reset to a pinned seed, assess
 /// a plan, move to the next plan. Includes a same-plan re-assessment WITHOUT
-/// a reset (the stream-debt path: a journal replay must leave the sampler
-/// position exactly where a full pass would have).
+/// a reset (epoch 2: a journal of epoch 1 must not answer it).
 template <typename Backend>
 std::vector<assessment_stats> run_crn_sequence(
     Backend& backend, const application& app,
@@ -575,7 +573,7 @@ std::vector<assessment_stats> run_crn_sequence(
     out.push_back(backend.assess(app, plans[0], rounds));
     backend.reset_stream(5);
     out.push_back(backend.assess(app, plans[1], rounds));
-    out.push_back(backend.assess(app, plans[1], rounds));  // no reset: debt
+    out.push_back(backend.assess(app, plans[1], rounds));  // no reset: epoch 2
     backend.reset_stream(5);
     out.push_back(backend.assess(app, plans[2], rounds));
     backend.reset_stream(7);  // different stream: journal must not apply
@@ -611,13 +609,13 @@ TEST(IncrementalEquivalence, SerialMultiPlanAcrossSamplers) {
         std::optional<std::vector<assessment_stats>> reference;
         for (int mode = 0; mode < 3; ++mode) {
             auto sampler = make(kind);
-            bfs_reachability oracle{f.topo};
             verdict_cache_options options;
             options.enabled = mode > 0;
             options.support = &support;
             options.cross_plan = mode == 2;
-            serial_backend backend{f.registry.size(), &f.forest, oracle,
-                                   *sampler, options};
+            parallel_backend backend{
+                f.registry.size(), &f.forest, f.factory(), *sampler,
+                {.threads = 1, .verdict_cache = options}};
             const auto stats = run_crn_sequence(backend, app, plans, 1500);
             if (!reference) {
                 reference = stats;
@@ -808,11 +806,11 @@ std::uint64_t journal_replays() {
 }
 
 TEST(IncrementalEquivalence, ParallelBatchJournalsReplayOnlyTheirOwnStream) {
-    // Every parallel batch keeps its own CRN journal on the worker that
-    // always runs it, keyed by (reset seed, epoch, batch rounds, app shape).
-    // The sequence below makes each key component differ from the held
-    // journal once; those steps must re-sample, the rest may replay, and
-    // every step must equal incremental-off bit for bit.
+    // Every worker keeps one CRN journal of all its batches, keyed by
+    // (reset seed, epoch, the worker's total rounds, app shape). The
+    // sequence below makes each key component differ from the held journal
+    // once; those steps must re-sample, the rest may replay, and every step
+    // must equal incremental-off bit for bit.
     incr_fixture f;
     const application app = application::k_of_n(2, 3);
     const application other_app = application::k_of_n(1, 3);
@@ -835,7 +833,8 @@ TEST(IncrementalEquivalence, ParallelBatchJournalsReplayOnlyTheirOwnStream) {
         {"reset 7, plan A: another seed", false},
         {"reset 5, plan B: the journals hold seed 7", false},
         {"reset 5, plan A: replays plan B's recording", true},
-        {"reset 5, plan B, 1200 rounds: the last batch grows", true},
+        {"reset 5, plan B, 1200 rounds: workers whose share is unchanged",
+         true},
         {"reset 5, other app shape", false},
     };
     const auto run = [&](parallel_backend& backend) {
@@ -930,10 +929,6 @@ public:
     bool host_to_host(node_id a, node_id b) override {
         return inner_->host_to_host(a, b);
     }
-    bool round_fully_connected(
-        std::span<const component_id> raw_failed) override {
-        return inner_->round_fully_connected(raw_failed);
-    }
     round_class classify_round(
         std::span<const component_id> raw_failed) override {
         return inner_->classify_round(raw_failed);
@@ -961,10 +956,13 @@ private:
 
 TEST(RunBudget, PreemptedParallelAssessmentKeepsOnlyFinishedJournals) {
     // Backend-level twin of the search case below, where nothing overwrites
-    // the interrupted assessment's journals: the budget fires in the middle
-    // of a batch, the workers stop at the next batch boundary, and the next
-    // assessment of the same stream replays exactly the batches that
-    // finished — bit-identical to a backend that was never interrupted.
+    // the interrupted assessment's journals. A worker's journal covers all
+    // its batches, so a budget firing while the workers record leaves only
+    // the journals of workers that already finished their whole share
+    // valid (none with one worker): the rest re-sample. A budget
+    // firing while the workers replay only reads the journals: they stay
+    // valid and the next assessment replays. Every answer equals a backend
+    // that was never interrupted.
     incr_fixture f;
     const application app = application::k_of_n(2, 3);
     const deployment_plan plan_a = f.plan_for(app, 0);
@@ -994,41 +992,61 @@ TEST(RunBudget, PreemptedParallelAssessmentKeepsOnlyFinishedJournals) {
         const auto cold = make_backend(cold_sampler);
         cold->reset_stream(5);
         const std::uint64_t judged_before_a = wire->judged.load();
-        (void)cold->assess(app, plan_a, rounds);
+        const assessment_stats expected_a = cold->assess(app, plan_a, rounds);
         const std::uint64_t judged_in_a = wire->judged.load() - judged_before_a;
         ASSERT_GE(judged_in_a, 2u);
         cold->reset_stream(5);
-        const assessment_stats expected = cold->assess(app, plan_b, rounds);
+        const assessment_stats expected_b = cold->assess(app, plan_b, rounds);
 
         extended_dagger_sampler sampler{f.registry.probabilities(), 23};
         const auto backend = make_backend(sampler);
-        run_budget budget;
-        backend->set_budget(&budget);
-        wire->budget.store(&budget);
+        obs::metrics_registry::global().set_enabled(true);
+
+        // Preempted while recording plan A.
+        run_budget recording;
+        backend->set_budget(&recording);
+        wire->budget.store(&recording);
         wire->rounds_left.store(static_cast<std::int64_t>(judged_in_a / 2));
         backend->reset_stream(5);
         EXPECT_THROW((void)backend->assess(app, plan_a, rounds),
                      search_preempted);
         wire->budget.store(nullptr);
+        wire->rounds_left.store(std::numeric_limits<std::int64_t>::max());
         backend->set_budget(nullptr);
 
-        obs::metrics_registry::global().set_enabled(true);
-        const std::uint64_t replays_before = journal_replays();
+        std::uint64_t replays_before = journal_replays();
         backend->reset_stream(5);
-        expect_identical(backend->assess(app, plan_b, rounds), expected);
+        expect_identical(backend->assess(app, plan_b, rounds), expected_b);
+        if (workers == 1) {
+            // (A sibling may have finished its whole share before the trip;
+            // its complete journal may replay.)
+            EXPECT_EQ(journal_replays(), replays_before);
+        }
+
+        // Preempted while replaying plan B's journals for plan A.
+        run_budget replaying;
+        replaying.cancel();
+        backend->set_budget(&replaying);
+        replays_before = journal_replays();
+        backend->reset_stream(5);
+        EXPECT_THROW((void)backend->assess(app, plan_a, rounds),
+                     search_preempted);
+        backend->set_budget(nullptr);
+
+        backend->reset_stream(5);
+        expect_identical(backend->assess(app, plan_a, rounds), expected_a);
         EXPECT_GT(journal_replays(), replays_before);
         obs::metrics_registry::global().set_enabled(false);
     }
 }
 
 TEST(RunBudget, PreemptedParallelSearchLeavesNoStaleJournal) {
-    // A budget that fires mid-assessment stops the parallel workers at a
-    // batch boundary, so some batches of the interrupted assessment hold a
-    // fresh journal and the rest an older one. A later search on the same
-    // re_cloud must answer exactly like a cold re_cloud. (The interrupted
-    // search's winner re-assessment re-records every batch on its own
-    // stream, so the backend-level case above is the one that pins which
-    // journals an interruption leaves valid.)
+    // A budget that fires mid-assessment stops the parallel workers, each
+    // with its journal recorded, replayed or left unfinished. A later search
+    // on the same re_cloud must answer exactly like a cold re_cloud. (The
+    // interrupted search's winner re-assessment re-records every journal on
+    // its own stream, so the backend-level case above is the one that pins
+    // which journals an interruption leaves valid.)
     env_guard cache_env{"RECLOUD_VERDICT_CACHE", "1"};
     env_guard incr_env{"RECLOUD_INCREMENTAL", "1"};
     const scenario_ptr base = make_fat_tree_scenario(4);

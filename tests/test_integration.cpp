@@ -12,6 +12,7 @@
 #include "deps/hardware_inventory.hpp"
 #include "deps/network_deps.hpp"
 #include "deps/software_deps.hpp"
+#include "batch_reference.hpp"
 #include "exec/engine.hpp"
 #include "routing/bfs_reachability.hpp"
 #include "sampling/extended_dagger.hpp"
@@ -72,7 +73,7 @@ TEST(Integration, FullDependencyStackOnLeafSpine) {
 
 TEST(Integration, EngineAndAssessorAgreeWithLinksAndTrees) {
     // The MapReduce engine and the single-threaded assessor must produce
-    // the identical reliable count on the identical sampler stream, with
+    // the identical reliable count on the identical forked batches, with
     // fault trees AND links in play.
     built_topology topo = build_leaf_spine(
         {.spines = 2, .leaves = 3, .hosts_per_leaf = 2, .border_leaves = 1});
@@ -90,8 +91,8 @@ TEST(Integration, EngineAndAssessorAgreeWithLinksAndTrees) {
     extended_dagger_sampler serial_sampler{registry.probabilities(), 42};
     round_state rs{registry.size(), &forest};
     bfs_reachability serial_oracle{topo, &links};
-    const assessment_stats serial =
-        assess_deployment(serial_sampler, rs, serial_oracle, app, plan, 3000);
+    const assessment_stats serial = forked_batch_reference(
+        serial_sampler, 1, rs, serial_oracle, app, plan, 3000, 97);
 
     extended_dagger_sampler engine_sampler{registry.probabilities(), 42};
     assessment_engine engine{
@@ -99,7 +100,7 @@ TEST(Integration, EngineAndAssessorAgreeWithLinksAndTrees) {
         [&] { return std::make_unique<bfs_reachability>(topo, &links); },
         {.workers = 3, .batch_rounds = 97}};
     const assessment_stats parallel =
-        engine.assess(engine_sampler, app, plan, 3000);
+        engine.assess(engine_sampler, 1, app, plan, 3000);
 
     EXPECT_EQ(serial.reliable, parallel.reliable);
     EXPECT_EQ(serial.rounds, parallel.rounds);

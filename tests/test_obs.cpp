@@ -353,8 +353,9 @@ TEST(TelemetryEquivalence, StatsBitIdenticalWithTracingOnOrOff) {
         std::vector<assessment_stats> all;
         {
             extended_dagger_sampler sampler{f.registry.probabilities(), 51};
-            bfs_reachability oracle{f.topo};
-            serial_backend backend{f.registry.size(), &f.forest, oracle, sampler};
+            parallel_backend backend{
+                f.registry.size(), &f.forest, f.factory(), sampler,
+                {.threads = 1}};
             all.push_back(backend.assess(app, plan, rounds));
         }
         for (const std::size_t workers : {1u, 2u, 8u}) {

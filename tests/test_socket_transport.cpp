@@ -24,7 +24,7 @@
 #include <signal.h>
 #include <sys/wait.h>
 
-#include "assess/assessor.hpp"
+#include "batch_reference.hpp"
 #include "exec/engine.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -78,11 +78,13 @@ struct socket_fixture {
         return options;
     }
 
+    /// The serial route-and-check of the batches socket_options() samples.
     assessment_stats serial_reference() {
         extended_dagger_sampler sampler{registry.probabilities(), k_seed};
         round_state rs{registry.size(), &forest};
         bfs_reachability oracle{topo};
-        return assess_deployment(sampler, rs, oracle, app, plan, k_rounds);
+        return forked_batch_reference(sampler, 1, rs, oracle, app, plan,
+                                      k_rounds, 100);
     }
 
     assessment_stats run_engine(const engine_options& options,
@@ -94,7 +96,7 @@ struct socket_fixture {
             *engine_out = &engine;
         }
         const assessment_stats stats =
-            engine.assess(sampler, app, plan, k_rounds);
+            engine.assess(sampler, 1, app, plan, k_rounds);
         if (stats_out != nullptr) {
             *stats_out = engine.stats();
         }
@@ -325,7 +327,7 @@ TEST(SocketTransport, RespawnBudgetExhaustedDegradesGracefully) {
     extended_dagger_sampler sampler{f.registry.probabilities(), k_seed};
     assessment_engine e{f.registry.size(), &f.forest, f.factory(), options};
     engine = &e;
-    const assessment_stats got = e.assess(sampler, f.app, f.plan, k_rounds);
+    const assessment_stats got = e.assess(sampler, 1, f.app, f.plan, k_rounds);
     stats = e.stats();
     expect_identical(got, f.serial_reference());
     EXPECT_GT(stats.degraded, 0u);
@@ -359,7 +361,7 @@ TEST(SocketTransport, SigkilledWorkerIsRespawnedBitIdentical) {
     ASSERT_GT(pids[0], 0);
     ASSERT_EQ(::kill(pids[0], SIGKILL), 0);
     const assessment_stats got =
-        engine.assess(sampler, f.app, f.plan, k_rounds);
+        engine.assess(sampler, 1, f.app, f.plan, k_rounds);
     expect_identical(got, f.serial_reference());
     EXPECT_GE(engine.stats().worker_respawns, 1u);
     // The respawned fleet becomes whole again. The respawn runs in the
@@ -397,7 +399,7 @@ TEST(SocketTransport, SigkillStormKeepsBitIdentity) {
         }
     }};
     const assessment_stats got =
-        engine.assess(sampler, f.app, f.plan, k_rounds);
+        engine.assess(sampler, 1, f.app, f.plan, k_rounds);
     done.store(true, std::memory_order_release);
     killer.join();
     // Timing decides WHICH batches die with their worker, never the counts.
@@ -430,10 +432,10 @@ TEST(SocketTransport, DestructionIsIdempotentUnderRepeatedUse) {
     assessment_engine engine{f.registry.size(), &f.forest, f.factory(),
                              options};
     const assessment_stats first =
-        engine.assess(sampler, f.app, f.plan, k_rounds);
+        engine.assess(sampler, 1, f.app, f.plan, k_rounds);
     sampler.reset(k_seed);
     const assessment_stats second =
-        engine.assess(sampler, f.app, f.plan, k_rounds);
+        engine.assess(sampler, 1, f.app, f.plan, k_rounds);
     expect_identical(first, second);
 }
 
@@ -461,7 +463,8 @@ TEST(SocketTransport, MediumFatTreeEightWorkersBitIdenticalToSerial) {
         extended_dagger_sampler sampler{registry.probabilities(), seed};
         round_state rs{registry.size(), &forest};
         bfs_reachability oracle{topo};
-        serial = assess_deployment(sampler, rs, oracle, app, plan, rounds);
+        serial = forked_batch_reference(sampler, 1, rs, oracle, app, plan,
+                                        rounds, 128);
     }
 
     const auto run = [&](std::size_t workers) {
@@ -476,7 +479,7 @@ TEST(SocketTransport, MediumFatTreeEightWorkersBitIdenticalToSerial) {
             registry.size(), &forest,
             [&topo] { return std::make_unique<bfs_reachability>(topo); },
             options};
-        return engine.assess(sampler, app, plan, rounds);
+        return engine.assess(sampler, 1, app, plan, rounds);
     };
 
     const assessment_stats solo = run(1);
@@ -530,7 +533,7 @@ TEST(TelemetryHarvest, HarvestedWorkerCountersMatchLoopbackFleet) {
     extended_dagger_sampler sampler{f.registry.probabilities(), k_seed};
     assessment_engine engine{f.registry.size(), &f.forest, f.factory(),
                              f.socket_options(2)};
-    const assessment_stats stats = engine.assess(sampler, f.app, f.plan,
+    const assessment_stats stats = engine.assess(sampler, 1, f.app, f.plan,
                                                  k_rounds);
     EXPECT_EQ(stats.rounds, k_rounds);
     EXPECT_EQ(registry.snapshot().value("route.floods"), 0u);
@@ -553,7 +556,7 @@ TEST(TelemetryHarvest, RepeatedHarvestDoesNotDoubleCount) {
     extended_dagger_sampler sampler{f.registry.probabilities(), k_seed};
     assessment_engine engine{f.registry.size(), &f.forest, f.factory(),
                              f.socket_options(2)};
-    (void)engine.assess(sampler, f.app, f.plan, k_rounds);
+    (void)engine.assess(sampler, 1, f.app, f.plan, k_rounds);
     engine.harvest_telemetry();
     const std::uint64_t floods = registry.snapshot().value("route.floods");
     EXPECT_GT(floods, 0u);
@@ -576,7 +579,7 @@ TEST(TelemetryHarvest, FleetTelemetryReportsEveryWorkerSortedByIdWithPid) {
     extended_dagger_sampler sampler{f.registry.probabilities(), k_seed};
     assessment_engine engine{f.registry.size(), &f.forest, f.factory(),
                              f.socket_options(8)};
-    (void)engine.assess(sampler, f.app, f.plan, k_rounds);
+    (void)engine.assess(sampler, 1, f.app, f.plan, k_rounds);
     engine.harvest_telemetry();
 
     const std::vector<int> pids = engine.transport().worker_pids();
@@ -610,7 +613,7 @@ TEST(TelemetryHarvest, ShutdownHarvestFoldsCountersWithoutExplicitCall) {
         extended_dagger_sampler sampler{f.registry.probabilities(), k_seed};
         assessment_engine engine{f.registry.size(), &f.forest, f.factory(),
                                  f.socket_options(2)};
-        (void)engine.assess(sampler, f.app, f.plan, k_rounds);
+        (void)engine.assess(sampler, 1, f.app, f.plan, k_rounds);
         EXPECT_EQ(registry.snapshot().value("route.floods"), 0u);
     }
     EXPECT_GT(registry.snapshot().value("route.floods"), 0u);
@@ -639,7 +642,7 @@ TEST(TelemetryHarvest, CacheCountersOverSocketsMatchLoopbackPrivateCaches) {
         assessment_engine engine{f.registry.size(), &f.forest, f.factory(),
                                  options};
         const assessment_stats stats =
-            engine.assess(sampler, f.app, f.plan, k_rounds);
+            engine.assess(sampler, 1, f.app, f.plan, k_rounds);
         engine.harvest_telemetry();
         const verdict_cache_stats* cache = engine.cache_stats();
         EXPECT_NE(cache, nullptr);
@@ -687,12 +690,12 @@ TEST(TelemetryHarvest, HarvestBetweenAssessmentsIsPureObservability) {
         assessment_engine engine{f.registry.size(), &f.forest, f.factory(),
                                  f.socket_options(2)};
         const assessment_stats first =
-            engine.assess(sampler, f.app, f.plan, k_rounds);
+            engine.assess(sampler, 1, f.app, f.plan, k_rounds);
         if (obs_on) {
             engine.harvest_telemetry();
         }
         const assessment_stats second =
-            engine.assess(sampler, f.app, f.plan, k_rounds);
+            engine.assess(sampler, 2, f.app, f.plan, k_rounds);
         return std::pair{first, second};
     };
     const auto [on_first, on_second] = run(true);

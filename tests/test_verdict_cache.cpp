@@ -331,12 +331,12 @@ TEST(CacheEquivalence, SerialAcrossSamplers) {
     for (int kind = 0; kind < 3; ++kind) {
         const auto run = [&](bool cached) {
             auto sampler = make(kind, 57);
-            bfs_reachability oracle{f.topo};
             verdict_cache_options options;
             options.enabled = cached;
             options.support = &support;
-            serial_backend backend{f.registry.size(), &f.forest, oracle,
-                                   *sampler, options};
+            parallel_backend backend{
+                f.registry.size(), &f.forest, f.factory(), *sampler,
+                {.threads = 1, .verdict_cache = options}};
             const assessment_stats stats = backend.assess(app, plan, 4000);
             if (cached) {
                 EXPECT_NE(backend.cache_stats(), nullptr);
@@ -415,12 +415,12 @@ TEST(CacheEquivalence, AdaptiveAssessUntilCiw) {
     const verdict_support support = f.support();
     const auto run = [&](bool cached) {
         extended_dagger_sampler sampler{f.registry.probabilities(), 41};
-        bfs_reachability oracle{f.topo};
         verdict_cache_options options;
         options.enabled = cached;
         options.support = &support;
-        serial_backend backend{f.registry.size(), &f.forest, oracle, sampler,
-                               options};
+        parallel_backend backend{
+            f.registry.size(), &f.forest, f.factory(), sampler,
+            {.threads = 1, .verdict_cache = options}};
         adaptive_assess_options adaptive;
         adaptive.target_ciw = 2e-2;
         adaptive.initial_rounds = 500;
@@ -439,13 +439,13 @@ TEST(CacheEquivalence, TinyEvictingCacheStillIdentical) {
     const verdict_support support = f.support();
     const auto run = [&](bool cached) {
         extended_dagger_sampler sampler{f.registry.probabilities(), 91};
-        bfs_reachability oracle{f.topo};
         verdict_cache_options options;
         options.enabled = cached;
         options.max_entries = 2;
         options.support = &support;
-        serial_backend backend{f.registry.size(), &f.forest, oracle, sampler,
-                               options};
+        parallel_backend backend{
+            f.registry.size(), &f.forest, f.factory(), sampler,
+            {.threads = 1, .verdict_cache = options}};
         return backend.assess(app, plan, 4000);
     };
     expect_identical(run(true), run(false));
@@ -547,12 +547,12 @@ TEST(VerdictCacheStats, ObservabilityCountersAddUp) {
     const deployment_plan plan = f.plan_for(app);
     const verdict_support support = f.support();
     extended_dagger_sampler sampler{f.registry.probabilities(), 7};
-    bfs_reachability oracle{f.topo};
     verdict_cache_options options;
     options.enabled = true;
     options.support = &support;
-    serial_backend backend{f.registry.size(), &f.forest, oracle, sampler,
-                           options};
+    parallel_backend backend{
+        f.registry.size(), &f.forest, f.factory(), sampler,
+        {.threads = 1, .verdict_cache = options}};
     (void)backend.assess(app, plan, 5000);
     const verdict_cache_stats* stats = backend.cache_stats();
     ASSERT_NE(stats, nullptr);
