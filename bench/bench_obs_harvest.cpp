@@ -120,20 +120,16 @@ int main() {
             tracer.start();
         }
         {
+            extended_dagger_sampler sampler{registry.probabilities(), seed};
             assessment_engine engine{registry.size(), &forest, factory,
-                                     options};
-            {
-                extended_dagger_sampler warmup{registry.probabilities(), seed};
-                (void)engine.assess(warmup, 1, app, plan, rounds);
-            }
+                                     sampler, options};
+            (void)engine.assess(app, plan, rounds);  // warmup
             for (std::size_t rep = 0; rep < reps; ++rep) {
-                // Fresh sampler per rep: every rep assesses the identical
-                // stream, so the arms compare rep by rep.
-                extended_dagger_sampler sampler{registry.probabilities(),
-                                                seed};
+                // Rewound stream per rep: every rep assesses the identical
+                // batches, so the arms compare rep by rep.
+                engine.reset_stream(seed);
                 stopwatch watch;
-                stats_out.push_back(
-                    engine.assess(sampler, 1, app, plan, rounds));
+                stats_out.push_back(engine.assess(app, plan, rounds));
                 if (obs_on) {
                     engine.harvest_telemetry();
                 }
@@ -175,10 +171,12 @@ int main() {
         engine_options loopback;
         loopback.workers = workers;
         loopback.batch_rounds = options.batch_rounds;
-        assessment_engine engine{registry.size(), &forest, factory, loopback};
+        extended_dagger_sampler sampler{registry.probabilities(), seed};
+        assessment_engine engine{registry.size(), &forest, factory, sampler,
+                                 loopback};
         for (std::size_t rep = 0; rep < reps + 1; ++rep) {  // warmup + reps
-            extended_dagger_sampler sampler{registry.probabilities(), seed};
-            (void)engine.assess(sampler, 1, app, plan, rounds);
+            engine.reset_stream(seed);
+            (void)engine.assess(app, plan, rounds);
         }
         loopback_floods = reg.snapshot().value("route.floods");
         reg.set_enabled(false);

@@ -110,12 +110,12 @@ int main() {
             }
         }
 
-        // Wire-format engine for contrast (master-side sampling + real
-        // serialization costs).
+        // Wire-format engine for contrast (real setup serialization and
+        // per-assessment context setup; workers sample their own batches).
         for (const std::size_t workers : worker_counts) {
             extended_dagger_sampler sampler{infra.registry().probabilities(), 3};
-            engine_backend engine{infra.registry().size(), &infra.forest(),
-                                  factory, sampler, {.workers = workers}};
+            assessment_engine engine{infra.registry().size(), &infra.forest(),
+                                     factory, sampler, {.workers = workers}};
             (void)engine.assess(w.app, plan, 500);  // warm the pool
             engine.reset_stream(3);
             assessment_stats stats;
@@ -140,11 +140,11 @@ int main() {
                                         .corrupt_rate = 0.08,
                                         .truncate_rate = 0.05}};
             extended_dagger_sampler sampler{infra.registry().probabilities(), 3};
-            engine_backend engine{infra.registry().size(), &infra.forest(),
-                                  factory, sampler,
-                                  {.workers = 4,
-                                   .max_attempts = 6,
-                                   .chaos = &chaos}};
+            assessment_engine engine{infra.registry().size(), &infra.forest(),
+                                     factory, sampler,
+                                     {.workers = 4,
+                                      .max_attempts = 6,
+                                      .chaos = &chaos}};
             (void)engine.assess(w.app, plan, 500);  // warm the pool
             engine.reset_stream(3);
             assessment_stats stats;

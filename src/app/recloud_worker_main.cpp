@@ -2,17 +2,18 @@
 //
 // Speaks the outer-envelope protocol (exec/worker_protocol.hpp) over a
 // single inherited socket fd: receives its structural environment once,
-// then per assessment a framed setup followed by framed round batches,
-// judging each through the SAME worker_context the in-process engine uses —
-// so a batch's verdict is bit-identical whichever side of the process
-// boundary computes it.
+// then per assessment a framed setup followed by framed batch descriptors,
+// sampling and judging each batch through the SAME worker_context the
+// in-process engine uses — so a batch's verdict is bit-identical whichever
+// side of the process boundary computes it.
 //
 // Chaos is applied HERE, by the worker on itself: an injected crash is a
 // real _exit (the master observes EOF, fails the in-flight batch, and
 // respawns the process), a stall is a real sleep, and corrupt/truncate
 // mangle the inner framed result before it is sealed into a (valid) outer
 // envelope — exercising the engine's invalid-frame path without
-// desynchronizing the stream.
+// desynchronizing the stream. A respawned worker samples its batches again
+// from their descriptors.
 #include <cerrno>
 #include <cstdlib>
 #include <cstring>
@@ -20,11 +21,11 @@
 #include <optional>
 #include <span>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include <unistd.h>
 
+#include "app/deployment.hpp"
 #include "exec/worker_context.hpp"
 #include "exec/worker_protocol.hpp"
 #include "routing/bfs_reachability.hpp"
@@ -100,59 +101,64 @@ void handle_env(worker_state& state, const envelope& msg) {
     fd_write_all(state.fd, pack_envelope(worker_msg::hello, 0, 0, {}));
 }
 
+/// `setup` builds a fresh context. `rebind` (cross-plan incremental mode)
+/// swaps the next (app, plan) into the warm context; a respawned worker
+/// holds none, so there it degrades to a plain setup (bit-identical, just
+/// cold). A plan naming a node that is not a host of the shipped topology
+/// is rejected either way: routing would read it out of bounds.
 void handle_setup(worker_state& state, const envelope& msg) {
     if (!state.env) {
         throw transport_error{"setup before environment"};
     }
     const worker_environment& env = *state.env;
-    const oracle_factory make_oracle = [&env] {
-        return std::unique_ptr<reachability_oracle>{
-            std::make_unique<bfs_reachability>(
-                env.topology, env.links ? &*env.links : nullptr)};
-    };
-    retire_context_stats(state);
-    state.context = std::make_unique<worker_context>(
-        std::span<const std::byte>{msg.blob}, env.component_count,
-        env.forest ? &*env.forest : nullptr, make_oracle,
-        state.cache_options);
+    const std::span<const std::byte> setup{msg.blob};
+    if (msg.kind == worker_msg::rebind && state.context) {
+        state.context->rebind(setup);
+    } else {
+        const oracle_factory make_oracle = [&env] {
+            return std::unique_ptr<reachability_oracle>{
+                std::make_unique<bfs_reachability>(
+                    env.topology, env.links ? &*env.links : nullptr)};
+        };
+        retire_context_stats(state);
+        state.context = std::make_unique<worker_context>(
+            setup, env.sampler, env.component_count,
+            env.forest ? &*env.forest : nullptr, make_oracle,
+            state.cache_options);
+    }
+    try {
+        validate_plan(state.context->plan(), state.context->app(),
+                      env.topology);
+    } catch (const std::invalid_argument& e) {
+        throw serialize_error{e.what()};
+    }
 }
 
 void handle_task(worker_state& state, const envelope& msg) {
     if (!state.context) {
         throw transport_error{"task before setup"};
     }
-    const chaos_fault fault =
-        state.chaos
-            ? state.chaos->fault_for(msg.batch, msg.attempt, state.worker_id)
-            : chaos_fault::none;
-    if (fault == chaos_fault::crash) {
-        ::_exit(13);  // a chaos crash out here is a REAL process death
-    }
-    if (fault == chaos_fault::stall) {
-        std::this_thread::sleep_for(state.chaos->options().stall_duration);
-    }
-    // Judge chaos-free (the fault already happened out here), then mangle
-    // the inner framed result exactly like the in-process chaos path. The
-    // batch span carries the master's flow id (envelope span_id) so the
-    // merged trace stitches dispatch -> execute across processes.
+    // The same chaos path as an in-process node, except that a crash out
+    // here is a REAL process death. The batch span carries the master's
+    // flow id (envelope span_id) so the merged trace stitches dispatch ->
+    // execute across processes.
     obs::tracer& tracer = obs::tracer::global();
     const bool traced = tracer.enabled();
     const std::uint64_t span_start = traced ? tracer.now_ns() : 0;
-    std::vector<std::byte> framed = state.context->run_batch(
-        std::span<const std::byte>{msg.blob}, nullptr, msg.batch, msg.attempt,
-        state.worker_id);
+    std::vector<std::byte> framed;
+    try {
+        framed = state.context->run_batch(
+            std::span<const std::byte>{msg.blob},
+            state.chaos ? &*state.chaos : nullptr, msg.attempt,
+            state.worker_id);
+    } catch (const chaos_crash&) {
+        ::_exit(13);
+    }
     if (traced) {
         tracer.record_flow("worker.batch", span_start,
                            tracer.now_ns() - span_start, msg.span_id,
                            msg.span_id != 0 ? obs::flow_finish
                                             : obs::flow_none);
-    }
-    if (fault == chaos_fault::corrupt_result) {
-        chaos_schedule::corrupt(framed, msg.batch, msg.attempt,
-                                state.worker_id);
-    } else if (fault == chaos_fault::truncate_result) {
-        chaos_schedule::truncate(framed, msg.batch, msg.attempt,
-                                 state.worker_id);
     }
     fd_write_all(state.fd,
                  pack_envelope(worker_msg::result, msg.batch, msg.attempt,
@@ -208,19 +214,8 @@ int run(int fd) {
                     handle_env(state, msg);
                     break;
                 case worker_msg::setup:
-                    handle_setup(state, msg);
-                    break;
                 case worker_msg::rebind:
-                    // Cross-plan incremental mode: swap in the next (app,
-                    // plan) while keeping the warm context. A respawned
-                    // worker holds no context yet — then rebind degrades to
-                    // a plain setup (bit-identical, just cold).
-                    if (state.context) {
-                        state.context->rebind(
-                            std::span<const std::byte>{msg.blob});
-                    } else {
-                        handle_setup(state, msg);
-                    }
+                    handle_setup(state, msg);
                     break;
                 case worker_msg::task:
                     handle_task(state, msg);

@@ -46,6 +46,31 @@ assessment_stats assessment_backend::assess_until_ciw(
     }
 }
 
+judge_context::judge_context(std::size_t component_count,
+                             const fault_tree_forest* forest,
+                             std::unique_ptr<reachability_oracle> o,
+                             const verdict_cache_options& cache_options)
+    : rs(component_count, forest), oracle(std::move(o)) {
+    if (oracle == nullptr) {
+        throw std::invalid_argument{"judge_context: no routing oracle"};
+    }
+    if (cache_options.enabled && cache_options.support != nullptr) {
+        cache.emplace(*cache_options.support, cache_options.max_entries,
+                      cache_options.cross_plan);
+    }
+}
+
+void judge_batch(const sampler_description& sampler, std::uint64_t epoch,
+                 std::uint64_t batch, std::size_t rounds,
+                 const round_judge& judge, result_accumulator& results,
+                 round_journal* journal, const run_budget* budget) {
+    RECLOUD_SPAN("assess.batch");
+    RECLOUD_COUNTER_INC("assess.batches");
+    const std::unique_ptr<failure_sampler> substream =
+        sampler.fork(substream_id(epoch, batch));
+    judge_rounds(*substream, rounds, judge, results, journal, budget);
+}
+
 /// One assess() call as every worker sees it.
 struct parallel_backend::assessment {
     const application& app;
@@ -74,7 +99,7 @@ parallel_backend::parallel_backend(std::size_t component_count,
         throw std::invalid_argument{
             "parallel_backend: batch_rounds must be >= 1"};
     }
-    if (sampler_->fork(0) == nullptr) {
+    if (sampler_->description() == nullptr) {
         throw std::invalid_argument{
             "parallel_backend: sampler does not support substreams (fork)"};
     }
@@ -82,16 +107,11 @@ parallel_backend::parallel_backend(std::size_t component_count,
         options_.threads != 0
             ? options_.threads
             : std::max(1u, std::thread::hardware_concurrency());
-    contexts_.reserve(workers);
+    workers_.reserve(workers);
     for (std::size_t w = 0; w < workers; ++w) {
-        std::unique_ptr<reachability_oracle> oracle = make_oracle();
-        if (oracle == nullptr) {
-            throw std::invalid_argument{
-                "parallel_backend: oracle factory returned nullptr"};
-        }
-        contexts_.push_back(std::make_unique<worker_context>(
-            component_count, forest, std::move(oracle),
-            options_.verdict_cache));
+        workers_.push_back(std::make_unique<worker>(
+            judge_context{component_count, forest, make_oracle(),
+                          options_.verdict_cache}));
     }
     if (workers > 1) {
         pool_.emplace(workers);
@@ -101,16 +121,15 @@ parallel_backend::parallel_backend(std::size_t component_count,
 result_accumulator parallel_backend::run_worker(std::size_t w,
                                                 const assessment& job,
                                                 std::atomic<bool>& aborted) {
-    worker_context& context = *contexts_[w];
-    const std::size_t workers = contexts_.size();
+    judge_context& context = workers_[w]->context;
+    const std::size_t workers = workers_.size();
     const std::size_t batch_rounds = options_.batch_rounds;
     requirement_evaluator evaluator{job.app, job.plan};
-    verdict_cache* cache = context.cache ? &*context.cache : nullptr;
+    const round_judge judge = context.judge(job.plan, evaluator);
+    verdict_cache* cache = judge.cache;
     if (cache != nullptr) {
         cache->bind(job.app, job.plan);
     }
-    const round_judge judge{context.rs, *context.oracle, job.plan, evaluator,
-                            cache};
     result_accumulator results;
     round_journal* journal = nullptr;
     try {
@@ -125,24 +144,21 @@ result_accumulator parallel_backend::run_worker(std::size_t w,
                                   .rounds = share,
                                   .app = job.app_fingerprint};
             if (const std::optional<assessment_stats> replayed =
-                    context.journal.replay_or_begin(key, *cache, context.rs,
-                                                    *context.oracle, job.plan,
-                                                    evaluator, job.budget)) {
+                    workers_[w]->journal.replay_or_begin(
+                        key, *cache, context.rs, *context.oracle, job.plan,
+                        evaluator, job.budget)) {
                 results.merge(replayed->reliable, replayed->rounds);
                 return results;
             }
-            journal = &context.journal;
+            journal = &workers_[w]->journal;
         }
         for (std::size_t b = w; b < job.batches; b += workers) {
             if (aborted.load(std::memory_order_relaxed)) {
                 return results;  // a recording journal stays unfinished
             }
-            RECLOUD_SPAN("assess.batch");
-            RECLOUD_COUNTER_INC("assess.batches");
-            const std::unique_ptr<failure_sampler> substream =
-                sampler_->fork(substream_id(job.epoch, b));
-            judge_rounds(*substream, job.batch_size(b, batch_rounds), judge,
-                         results, journal, job.budget);
+            judge_batch(*sampler_->description(), job.epoch, b,
+                        job.batch_size(b, batch_rounds), judge, results,
+                        journal, job.budget);
         }
     } catch (const search_preempted&) {
         aborted.store(true, std::memory_order_relaxed);
@@ -186,7 +202,7 @@ assessment_stats parallel_backend::assess(const application& app,
     // is discarded by throwing search_preempted.
     std::atomic<bool> aborted{false};
     result_accumulator results;
-    const std::size_t active = std::min(contexts_.size(), job.batches);
+    const std::size_t active = std::min(workers_.size(), job.batches);
     if (!pool_.has_value()) {
         if (active > 0) {
             results = run_worker(0, job, aborted);
@@ -225,9 +241,9 @@ const verdict_cache_stats* parallel_backend::cache_stats() const noexcept {
         return nullptr;
     }
     cache_stats_ = {};
-    for (const std::unique_ptr<worker_context>& context : contexts_) {
-        if (context->cache) {
-            cache_stats_.accumulate(context->cache->stats());
+    for (const std::unique_ptr<worker>& w : workers_) {
+        if (w->context.cache) {
+            cache_stats_.accumulate(w->context.cache->stats());
         }
     }
     return &cache_stats_;

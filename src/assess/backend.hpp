@@ -13,14 +13,14 @@
 //   assess()/reset_stream() calls — never of the backend, the worker
 //   count, the schedule or the transport (DESIGN.md §6).
 //
-// Two executors implement it:
+// Two executors implement it, both through judge_batch:
 //
-//   * parallel_backend — W in-process workers judge batches w, w+W, ...;
+//   * parallel_backend  — W in-process workers judge batches w, w+W, ...;
 //     with one worker (assessment_backend_kind::serial) it runs inline on
 //     the caller's thread;
-//   * engine_backend   — the master samples each batch and ships it over
-//     the MapReduce-style wire-format engine (declared in exec/engine.hpp to
-//     keep assess/ independent of exec/).
+//   * assessment_engine — the master ships batch descriptors over the
+//     MapReduce-style wire-format engine and its workers judge them
+//     (declared in exec/engine.hpp to keep assess/ independent of exec/).
 //
 // So serial, parallel(any W) and engine(any transport) agree bit for bit,
 // which keeps the common-random-numbers guarantee of
@@ -51,6 +51,35 @@ inline constexpr std::size_t default_batch_rounds = 1024;
     std::uint64_t epoch, std::uint64_t batch) noexcept {
     return (epoch << 32) + batch;
 }
+
+/// One executor's route-and-check state, owned by every place that judges
+/// batches (parallel_backend workers, engine worker contexts).
+struct judge_context {
+    round_state rs;
+    std::unique_ptr<reachability_oracle> oracle;
+    std::optional<verdict_cache> cache;
+
+    /// Throws std::invalid_argument when `oracle` is nullptr. The cache is
+    /// engaged iff enabled with a support set.
+    judge_context(std::size_t component_count, const fault_tree_forest* forest,
+                  std::unique_ptr<reachability_oracle> oracle,
+                  const verdict_cache_options& cache_options);
+
+    /// The judge of (plan, evaluator) over this context; binds nothing.
+    [[nodiscard]] round_judge judge(const deployment_plan& plan,
+                                    requirement_evaluator& evaluator) {
+        return {rs, *oracle, plan, evaluator, cache ? &*cache : nullptr};
+    }
+};
+
+/// Judges batch `batch` of assessment `epoch`: the `rounds` rounds of
+/// sampler.fork(substream_id(epoch, batch)), added to `results` through
+/// judge_rounds. The one way every executor turns a batch into counts.
+void judge_batch(const sampler_description& sampler, std::uint64_t epoch,
+                 std::uint64_t batch, std::size_t rounds,
+                 const round_judge& judge, result_accumulator& results,
+                 round_journal* journal = nullptr,
+                 const run_budget* budget = nullptr);
 
 class assessment_backend {
 public:
@@ -128,8 +157,8 @@ struct parallel_backend_options {
 class parallel_backend final : public assessment_backend {
 public:
     /// `forest` may be nullptr; the sampler must outlive the backend and
-    /// support fork() (throws std::invalid_argument otherwise). The factory
-    /// is invoked once per worker at construction.
+    /// have a description, i.e. fork (throws std::invalid_argument
+    /// otherwise). The factory is invoked once per worker at construction.
     parallel_backend(std::size_t component_count, const fault_tree_forest* forest,
                      oracle_factory make_oracle, failure_sampler& sampler,
                      const parallel_backend_options& options = {});
@@ -148,29 +177,16 @@ public:
         const noexcept override;
 
     [[nodiscard]] std::size_t workers() const noexcept {
-        return contexts_.size();
+        return workers_.size();
     }
     [[nodiscard]] std::size_t batch_rounds() const noexcept {
         return options_.batch_rounds;
     }
 
 private:
-    struct worker_context {
-        round_state rs;
-        std::unique_ptr<reachability_oracle> oracle;
-        std::optional<verdict_cache> cache;  ///< private to this worker
-        round_journal journal;               ///< of all this worker's batches
-
-        worker_context(std::size_t component_count,
-                       const fault_tree_forest* forest,
-                       std::unique_ptr<reachability_oracle> o,
-                       const verdict_cache_options& cache_options)
-            : rs(component_count, forest), oracle(std::move(o)) {
-            if (cache_options.enabled && cache_options.support != nullptr) {
-                cache.emplace(*cache_options.support, cache_options.max_entries,
-                              cache_options.cross_plan);
-            }
-        }
+    struct worker {
+        judge_context context;
+        round_journal journal;  ///< of all this worker's batches
     };
     struct assessment;
 
@@ -182,7 +198,7 @@ private:
 
     failure_sampler* sampler_;
     parallel_backend_options options_;
-    std::vector<std::unique_ptr<worker_context>> contexts_;
+    std::vector<std::unique_ptr<worker>> workers_;
     std::optional<thread_pool> pool_;  ///< engaged iff more than one worker
     std::uint64_t epoch_ = 0;  ///< assessments since construction/reset
     std::optional<std::uint64_t> reset_seed_;  ///< of the last reset_stream()

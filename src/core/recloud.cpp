@@ -9,26 +9,9 @@
 
 #include "exec/engine.hpp"
 #include "obs/trace.hpp"
-#include "sampling/antithetic.hpp"
-#include "sampling/extended_dagger.hpp"
-#include "sampling/monte_carlo.hpp"
 
 namespace recloud {
 namespace {
-
-std::unique_ptr<failure_sampler> make_sampler(sampler_kind kind,
-                                              std::span<const double> probabilities,
-                                              std::uint64_t seed) {
-    switch (kind) {
-        case sampler_kind::monte_carlo:
-            return std::make_unique<monte_carlo_sampler>(probabilities, seed);
-        case sampler_kind::antithetic:
-            return std::make_unique<antithetic_sampler>(probabilities, seed);
-        case sampler_kind::extended_dagger:
-            break;
-    }
-    return std::make_unique<extended_dagger_sampler>(probabilities, seed);
-}
 
 /// Wires the configured backend kind onto the scenario. Every backend clones
 /// its per-worker oracles through the scenario — the captured scenario_ptr
@@ -75,8 +58,8 @@ std::unique_ptr<assessment_backend> make_backend(
         eng.topology = &scenario->topology();
         eng.links = scenario->links();
     }
-    return std::make_unique<engine_backend>(components, forest,
-                                            std::move(factory), sampler, eng);
+    return std::make_unique<assessment_engine>(components, forest,
+                                               std::move(factory), sampler, eng);
 }
 
 /// CI/debug override: RECLOUD_VERDICT_CACHE forces the cache on or off
@@ -146,7 +129,7 @@ re_cloud::re_cloud(scenario_ptr scenario, const recloud_options& options)
     }
     backend_ = make_backend(scenario_, options_, *sampler_, cache_options_);
     if (options_.backend == assessment_backend_kind::engine) {
-        engine_view_ = static_cast<engine_backend*>(backend_.get());
+        engine_view_ = static_cast<assessment_engine*>(backend_.get());
         // Aggregation scratch allocated up front so execution_stats() never
         // allocates while chains are live.
         aggregated_engine_stats_ = std::make_unique<engine_stats>();
@@ -168,11 +151,7 @@ re_cloud::~re_cloud() = default;
 
 re_cloud::chain_stack re_cloud::make_chain_stack(std::uint64_t stream_id) const {
     chain_stack stack;
-    stack.sampler = sampler_->fork(stream_id);
-    if (stack.sampler == nullptr) {
-        throw std::invalid_argument{
-            "re_cloud: multi-chain search needs a sampler supporting fork()"};
-    }
+    stack.sampler = sampler_->fork(stream_id);  // make_sampler's always fork
     stack.backend =
         make_backend(scenario_, options_, *stack.sampler, cache_options_);
     return stack;
@@ -350,7 +329,7 @@ const engine_stats* re_cloud::execution_stats() const {
     total = engine_view_->stats();
     for (const chain_stack& chain : chains_) {
         const engine_stats& s =
-            static_cast<const engine_backend*>(chain.backend.get())->stats();
+            static_cast<const assessment_engine*>(chain.backend.get())->stats();
         total.batches += s.batches;
         total.dispatches += s.dispatches;
         total.retries += s.retries;
@@ -400,7 +379,7 @@ obs::telemetry_snapshot re_cloud::telemetry() const {
     if (engine_view_ != nullptr) {
         engine_view_->harvest_telemetry();
         for (const chain_stack& chain : chains_) {
-            static_cast<engine_backend*>(chain.backend.get())
+            static_cast<assessment_engine*>(chain.backend.get())
                 ->harvest_telemetry();
         }
     }

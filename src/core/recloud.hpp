@@ -44,14 +44,8 @@
 
 namespace recloud {
 
-class engine_backend;  // exec/engine.hpp
+class assessment_engine;  // exec/engine.hpp
 struct engine_stats;   // exec/engine.hpp
-
-enum class sampler_kind : std::uint8_t {
-    monte_carlo,      ///< §3.2.1 strawman (what INDaaS uses)
-    extended_dagger,  ///< §3.2.2, the reCloud default
-    antithetic,       ///< antithetic variates (extension; see sampling/antithetic.hpp)
-};
 
 enum class assessment_backend_kind : std::uint8_t {
     serial,    ///< the parallel backend with one inline worker (the default)
@@ -299,7 +293,7 @@ private:
     std::unique_ptr<assessment_backend> backend_;
     /// Chains 1..K-1 (lazily built on the first multi-chain search).
     std::vector<chain_stack> chains_;
-    engine_backend* engine_view_ = nullptr;  ///< set iff backend is the engine
+    assessment_engine* engine_view_ = nullptr;  ///< set iff backend is the engine
     std::optional<symmetry_checker> symmetry_;
     std::optional<workload_utility> utility_;
     /// Aggregation scratch for cache_stats()/execution_stats() across the

@@ -68,23 +68,39 @@ deployment_plan decode_plan(byte_reader& in) {
     return plan;
 }
 
-void encode_round_batch(byte_writer& out,
-                        const std::vector<std::vector<component_id>>& rounds) {
-    out.write_varint(rounds.size());
-    for (const auto& failed : rounds) {
-        out.write_uint_vector(std::span<const component_id>{failed});
-    }
+void encode_setup(byte_writer& out, const application& app,
+                  const deployment_plan& plan, std::uint64_t seed,
+                  std::uint64_t epoch) {
+    encode_application(out, app);
+    encode_plan(out, plan);
+    out.write_u64(seed);
+    out.write_varint(epoch);
 }
 
-std::vector<std::vector<component_id>> decode_round_batch(byte_reader& in) {
-    // Validated length prefix: a hostile count can't drive the reserve.
-    const std::uint64_t count = in.read_length_prefix();
-    std::vector<std::vector<component_id>> rounds;
-    rounds.reserve(count);
-    for (std::uint64_t r = 0; r < count; ++r) {
-        rounds.push_back(in.read_uint_vector<component_id>());
+assessment_setup decode_setup(byte_reader& in) {
+    assessment_setup setup{.app = decode_application(in),
+                           .plan = decode_plan(in)};
+    setup.seed = in.read_u64();
+    setup.epoch = in.read_varint();
+    if (!in.at_end()) {
+        throw serialize_error{"setup: trailing bytes"};
     }
-    return rounds;
+    return setup;
+}
+
+void encode_batch(byte_writer& out, const batch_descriptor& batch) {
+    out.write_varint(batch.batch);
+    out.write_varint(batch.rounds);
+}
+
+batch_descriptor decode_batch(byte_reader& in) {
+    batch_descriptor batch;
+    batch.batch = in.read_varint();
+    batch.rounds = in.read_varint();
+    if (batch.batch >> 32 != 0 || batch.rounds == 0) {
+        throw serialize_error{"batch: id past 2^32 or zero rounds"};
+    }
+    return batch;
 }
 
 void encode_batch_result(byte_writer& out, const batch_result& result) {
@@ -103,19 +119,30 @@ batch_result decode_batch_result(byte_reader& in) {
 
 namespace {
 
-/// Builds the transport the options select. The loopback default reproduces
-/// the historic in-process engine byte-for-byte.
+/// What every worker context is built from. Throws std::invalid_argument
+/// when the sampler cannot fork.
+transport_env make_env(std::size_t component_count,
+                       const fault_tree_forest* forest,
+                       oracle_factory make_oracle,
+                       const failure_sampler& sampler,
+                       const engine_options& options) {
+    if (sampler.description() == nullptr) {
+        throw std::invalid_argument{
+            "assessment_engine: sampler does not support substreams (fork)"};
+    }
+    return {.component_count = component_count,
+            .forest = forest,
+            .sampler = sampler.description(),
+            .make_oracle = std::move(make_oracle),
+            .verdict_cache = options.verdict_cache,
+            .chaos = options.chaos,
+            .topology = options.topology,
+            .links = options.links};
+}
+
+/// Builds the transport the options select.
 std::unique_ptr<engine_transport> build_transport(
-    std::size_t component_count, const fault_tree_forest* forest,
-    const oracle_factory& make_oracle, const engine_options& options) {
-    transport_env env;
-    env.component_count = component_count;
-    env.forest = forest;
-    env.make_oracle = make_oracle;
-    env.verdict_cache = options.verdict_cache;
-    env.chaos = options.chaos;
-    env.topology = options.topology;
-    env.links = options.links;
+    const transport_env& env, const engine_options& options) {
     if (options.transport == transport_kind::socket) {
         return make_socket_transport(options.workers, env, options.socket);
     }
@@ -126,9 +153,7 @@ std::unique_ptr<engine_transport> build_transport(
 struct pending_batch {
     std::uint64_t id = 0;
     std::uint64_t rounds = 0;
-    /// Kept until validation so retries replay the identical bytes —
-    /// the determinism argument for recovery.
-    std::vector<std::byte> framed_task;
+    std::vector<std::byte> framed_task;  ///< read until the outcome settles
     std::size_t attempt = 0;  ///< dispatch attempts so far
     std::size_t worker = 0;   ///< worker of the outstanding attempt
     std::vector<bool> failed_on;  ///< workers that already failed this batch
@@ -140,18 +165,23 @@ struct pending_batch {
 assessment_engine::assessment_engine(std::size_t component_count,
                                      const fault_tree_forest* forest,
                                      oracle_factory make_oracle,
+                                     failure_sampler& sampler,
                                      const engine_options& options)
-    : component_count_(component_count),
-      forest_(forest),
-      make_oracle_(std::move(make_oracle)),
+    : sampler_(&sampler),
       options_(options),
-      transport_(build_transport(component_count, forest, make_oracle_,
-                                 options)) {
+      env_(make_env(component_count, forest, std::move(make_oracle), sampler,
+                    options)),
+      transport_(build_transport(env_, options_)) {
     if (options_.batch_rounds == 0) {
         throw std::invalid_argument{
             "assessment_engine: batch_rounds must be >= 1"};
     }
     stats_.worker_failures.assign(transport_->workers(), 0);
+}
+
+void assessment_engine::reset_stream(std::uint64_t seed) {
+    sampler_->reset(seed);
+    epoch_ = 0;
 }
 
 const verdict_cache_stats* assessment_engine::cache_stats() const noexcept {
@@ -168,21 +198,19 @@ const verdict_cache_stats* assessment_engine::cache_stats() const noexcept {
     return &combined_cache_stats_;
 }
 
-assessment_stats assessment_engine::assess(const failure_sampler& sampler,
-                                           std::uint64_t epoch,
-                                           const application& app,
+assessment_stats assessment_engine::assess(const application& app,
                                            const deployment_plan& plan,
-                                           std::size_t rounds,
-                                           const run_budget* budget) {
+                                           std::size_t rounds) {
     RECLOUD_SPAN("engine.assess");
     RECLOUD_COUNTER_ADD("assess.rounds", rounds);
+    const run_budget* budget = budget_;
     const std::size_t worker_count = transport_->workers();
     // Serialize the assessment context once; every worker receives its own
     // copy (what shipping the job to a remote worker costs — and with the
     // socket transport, what it literally is).
     byte_writer setup_writer;
-    wire::encode_application(setup_writer, app);
-    wire::encode_plan(setup_writer, plan);
+    wire::encode_setup(setup_writer, app, plan, sampler_->description()->seed,
+                       ++epoch_);
     const std::vector<std::byte> framed_setup =
         frame_message(setup_writer.bytes());
     stats_.bytes_sent += transport_->begin_assessment(framed_setup);
@@ -263,36 +291,19 @@ assessment_stats assessment_engine::assess(const failure_sampler& sampler,
     result_accumulator results;
     std::unique_ptr<worker_context> local;  // lazily-built degraded path
     try {
-        // Master: sample every batch from its substream up front. Each
-        // batch's bytes are kept until its result validates — so retries,
-        // re-dispatches and degraded local runs all judge the identical
-        // rounds.
-        {
-            RECLOUD_SPAN("engine.sample");
-            const std::size_t batch_rounds = options_.batch_rounds;
-            std::vector<std::vector<component_id>> batch;
-            for (std::size_t begin = 0; begin < rounds; begin += batch_rounds) {
-                const std::unique_ptr<failure_sampler> substream =
-                    sampler.fork(substream_id(epoch, batches.size()));
-                if (substream == nullptr) {
-                    throw std::invalid_argument{
-                        "assessment_engine: sampler does not support "
-                        "substreams (fork)"};
-                }
-                batch.resize(std::min(batch_rounds, rounds - begin));
-                for (std::vector<component_id>& failed : batch) {
-                    substream->next_round(failed);
-                }
-                byte_writer writer;
-                wire::encode_round_batch(writer, batch);
-                pending_batch b;
-                b.id = batches.size();
-                b.rounds = batch.size();
-                b.framed_task = frame_message(writer.bytes());
-                b.failed_on.assign(worker_count, false);
-                batches.push_back(std::move(b));
-                throw_if_preempted(budget);
-            }
+        // Master: one descriptor per batch. Workers derive the rounds from
+        // it, so retries, re-dispatches and degraded local runs all judge
+        // the identical rounds.
+        const std::size_t batch_rounds = options_.batch_rounds;
+        for (std::size_t begin = 0; begin < rounds; begin += batch_rounds) {
+            pending_batch b;
+            b.id = batches.size();
+            b.rounds = std::min(batch_rounds, rounds - begin);
+            byte_writer writer;
+            wire::encode_batch(writer, {.batch = b.id, .rounds = b.rounds});
+            b.framed_task = frame_message(writer.bytes());
+            b.failed_on.assign(worker_count, false);
+            batches.push_back(std::move(b));
         }
         stats_.batches += batches.size();
 
@@ -356,27 +367,27 @@ assessment_stats assessment_engine::assess(const failure_sampler& sampler,
             }
             if (!accepted) {
                 // Graceful degradation: every worker exhausted (or none
-                // allowed) — the master routes and checks the kept batch
-                // itself, chaos-free, which cannot fail. An over-budget
-                // request aborts instead of paying for the local run.
+                // allowed) — the master forks and judges the batch itself,
+                // chaos-free, which cannot fail. An over-budget request
+                // aborts instead of paying for the local run.
                 throw_if_preempted(budget);
                 RECLOUD_SPAN("engine.degraded");
                 RECLOUD_COUNTER_INC("engine.degraded");
                 if (local == nullptr) {
                     local = std::make_unique<worker_context>(
-                        framed_setup, component_count_, forest_, make_oracle_,
-                        options_.verdict_cache);
+                        framed_setup, *env_.sampler, env_.component_count,
+                        env_.forest, env_.make_oracle, env_.verdict_cache);
                 }
                 const std::vector<std::byte> framed = local->run_batch(
-                    b.framed_task, nullptr, b.id, b.attempt, worker_count);
+                    b.framed_task, nullptr, b.attempt, worker_count);
                 byte_reader reader{unframe_message(framed)};
                 const wire::batch_result r = wire::decode_batch_result(reader);
                 results.merge(r.reliable, r.rounds);
                 ++stats_.degraded;
             }
-            // The batch is settled, but its bytes are only freed with
+            // The batch is settled, but its descriptor is only freed with
             // `batches` after drain(): an abandoned stalled attempt may
-            // still be reading them.
+            // still be reading it.
         }
     } catch (...) {
         drain();
@@ -395,30 +406,6 @@ assessment_stats assessment_engine::assess(const failure_sampler& sampler,
         }
     }
     return results.stats();
-}
-
-engine_backend::engine_backend(std::size_t component_count,
-                               const fault_tree_forest* forest,
-                               oracle_factory make_oracle,
-                               failure_sampler& sampler,
-                               const engine_options& options)
-    : sampler_(&sampler),
-      engine_(component_count, forest, std::move(make_oracle), options) {
-    if (sampler_->fork(0) == nullptr) {
-        throw std::invalid_argument{
-            "engine_backend: sampler does not support substreams (fork)"};
-    }
-}
-
-assessment_stats engine_backend::assess(const application& app,
-                                        const deployment_plan& plan,
-                                        std::size_t rounds) {
-    return engine_.assess(*sampler_, ++epoch_, app, plan, rounds, budget_);
-}
-
-void engine_backend::reset_stream(std::uint64_t seed) {
-    sampler_->reset(seed);
-    epoch_ = 0;
 }
 
 }  // namespace recloud

@@ -2,27 +2,23 @@
 // route-and-check process can be performed in parallel via MapReduce",
 // evaluated in §4.2.4 / Figure 12).
 //
-// A master samples the rounds batch by batch — batch b of assessment epoch
-// e from sampler.fork(substream_id(e, b)), the batch scheme every backend
-// shares (assess/backend.hpp) — SERIALIZES each batch (plus the plan and
-// application, sent once per assessment) into a byte buffer, and hands it
-// to a worker. Workers deserialize, set up their route-and-check context
-// (their own round_state + routing oracle), judge their rounds, and
-// serialize a result record back; the master aggregates.
+// The master SERIALIZES the assessment setup (application, plan, base seed,
+// epoch) once per assessment and hands workers batch DESCRIPTORS (batch id,
+// rounds). A worker builds its route-and-check context from the setup and
+// runs each batch through judge_batch — fork(substream_id(epoch, b)),
+// sample, judge — the batch scheme every backend shares
+// (assess/backend.hpp); the master aggregates the result records. The
+// serialization is real even for in-process loopback workers, so Figure
+// 12's fixed costs (setup shipping, context setup) are always paid.
 //
-// The serialization is real even though workers are in-process threads:
-// Figure 12's shape — parallelism only pays off for very large round
-// counts, because serialization/transfer and context setup dominate small
-// ones — depends on actually paying those costs.
 // Fault tolerance: the master treats workers as unreliable. Every task and
 // result message is framed (magic/version/length/checksum — see
-// util/serialize.hpp); the master keeps each serialized batch until its
-// result frame validates, and on a worker crash, a missed deadline, or a
-// corrupt frame it retries with exponential backoff, re-dispatching to
+// util/serialize.hpp); on a worker crash, a missed deadline, or a corrupt
+// frame the master retries with exponential backoff, re-dispatching to
 // workers that have not yet failed that batch. When every worker has been
-// exhausted for a batch the master degrades gracefully and runs the
-// route-and-check locally. Because a batch's rounds are sampled once and
-// the kept bytes are replayed verbatim, every recovery path recomputes the
+// exhausted for a batch the master degrades gracefully and runs the batch
+// locally. A batch is a pure function of its descriptor and the setup, so
+// every recovery path derives the identical rounds again and recomputes the
 // identical per-batch counts — assessment_stats are bit-identical to the
 // fault-free run for any worker count. exec/chaos.hpp injects the faults
 // deterministically for tests and benches.
@@ -56,11 +52,31 @@ void encode_application(byte_writer& out, const application& app);
 void encode_plan(byte_writer& out, const deployment_plan& plan);
 [[nodiscard]] deployment_plan decode_plan(byte_reader& in);
 
-/// A batch is a sequence of rounds, each a failed-component id list.
-void encode_round_batch(byte_writer& out,
-                        const std::vector<std::vector<component_id>>& rounds);
-[[nodiscard]] std::vector<std::vector<component_id>> decode_round_batch(
-    byte_reader& in);
+/// One assessment's setup message: what every worker judges against, and
+/// the (base seed, epoch) its batches fork from.
+struct assessment_setup {
+    application app;
+    deployment_plan plan;
+    std::uint64_t seed = 0;
+    std::uint64_t epoch = 0;
+};
+
+void encode_setup(byte_writer& out, const application& app,
+                  const deployment_plan& plan, std::uint64_t seed,
+                  std::uint64_t epoch);
+/// Throws serialize_error on malformed input or trailing bytes.
+[[nodiscard]] assessment_setup decode_setup(byte_reader& in);
+
+/// A task: batch `batch` of the current assessment, `rounds` rounds long.
+struct batch_descriptor {
+    std::uint64_t batch = 0;
+    std::uint64_t rounds = 0;
+};
+
+void encode_batch(byte_writer& out, const batch_descriptor& batch);
+/// Throws serialize_error on malformed input, a batch id outside the
+/// substream range (>= 2^32) or zero rounds.
+[[nodiscard]] batch_descriptor decode_batch(byte_reader& in);
 
 struct batch_result {
     std::uint64_t rounds = 0;
@@ -137,32 +153,43 @@ struct engine_stats {
     }
 };
 
-/// Distributed-execution engine for assessments.
-class assessment_engine {
+/// The engine as an assessment backend: same epochs and substreams as
+/// parallel_backend, so the same stats, but setup serialization and context
+/// setup are paid per assessment (Figure 12's fixed costs).
+class assessment_engine final : public assessment_backend {
 public:
     /// `forest` may be nullptr. The factory is invoked once per worker per
-    /// assessment (context setup). Throws std::invalid_argument when
-    /// `options.batch_rounds` is 0.
-    assessment_engine(std::size_t component_count, const fault_tree_forest* forest,
-                      oracle_factory make_oracle, const engine_options& options);
+    /// assessment (context setup). LIFETIME CONTRACT: the engine keeps a
+    /// pointer to `sampler` and dereferences it on every assess() and
+    /// reset_stream() — the sampler must strictly outlive the engine.
+    /// re_cloud satisfies this by owning the sampler in a member declared
+    /// before the backend (destroyed after it). Throws std::invalid_argument
+    /// when `options.batch_rounds` is 0 or the sampler cannot fork.
+    assessment_engine(std::size_t component_count,
+                      const fault_tree_forest* forest,
+                      oracle_factory make_oracle, failure_sampler& sampler,
+                      const engine_options& options = {});
 
-    /// Assesses one plan over `rounds` rounds as assessment `epoch`: batch b
-    /// is sampled from sampler.fork(substream_id(epoch, b)) (throws
-    /// std::invalid_argument when the sampler cannot fork). Sampling stays on
-    /// the master (the failure schedule is the data being distributed);
-    /// workers do the route-and-check. `budget` (nullable, borrowed) is the
-    /// request lifecycle token: the master polls it between batches and WHILE
-    /// waiting on dispatched results (sliced waits), and when it fires the
-    /// assessment aborts cleanly — outstanding dispatches are abandoned,
-    /// drained, and their late results dropped; the transport stays
-    /// reusable (no zombie workers, no desync) — then search_preempted
-    /// propagates with the partial tally discarded.
-    [[nodiscard]] assessment_stats assess(const failure_sampler& sampler,
-                                          std::uint64_t epoch,
-                                          const application& app,
+    /// Assesses one plan over `rounds` rounds as the next epoch. The armed
+    /// budget (set_budget) is the request lifecycle token: the master polls
+    /// it between batches and WHILE waiting on dispatched results (sliced
+    /// waits), and when it fires the assessment aborts cleanly — outstanding
+    /// dispatches are abandoned, drained, and their late results dropped;
+    /// the transport stays reusable (no zombie workers, no desync) — then
+    /// search_preempted propagates with the partial tally discarded.
+    [[nodiscard]] assessment_stats assess(const application& app,
                                           const deployment_plan& plan,
-                                          std::size_t rounds,
-                                          const run_budget* budget = nullptr);
+                                          std::size_t rounds) override;
+    void reset_stream(std::uint64_t seed) override;
+    [[nodiscard]] const char* name() const noexcept override { return "engine"; }
+
+    /// Verdict-cache counters summed over every worker (and degraded-local)
+    /// context of every assess() so far; nullptr when the cache is off.
+    /// Socket workers contribute the totals pulled back by the last
+    /// telemetry harvest (harvest_telemetry(), or the transport's final
+    /// shutdown harvest).
+    [[nodiscard]] const verdict_cache_stats* cache_stats()
+        const noexcept override;
 
     [[nodiscard]] std::size_t workers() const noexcept {
         return transport_->workers();
@@ -177,13 +204,6 @@ public:
     /// Recovery counters, cumulative since construction.
     [[nodiscard]] const engine_stats& stats() const noexcept { return stats_; }
 
-    /// Verdict-cache counters summed over every worker (and degraded-local)
-    /// context of every assess() so far; nullptr when the cache is off.
-    /// Socket workers contribute the totals pulled back by the last
-    /// telemetry harvest (harvest_telemetry(), or the transport's final
-    /// shutdown harvest).
-    [[nodiscard]] const verdict_cache_stats* cache_stats() const noexcept;
-
     /// Pulls worker-process telemetry (registry deltas, cumulative cache
     /// counters, trace spans) into this process. No-op on loopback. Pure
     /// observability — never perturbs assessment state (§6).
@@ -195,63 +215,16 @@ public:
     }
 
 private:
-    std::size_t component_count_;
-    const fault_tree_forest* forest_;
-    oracle_factory make_oracle_;
+    failure_sampler* sampler_;  ///< non-owning; see ctor lifetime contract
     engine_options options_;
+    transport_env env_;  ///< every worker context's, the degraded path's too
     std::unique_ptr<engine_transport> transport_;
+    std::uint64_t epoch_ = 0;  ///< assessments since construction/reset
     engine_stats stats_;
     /// Master-local (degraded-path) cache counters; worker-context counters
     /// accumulate inside the transport. cache_stats() combines both.
     verdict_cache_stats local_cache_stats_;
     mutable verdict_cache_stats combined_cache_stats_;
-};
-
-/// assessment_backend adapter over the wire-format engine: the master samples
-/// every batch from the backend's base sampler (same epochs and substreams as
-/// parallel_backend, so the same stats), workers do the route-and-check —
-/// but serialization and context setup are paid per assessment (Figure 12's
-/// fixed costs).
-class engine_backend final : public assessment_backend {
-public:
-    /// `forest` may be nullptr. LIFETIME CONTRACT: the backend keeps a
-    /// pointer to `sampler` and dereferences it on every assess() and
-    /// reset_stream() — the sampler must strictly outlive the backend.
-    /// re_cloud satisfies this by owning the sampler in a member declared
-    /// before the backend (destroyed after it); anyone constructing an
-    /// engine_backend directly owes the same guarantee. The sampler must
-    /// support fork() (throws std::invalid_argument otherwise).
-    engine_backend(std::size_t component_count, const fault_tree_forest* forest,
-                   oracle_factory make_oracle, failure_sampler& sampler,
-                   const engine_options& options = {});
-
-    [[nodiscard]] assessment_stats assess(const application& app,
-                                          const deployment_plan& plan,
-                                          std::size_t rounds) override;
-    void reset_stream(std::uint64_t seed) override;
-    [[nodiscard]] const char* name() const noexcept override { return "engine"; }
-    [[nodiscard]] const verdict_cache_stats* cache_stats()
-        const noexcept override {
-        return engine_.cache_stats();
-    }
-
-    [[nodiscard]] std::size_t workers() const noexcept { return engine_.workers(); }
-
-    /// Recovery counters, cumulative since construction.
-    [[nodiscard]] const engine_stats& stats() const noexcept {
-        return engine_.stats();
-    }
-
-    /// See assessment_engine::harvest_telemetry / fleet_telemetry.
-    void harvest_telemetry() { engine_.harvest_telemetry(); }
-    [[nodiscard]] worker_fleet_telemetry fleet_telemetry() const {
-        return engine_.fleet_telemetry();
-    }
-
-private:
-    failure_sampler* sampler_;  ///< non-owning; see ctor lifetime contract
-    assessment_engine engine_;
-    std::uint64_t epoch_ = 0;  ///< assessments since construction/reset
 };
 
 }  // namespace recloud

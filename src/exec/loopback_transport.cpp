@@ -1,10 +1,11 @@
-// In-process transport backend: each worker "node" is one thread judging
-// through worker_context — the engine's historic execution path behind the
-// transport seam (same serialization, same byte accounting, same chaos
+// In-process transport backend: each worker "node" is one thread sampling
+// and judging through worker_context — the engine's execution path behind
+// the transport seam (same serialization, same byte accounting, same chaos
 // semantics), so the whole recovery test matrix keeps proving the same
 // machine. Like a socket worker process, a node runs its batches one at a
 // time in dispatch order, so its oracle and cache see the same round
-// sequence (and count the same route.* telemetry) on either transport.
+// sequence (and count the same sample.* and route.* telemetry) on either
+// transport.
 #include "exec/transport.hpp"
 
 #include <string>
@@ -64,8 +65,8 @@ public:
             contexts_.resize(nodes_.size());
             on_every_node([&](std::size_t w) {
                 contexts_[w] = std::make_unique<worker_context>(
-                    framed_setup, env_.component_count, env_.forest,
-                    env_.make_oracle, env_.verdict_cache);
+                    framed_setup, *env_.sampler, env_.component_count,
+                    env_.forest, env_.make_oracle, env_.verdict_cache);
             });
         }
         return static_cast<std::uint64_t>(framed_setup.size()) * nodes_.size();
@@ -86,15 +87,14 @@ public:
 
     [[nodiscard]] std::future<std::vector<std::byte>> dispatch(
         std::size_t worker, std::span<const std::byte> framed_task,
-        std::uint64_t batch, std::uint64_t attempt) override {
+        std::uint64_t /*batch: the descriptor names it*/,
+        std::uint64_t attempt) override {
         RECLOUD_COUNTER_INC("engine.transport.dispatches");
         RECLOUD_COUNTER_ADD("engine.transport.bytes_sent", framed_task.size());
         worker_context* context = contexts_[worker].get();
         return nodes_[worker]->submit([context, framed_task,
-                                       chaos = env_.chaos, batch, attempt,
-                                       worker] {
-            return context->run_batch(framed_task, chaos, batch, attempt,
-                                      worker);
+                                       chaos = env_.chaos, attempt, worker] {
+            return context->run_batch(framed_task, chaos, attempt, worker);
         });
     }
 

@@ -16,11 +16,11 @@
 //     SIGKILL) is respawned and re-fed its environment, while the engine's
 //     existing recovery re-dispatches the batch it was holding.
 //
-// Determinism (§6 contract) survives the process boundary because nothing
-// random lives beyond the master: rounds are sampled once on the master,
-// batch bytes are kept until a result validates, and a worker is a pure
-// function framed task -> framed result. Which process judges a batch can
-// change the timing, never the counts.
+// Determinism (§6 contract) survives the process boundary because a worker
+// is a pure function (environment, setup, framed task) -> framed result,
+// sampling each batch itself from the shipped sampler description. A
+// retried, moved or respawned batch is derived again from the same inputs:
+// which process judges a batch can change the timing, never the counts.
 #pragma once
 
 #include <chrono>
@@ -37,6 +37,7 @@
 #include "exec/chaos.hpp"
 #include "faults/fault_tree.hpp"
 #include "routing/oracle.hpp"
+#include "sampling/sampler.hpp"
 #include "topology/links.hpp"
 
 namespace recloud {
@@ -58,13 +59,17 @@ enum class transport_kind : std::uint8_t {
 
 /// Everything a transport needs to stand up worker route-and-check
 /// contexts. The loopback path uses the in-process closures directly; the
-/// socket path serializes the structural parts (topology, forest, links,
-/// chaos schedule, cache configuration) into an environment message the
-/// worker process rebuilds its context from. All pointers are borrowed and
-/// must outlive the transport.
+/// socket path serializes the structural parts (sampler kind and
+/// probabilities, topology, forest, links, chaos schedule, cache
+/// configuration) into an environment message the worker process rebuilds
+/// its context from. All pointers are borrowed and must outlive the
+/// transport.
 struct transport_env {
     std::size_t component_count = 0;
     const fault_tree_forest* forest = nullptr;  ///< may be null
+    /// The master sampler's description: workers fork every batch from its
+    /// kind and probabilities, seeded by each assessment's setup. Required.
+    const sampler_description* sampler = nullptr;
     /// In-process context setup (loopback; socket workers build a BFS
     /// oracle over the shipped topology instead).
     oracle_factory make_oracle;
@@ -104,7 +109,7 @@ struct worker_fleet_telemetry {
 /// begin_assessment(setup) -> dispatch()* -> (all futures settled) ->
 /// end_assessment(). The framed task span passed to dispatch() must stay
 /// valid until its future is ready — the engine guarantees this by keeping
-/// every batch's bytes until the assessment drains.
+/// every batch's descriptor until the assessment drains.
 class engine_transport {
 public:
     virtual ~engine_transport() = default;
@@ -112,8 +117,9 @@ public:
     [[nodiscard]] virtual const char* name() const noexcept = 0;
     [[nodiscard]] virtual std::size_t workers() const noexcept = 0;
 
-    /// Ships the framed (application, plan) setup message to every worker;
-    /// returns the setup bytes charged to the wire (engine accounting).
+    /// Ships the framed setup message (application, plan, base seed,
+    /// epoch) to every worker; returns the setup bytes charged to the wire
+    /// (engine accounting).
     virtual std::uint64_t begin_assessment(
         std::span<const std::byte> framed_setup) = 0;
 

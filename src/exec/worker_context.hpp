@@ -1,16 +1,16 @@
-// A worker node's per-assessment route-and-check context: deserialized
-// application and plan, its own round_state and oracle, an optional private
-// verdict cache. Setting this up is the context setup the paper identifies
+// A worker node's per-assessment route-and-check context: the deserialized
+// setup, the sampler description its batches fork from, and a
+// judge_context. Setting this up is the context setup the paper identifies
 // as the per-assessment fixed cost (§3.2.1 / Figure 12).
 //
-// The same type backs every place a batch is judged: the loopback
+// The same type backs every place the engine judges a batch: the loopback
 // transport's in-process workers, the master's degraded-local fallback, and
-// the recloud_worker executable on the far side of a socket — so every
-// execution path runs byte-for-byte the same judge.
+// the recloud_worker executable on the far side of a socket — all through
+// judge_batch, the parallel backend's loop, so every path samples and
+// judges the same rounds.
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <span>
 #include <vector>
@@ -18,61 +18,59 @@
 #include "app/application.hpp"
 #include "app/deployment.hpp"
 #include "app/requirement_eval.hpp"
-#include "assess/verdict_cache.hpp"
+#include "assess/backend.hpp"
 #include "exec/chaos.hpp"
 #include "faults/fault_tree.hpp"
-#include "faults/round_state.hpp"
 #include "routing/oracle.hpp"
+#include "sampling/sampler.hpp"
 #include "util/serialize.hpp"
 
 namespace recloud {
 
 class worker_context {
 public:
-    /// `framed_setup` is the framed wire::encode_application +
-    /// wire::encode_plan message the master ships once per assessment.
+    /// `framed_setup` is the framed wire::encode_setup message; the setup's
+    /// seed replaces `sampler`'s. Throws serialize_error when the setup is
+    /// malformed or its plan does not place every application instance.
     worker_context(std::span<const std::byte> framed_setup,
-                   std::size_t component_count, const fault_tree_forest* forest,
+                   sampler_description sampler, std::size_t component_count,
+                   const fault_tree_forest* forest,
                    const oracle_factory& make_oracle,
                    const verdict_cache_options& cache_options);
 
-    /// Map step: judge every round in a framed serialized batch; returns
-    /// the framed serialized result record. `chaos` (optional) injects the
-    /// scheduled fault for this (batch, attempt, worker) dispatch — the
-    /// in-process path; process-backed workers apply chaos themselves
-    /// (a crash there is a real _exit). Not thread-safe: a worker node
-    /// judges its batches one at a time, in dispatch order.
+    /// Map step: sample and judge the batch a framed descriptor names;
+    /// returns the framed serialized result record. `chaos` (optional)
+    /// injects the scheduled fault for this (batch, attempt, worker)
+    /// dispatch; a crash throws chaos_crash, which a worker process turns
+    /// into a real _exit. Not thread-safe: a worker node judges its batches
+    /// one at a time, in dispatch order.
     [[nodiscard]] std::vector<std::byte> run_batch(
         std::span<const std::byte> framed_task, const chaos_schedule* chaos,
-        std::uint64_t batch_id, std::uint64_t attempt, std::uint64_t worker_id);
+        std::uint64_t attempt, std::uint64_t worker_id);
 
-    /// Cross-plan rebind: swaps in the next assessment's (application, plan)
-    /// while KEEPING the round_state, oracle, and verdict cache — the
-    /// cache's bind() then retains the verdicts the swap delta provably
-    /// cannot affect. Behaviourally equivalent to destroying this context
-    /// and constructing a fresh one from the same blob (bit-identical
-    /// results either way); only the warm state differs.
+    /// Cross-plan rebind: swaps in the next assessment's setup while
+    /// KEEPING the round_state, oracle, and verdict cache — the cache's
+    /// bind() then retains the verdicts the swap delta provably cannot
+    /// affect. Behaviourally equivalent to destroying this context and
+    /// constructing a fresh one from the same blob (bit-identical results
+    /// either way); only the warm state differs.
     void rebind(std::span<const std::byte> framed_setup);
+
+    [[nodiscard]] const application& app() const noexcept { return app_; }
+    [[nodiscard]] const deployment_plan& plan() const noexcept { return plan_; }
 
     /// Private verdict-cache counters (engaged iff the cache is on).
     [[nodiscard]] const verdict_cache_stats* cache_stats() const noexcept {
-        return cache_ ? &cache_->stats() : nullptr;
+        return judge_.cache ? &judge_.cache->stats() : nullptr;
     }
 
 private:
-    [[nodiscard]] static application make_app(
-        std::span<const std::byte> framed_setup);
-    [[nodiscard]] static deployment_plan make_plan(
-        std::span<const std::byte> framed_setup);
-
     application app_;
     deployment_plan plan_;
-    round_state rs_;
-    std::unique_ptr<reachability_oracle> oracle_;
-    requirement_evaluator evaluator_;
-    /// Private per-context verdict memoization; bound once at construction
-    /// (the context lives for exactly one (app, plan) assessment).
-    std::optional<verdict_cache> cache_;
+    sampler_description sampler_;  ///< seeded by the current setup
+    std::uint64_t epoch_ = 0;
+    judge_context judge_;
+    std::optional<requirement_evaluator> evaluator_;
 };
 
 }  // namespace recloud

@@ -206,6 +206,7 @@ std::vector<std::byte> encode_worker_environment(const transport_env& env,
     byte_writer out;
     out.write_u64(worker_id);
     out.write_varint(env.component_count);
+    encode_sampler(out, *env.sampler);
     encode_topology(out, *env.topology);
     out.write_bool(env.forest != nullptr);
     if (env.forest != nullptr) {
@@ -244,6 +245,7 @@ worker_environment decode_worker_environment(std::span<const std::byte> blob) {
     worker_environment env;
     env.worker_id = in.read_u64();
     env.component_count = static_cast<std::size_t>(in.read_varint());
+    env.sampler = decode_sampler(in, env.component_count);
     env.topology = decode_topology(in);
     if (in.read_bool()) {
         env.forest.emplace(decode_forest(in));

@@ -28,6 +28,7 @@
 #include "faults/fault_tree.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "sampling/sampler.hpp"
 #include "topology/graph.hpp"
 #include "topology/links.hpp"
 
@@ -36,12 +37,12 @@ namespace recloud {
 enum class worker_msg : std::uint8_t {
     hello = 1,     ///< worker -> master: environment accepted, ready
     env = 2,       ///< master -> worker: serialized worker_environment
-    setup = 3,     ///< master -> worker: framed (application, plan) setup
-    task = 4,      ///< master -> worker: framed round batch (batch, attempt)
+    setup = 3,     ///< master -> worker: framed setup (app, plan, seed, epoch)
+    task = 4,      ///< master -> worker: framed batch descriptor
     result = 5,    ///< worker -> master: framed batch result (batch, attempt)
     teardown = 6,  ///< master -> worker: drop the per-assessment context
     shutdown = 7,  ///< master -> worker: exit cleanly
-    rebind = 8,    ///< master -> worker: framed (application, plan) setup for
+    rebind = 8,    ///< master -> worker: framed setup for
                    ///< an EXISTING context — rebinds the verdict cache
                    ///< in-place (cross-plan retention) instead of rebuilding
                    ///< the route-and-check state. Equivalent to setup when
@@ -77,13 +78,14 @@ struct envelope {
 [[nodiscard]] envelope unpack_envelope(std::span<const std::byte> framed);
 
 /// The structural environment a worker process rebuilds its route-and-check
-/// context from: decoded topology/forest/links plus the chaos schedule and
-/// verdict-cache configuration. The decoded forest reproduces the master's
-/// tree node ids 1:1 (children always have smaller ids, so re-adding in id
-/// order is an identity).
+/// context from: sampler kind and probabilities, decoded
+/// topology/forest/links, chaos schedule and verdict-cache configuration.
+/// The decoded forest reproduces the master's tree node ids 1:1 (children
+/// always have smaller ids, so re-adding in id order is an identity).
 struct worker_environment {
     std::uint64_t worker_id = 0;
     std::size_t component_count = 0;
+    sampler_description sampler;  ///< kind and probabilities (seed 0)
     built_topology topology;
     std::optional<fault_tree_forest> forest;
     std::optional<link_attachment> links;

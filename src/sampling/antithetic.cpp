@@ -4,12 +4,6 @@
 
 namespace recloud {
 
-antithetic_sampler::antithetic_sampler(std::span<const double> probabilities,
-                                       std::uint64_t seed)
-    : probabilities_(probabilities.begin(), probabilities.end()),
-      seed_(seed),
-      random_(seed) {}
-
 void antithetic_sampler::next_round(std::vector<component_id>& failed) {
     RECLOUD_COUNTER_INC("sample.rounds");
     if (pending_) {
@@ -20,8 +14,9 @@ void antithetic_sampler::next_round(std::vector<component_id>& failed) {
     }
     failed.clear();
     mirror_.clear();
-    for (component_id id = 0; id < probabilities_.size(); ++id) {
-        const double p = probabilities_[id];
+    const std::vector<double>& probabilities = description_.probabilities;
+    for (component_id id = 0; id < probabilities.size(); ++id) {
+        const double p = probabilities[id];
         if (p <= 0.0) {
             continue;
         }
@@ -36,18 +31,6 @@ void antithetic_sampler::next_round(std::vector<component_id>& failed) {
     }
     pending_ = true;
     RECLOUD_HIST_OBSERVE("sample.failed_size", failed.size());
-}
-
-void antithetic_sampler::reset(std::uint64_t seed) {
-    seed_ = seed;
-    random_ = rng{seed};
-    pending_ = false;
-}
-
-std::unique_ptr<failure_sampler> antithetic_sampler::fork(
-    std::uint64_t stream_id) const {
-    return std::make_unique<antithetic_sampler>(probabilities_,
-                                                substream_seed(seed_, stream_id));
 }
 
 }  // namespace recloud

@@ -12,24 +12,22 @@
 #include <vector>
 
 #include "sampling/sampler.hpp"
-#include "util/rng.hpp"
 
 namespace recloud {
 
-class antithetic_sampler final : public failure_sampler {
+class antithetic_sampler final : public forkable_sampler {
 public:
-    antithetic_sampler(std::span<const double> probabilities, std::uint64_t seed);
+    antithetic_sampler(std::span<const double> probabilities, std::uint64_t seed)
+        : forkable_sampler(sampler_kind::antithetic, probabilities, seed) {}
 
     void next_round(std::vector<component_id>& failed) override;
-    void reset(std::uint64_t seed) override;
-    [[nodiscard]] std::unique_ptr<failure_sampler> fork(
-        std::uint64_t stream_id) const override;
+    void reset(std::uint64_t seed) override {
+        forkable_sampler::reset(seed);
+        pending_ = false;
+    }
     [[nodiscard]] const char* name() const noexcept override { return "antithetic"; }
 
 private:
-    std::vector<double> probabilities_;
-    std::uint64_t seed_;
-    rng random_;
     /// Failed set of the buffered mirror round (valid when pending_).
     std::vector<component_id> mirror_;
     bool pending_ = false;

@@ -9,7 +9,7 @@ namespace recloud {
 
 extended_dagger_sampler::extended_dagger_sampler(
     std::span<const double> probabilities, std::uint64_t seed)
-    : seed_(seed), random_(seed) {
+    : forkable_sampler(sampler_kind::extended_dagger, probabilities, seed) {
     plans_.reserve(probabilities.size());
     for (component_id id = 0; id < probabilities.size(); ++id) {
         plans_.push_back(make_dagger_plan(probabilities[id]));
@@ -73,25 +73,6 @@ void extended_dagger_sampler::next_round(std::vector<component_id>& failed) {
     ++cursor_;
     RECLOUD_COUNTER_INC("sample.rounds");
     RECLOUD_HIST_OBSERVE("sample.failed_size", failed.size());
-}
-
-void extended_dagger_sampler::reset(std::uint64_t seed) {
-    seed_ = seed;
-    random_ = rng{seed};
-    cursor_ = block_length_;  // discard the current block
-}
-
-std::unique_ptr<failure_sampler> extended_dagger_sampler::fork(
-    std::uint64_t stream_id) const {
-    // Recover the probability vector from the per-component plans (p == 0
-    // entries are represented by cycle_length 0 and survive the roundtrip).
-    std::vector<double> probabilities;
-    probabilities.reserve(plans_.size());
-    for (const dagger_plan& plan : plans_) {
-        probabilities.push_back(plan.probability);
-    }
-    return std::make_unique<extended_dagger_sampler>(
-        probabilities, substream_seed(seed_, stream_id));
 }
 
 }  // namespace recloud

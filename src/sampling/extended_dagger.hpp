@@ -20,19 +20,19 @@
 
 #include "sampling/dagger.hpp"
 #include "sampling/sampler.hpp"
-#include "util/rng.hpp"
 
 namespace recloud {
 
-class extended_dagger_sampler final : public failure_sampler {
+class extended_dagger_sampler final : public forkable_sampler {
 public:
     extended_dagger_sampler(std::span<const double> probabilities,
                             std::uint64_t seed);
 
     void next_round(std::vector<component_id>& failed) override;
-    void reset(std::uint64_t seed) override;
-    [[nodiscard]] std::unique_ptr<failure_sampler> fork(
-        std::uint64_t stream_id) const override;
+    void reset(std::uint64_t seed) override {
+        forkable_sampler::reset(seed);
+        cursor_ = block_length_;  // discard the current block
+    }
     [[nodiscard]] const char* name() const noexcept override {
         return "extended-dagger";
     }
@@ -47,8 +47,6 @@ private:
     std::vector<dagger_plan> plans_;       ///< per component (never-failing skipped at gen time)
     std::vector<component_id> can_fail_;   ///< components with p > 0
     std::uint32_t block_length_ = 1;
-    std::uint64_t seed_;
-    rng random_;
 
     // Current block, flat: block round r failed ids_[round_begin_[r]] up to
     // ids_[round_begin_[r + 1]], in ascending id order. Flat arrays keep a

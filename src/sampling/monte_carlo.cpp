@@ -4,35 +4,19 @@
 
 namespace recloud {
 
-monte_carlo_sampler::monte_carlo_sampler(std::span<const double> probabilities,
-                                         std::uint64_t seed)
-    : probabilities_(probabilities.begin(), probabilities.end()),
-      seed_(seed),
-      random_(seed) {}
-
 void monte_carlo_sampler::next_round(std::vector<component_id>& failed) {
     failed.clear();
     // One individual failure-state generation per component per round —
     // the C x X cost the paper calls out as prohibitive at scale.
-    for (component_id id = 0; id < probabilities_.size(); ++id) {
-        const double p = probabilities_[id];
+    const std::vector<double>& probabilities = description_.probabilities;
+    for (component_id id = 0; id < probabilities.size(); ++id) {
+        const double p = probabilities[id];
         if (p > 0.0 && random_.uniform() < p) {
             failed.push_back(id);
         }
     }
     RECLOUD_COUNTER_INC("sample.rounds");
     RECLOUD_HIST_OBSERVE("sample.failed_size", failed.size());
-}
-
-void monte_carlo_sampler::reset(std::uint64_t seed) {
-    seed_ = seed;
-    random_ = rng{seed};
-}
-
-std::unique_ptr<failure_sampler> monte_carlo_sampler::fork(
-    std::uint64_t stream_id) const {
-    return std::make_unique<monte_carlo_sampler>(probabilities_,
-                                                 substream_seed(seed_, stream_id));
 }
 
 }  // namespace recloud

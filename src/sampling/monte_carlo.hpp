@@ -7,25 +7,16 @@
 #include <vector>
 
 #include "sampling/sampler.hpp"
-#include "util/rng.hpp"
 
 namespace recloud {
 
-class monte_carlo_sampler final : public failure_sampler {
+class monte_carlo_sampler final : public forkable_sampler {
 public:
-    /// Copies the probability vector (the sampler outlives registry edits).
-    monte_carlo_sampler(std::span<const double> probabilities, std::uint64_t seed);
+    monte_carlo_sampler(std::span<const double> probabilities, std::uint64_t seed)
+        : forkable_sampler(sampler_kind::monte_carlo, probabilities, seed) {}
 
     void next_round(std::vector<component_id>& failed) override;
-    void reset(std::uint64_t seed) override;
-    [[nodiscard]] std::unique_ptr<failure_sampler> fork(
-        std::uint64_t stream_id) const override;
     [[nodiscard]] const char* name() const noexcept override { return "monte-carlo"; }
-
-private:
-    std::vector<double> probabilities_;
-    std::uint64_t seed_;
-    rng random_;
 };
 
 }  // namespace recloud

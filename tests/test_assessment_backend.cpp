@@ -223,13 +223,12 @@ TEST(EngineBackend, MatchesRawAssessmentEngine) {
 
     extended_dagger_sampler raw_sampler{f.registry.probabilities(), 19};
     assessment_engine engine{f.registry.size(), &f.forest, f.factory(),
-                             {.workers = 2, .batch_rounds = 200}};
-    const assessment_stats expected =
-        engine.assess(raw_sampler, 1, app, plan, 2000);
+                             raw_sampler, {.workers = 2, .batch_rounds = 200}};
+    const assessment_stats expected = engine.assess(app, plan, 2000);
 
     extended_dagger_sampler sampler{f.registry.probabilities(), 19};
-    engine_backend backend{f.registry.size(), &f.forest, f.factory(), sampler,
-                           {.workers = 2, .batch_rounds = 200}};
+    assessment_engine backend{f.registry.size(), &f.forest, f.factory(),
+                              sampler, {.workers = 2, .batch_rounds = 200}};
     const assessment_stats actual = backend.assess(app, plan, 2000);
     EXPECT_EQ(actual.rounds, expected.rounds);
     EXPECT_EQ(actual.reliable, expected.reliable);
@@ -244,8 +243,8 @@ TEST(EngineBackend, ResetStreamReplaysAssessments) {
     const application app = application::k_of_n(1, 2);
     const deployment_plan plan = f.plan_for(app);
     extended_dagger_sampler sampler{f.registry.probabilities(), 13};
-    engine_backend backend{f.registry.size(), &f.forest, f.factory(), sampler,
-                           {.workers = 2, .batch_rounds = 100}};
+    assessment_engine backend{f.registry.size(), &f.forest, f.factory(),
+                              sampler, {.workers = 2, .batch_rounds = 100}};
     const assessment_stats first = backend.assess(app, plan, 1500);
     backend.reset_stream(13);
     const assessment_stats replay = backend.assess(app, plan, 1500);
@@ -470,7 +469,7 @@ TEST(BackendContract, EveryBackendSamplesTheSameBatches) {
                      options.socket.worker_binary = RECLOUD_WORKER_BIN;
                      options.topology = &f.topo;
                  }
-                 return std::make_unique<engine_backend>(
+                 return std::make_unique<assessment_engine>(
                      f.registry.size(), &f.forest, f.factory(), sampler,
                      options);
              }});
@@ -536,8 +535,8 @@ TEST(BackendContract, DefaultBackendsShareOneBatchSize) {
     parallel_backend parallel{f.registry.size(), &f.forest, f.factory(),
                               parallel_sampler, {.threads = 2}};
     extended_dagger_sampler engine_sampler{f.registry.probabilities(), 3};
-    engine_backend engine{f.registry.size(), &f.forest, f.factory(),
-                          engine_sampler, {.workers = 2}};
+    assessment_engine engine{f.registry.size(), &f.forest, f.factory(),
+                             engine_sampler, {.workers = 2}};
     const std::size_t rounds = 3 * default_batch_rounds + 17;
     const assessment_stats a = parallel.assess(app, plan, rounds);
     const assessment_stats b = engine.assess(app, plan, rounds);
@@ -549,8 +548,8 @@ TEST(BackendContract, DefaultBackendsShareOneBatchSize) {
 TEST(BackendContract, EngineBackendRejectsNonForkableSampler) {
     backend_fixture f;
     scripted_sampler scripted{{{0}, {1}}};
-    EXPECT_THROW(engine_backend(f.registry.size(), &f.forest, f.factory(),
-                                scripted, {.workers = 1}),
+    EXPECT_THROW(assessment_engine(f.registry.size(), &f.forest, f.factory(),
+                                   scripted, {.workers = 1}),
                  std::invalid_argument);
 }
 

@@ -2,10 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <memory>
 #include <string>
 
 #include "batch_reference.hpp"
+#include "exec/worker_context.hpp"
 #include "routing/bfs_reachability.hpp"
 #include "sampling/extended_dagger.hpp"
 #include "topology/leaf_spine.hpp"
@@ -44,13 +46,69 @@ TEST(Wire, PlanRoundtrip) {
     EXPECT_EQ(wire::decode_plan(r), plan);
 }
 
-TEST(Wire, RoundBatchRoundtrip) {
-    const std::vector<std::vector<component_id>> rounds{
-        {}, {1, 2, 3}, {7}, {}, {100, 5}};
+TEST(Wire, SetupRoundtrip) {
+    const application app = application::k_of_n(2, 3);
+    deployment_plan plan;
+    plan.hosts = {3, 1, 4};
     byte_writer w;
-    wire::encode_round_batch(w, rounds);
+    wire::encode_setup(w, app, plan, 0xfeedfacecafef00dULL, 7);
     byte_reader r{w.bytes()};
-    EXPECT_EQ(wire::decode_round_batch(r), rounds);
+    const wire::assessment_setup setup = wire::decode_setup(r);
+    EXPECT_EQ(setup.app.total_instances(), 3u);
+    EXPECT_EQ(setup.plan, plan);
+    EXPECT_EQ(setup.seed, 0xfeedfacecafef00dULL);
+    EXPECT_EQ(setup.epoch, 7u);
+}
+
+TEST(Wire, BatchDescriptorRoundtrip) {
+    byte_writer w;
+    wire::encode_batch(w, {.batch = 4294967295u, .rounds = 1024});
+    byte_reader r{w.bytes()};
+    const wire::batch_descriptor batch = wire::decode_batch(r);
+    EXPECT_EQ(batch.batch, 4294967295u);
+    EXPECT_EQ(batch.rounds, 1024u);
+}
+
+TEST(Wire, BatchDescriptorRejectsOutOfRangeFields) {
+    for (const wire::batch_descriptor bad :
+         {wire::batch_descriptor{.batch = 1ULL << 32, .rounds = 1},
+          wire::batch_descriptor{.batch = 0, .rounds = 0}}) {
+        byte_writer w;
+        wire::encode_batch(w, bad);
+        byte_reader r{w.bytes()};
+        EXPECT_THROW((void)wire::decode_batch(r), serialize_error);
+    }
+}
+
+TEST(Wire, SamplerRoundtrip) {
+    const sampler_description sampler{.kind = sampler_kind::antithetic,
+                                      .probabilities = {0.0, 0.25, 1.0, 1e-4},
+                                      .seed = 99};
+    byte_writer w;
+    encode_sampler(w, sampler);
+    byte_reader r{w.bytes()};
+    const sampler_description decoded = decode_sampler(r, 4);
+    EXPECT_EQ(decoded.kind, sampler.kind);
+    EXPECT_EQ(decoded.probabilities, sampler.probabilities);
+    EXPECT_EQ(decoded.seed, 0u);  // the seed travels with each setup
+    EXPECT_TRUE(r.at_end());
+}
+
+TEST(Wire, SamplerRejectsBadProbabilities) {
+    const auto decodes = [](std::vector<double> probabilities,
+                            std::size_t component_count) {
+        byte_writer w;
+        encode_sampler(w, {.kind = sampler_kind::monte_carlo,
+                           .probabilities = std::move(probabilities)});
+        byte_reader r{w.bytes()};
+        (void)decode_sampler(r, component_count);
+    };
+    EXPECT_NO_THROW(decodes({0.5, 0.5}, 2));
+    EXPECT_THROW(decodes({0.5, 0.5}, 3), serialize_error);
+    EXPECT_THROW(decodes({0.5, 1.5}, 2), serialize_error);
+    EXPECT_THROW(decodes({-0.0001, 0.5}, 2), serialize_error);
+    EXPECT_THROW(decodes({0.5, std::nan("")}, 2), serialize_error);
+    EXPECT_THROW(decodes({0.5, HUGE_VAL}, 2), serialize_error);
 }
 
 TEST(Wire, BatchResultRoundtrip) {
@@ -142,12 +200,33 @@ TEST(WireFuzz, PlanSurvivesCorruption) {
     });
 }
 
-TEST(WireFuzz, RoundBatchSurvivesCorruption) {
+TEST(WireFuzz, SamplerSurvivesCorruption) {
     byte_writer w;
-    wire::encode_round_batch(w, {{1, 2, 3}, {}, {200, 5}, {7}});
+    encode_sampler(w, {.kind = sampler_kind::extended_dagger,
+                       .probabilities = {0.01, 0.0, 0.5, 1.0}});
     fuzz_decoder(w.bytes(), [](std::span<const std::byte> bytes) {
         byte_reader r{bytes};
-        (void)wire::decode_round_batch(r);
+        (void)decode_sampler(r, 4);
+    });
+}
+
+TEST(WireFuzz, SetupSurvivesCorruption) {
+    deployment_plan plan;
+    plan.hosts = {3, 1, 4};
+    byte_writer w;
+    wire::encode_setup(w, application::k_of_n(2, 3), plan, 404, 2);
+    fuzz_decoder(w.bytes(), [](std::span<const std::byte> bytes) {
+        byte_reader r{bytes};
+        (void)wire::decode_setup(r);
+    });
+}
+
+TEST(WireFuzz, BatchDescriptorSurvivesCorruption) {
+    byte_writer w;
+    wire::encode_batch(w, {.batch = 300, .rounds = 1024});
+    fuzz_decoder(w.bytes(), [](std::span<const std::byte> bytes) {
+        byte_reader r{bytes};
+        (void)wire::decode_batch(r);
     });
 }
 
@@ -198,9 +277,9 @@ TEST(Engine, MatchesSerialAssessmentExactly) {
 
     extended_dagger_sampler engine_sampler{f.registry.probabilities(), 101};
     assessment_engine engine{f.registry.size(), &f.forest, f.factory(),
+                             engine_sampler,
                              {.workers = 3, .batch_rounds = 128}};
-    const assessment_stats parallel =
-        engine.assess(engine_sampler, 1, app, plan, 4000);
+    const assessment_stats parallel = engine.assess(app, plan, 4000);
 
     EXPECT_EQ(parallel.rounds, serial.rounds);
     EXPECT_EQ(parallel.reliable, serial.reliable);
@@ -216,9 +295,9 @@ TEST(Engine, WorkerCountDoesNotChangeResults) {
     for (const std::size_t workers : {1u, 2u, 4u}) {
         extended_dagger_sampler sampler{f.registry.probabilities(), 55};
         assessment_engine engine{f.registry.size(), &f.forest, f.factory(),
+                                 sampler,
                                  {.workers = workers, .batch_rounds = 100}};
-        reliable_counts.push_back(
-            engine.assess(sampler, 1, app, plan, 2000).reliable);
+        reliable_counts.push_back(engine.assess(app, plan, 2000).reliable);
     }
     EXPECT_EQ(reliable_counts[0], reliable_counts[1]);
     EXPECT_EQ(reliable_counts[1], reliable_counts[2]);
@@ -239,9 +318,8 @@ TEST(Engine, BatchSizeSelectsTheForkedBatches) {
         SCOPED_TRACE("batch_rounds " + std::to_string(batch));
         extended_dagger_sampler sampler{f.registry.probabilities(), 77};
         assessment_engine engine{f.registry.size(), &f.forest, f.factory(),
-                                 {.workers = 2, .batch_rounds = batch}};
-        const assessment_stats stats =
-            engine.assess(sampler, 1, app, plan, 1500);
+                                 sampler, {.workers = 2, .batch_rounds = batch}};
+        const assessment_stats stats = engine.assess(app, plan, 1500);
         EXPECT_EQ(engine.stats().batches, (1500 + batch - 1) / batch);
         const assessment_stats expected = forked_batch_reference(
             sampler, 1, rs, oracle, app, plan, 1500, batch);
@@ -252,8 +330,9 @@ TEST(Engine, BatchSizeSelectsTheForkedBatches) {
 
 TEST(Engine, RejectsZeroBatchRounds) {
     engine_fixture f;
+    extended_dagger_sampler sampler{f.registry.probabilities(), 3};
     EXPECT_THROW(assessment_engine(f.registry.size(), &f.forest, f.factory(),
-                                   {.workers = 2, .batch_rounds = 0}),
+                                   sampler, {.workers = 2, .batch_rounds = 0}),
                  std::invalid_argument);
 }
 
@@ -263,9 +342,9 @@ TEST(Engine, HandlesRoundCountNotDivisibleByBatch) {
     deployment_plan plan;
     plan.hosts = {f.topo.hosts[0]};
     extended_dagger_sampler sampler{f.registry.probabilities(), 3};
-    assessment_engine engine{f.registry.size(), &f.forest, f.factory(),
+    assessment_engine engine{f.registry.size(), &f.forest, f.factory(), sampler,
                              {.workers = 2, .batch_rounds = 64}};
-    const assessment_stats stats = engine.assess(sampler, 1, app, plan, 1000);
+    const assessment_stats stats = engine.assess(app, plan, 1000);
     EXPECT_EQ(stats.rounds, 1000u);
 }
 
@@ -275,16 +354,39 @@ TEST(Engine, ZeroRounds) {
     deployment_plan plan;
     plan.hosts = {f.topo.hosts[0]};
     extended_dagger_sampler sampler{f.registry.probabilities(), 3};
-    assessment_engine engine{f.registry.size(), &f.forest, f.factory(),
+    assessment_engine engine{f.registry.size(), &f.forest, f.factory(), sampler,
                              {.workers = 2, .batch_rounds = 64}};
-    const assessment_stats stats = engine.assess(sampler, 1, app, plan, 0);
+    const assessment_stats stats = engine.assess(app, plan, 0);
     EXPECT_EQ(stats.rounds, 0u);
+}
+
+TEST(WorkerContext, RejectsSetupOneHostShort) {
+    // A decoded plan is checked against its application: a plan one host
+    // short would make the evaluator read past plan.hosts.
+    engine_fixture f;
+    const application app = application::k_of_n(2, 3);
+    deployment_plan plan;
+    plan.hosts = {f.topo.hosts[0], f.topo.hosts[5]};
+    byte_writer w;
+    wire::encode_setup(w, app, plan, 3, 1);
+    const std::vector<std::byte> framed = frame_message(w.bytes());
+    extended_dagger_sampler sampler{f.registry.probabilities(), 3};
+    EXPECT_THROW(worker_context(framed, *sampler.description(),
+                                f.registry.size(), &f.forest, f.factory(), {}),
+                 serialize_error);
+    plan.hosts.push_back(f.topo.hosts[10]);
+    byte_writer whole;
+    wire::encode_setup(whole, app, plan, 3, 1);
+    EXPECT_NO_THROW(worker_context(frame_message(whole.bytes()),
+                                   *sampler.description(), f.registry.size(),
+                                   &f.forest, f.factory(), {}));
 }
 
 TEST(Engine, ReportsWorkerCount) {
     engine_fixture f;
+    extended_dagger_sampler sampler{f.registry.probabilities(), 3};
     const assessment_engine engine{f.registry.size(), &f.forest, f.factory(),
-                                   {.workers = 3, .batch_rounds = 10}};
+                                   sampler, {.workers = 3, .batch_rounds = 10}};
     EXPECT_EQ(engine.workers(), 3u);
 }
 

@@ -60,9 +60,9 @@ struct recovery_fixture {
     assessment_stats run_engine(engine_options options,
                                 engine_stats* stats_out = nullptr) {
         extended_dagger_sampler sampler{registry.probabilities(), k_seed};
-        assessment_engine engine{registry.size(), &forest, factory(), options};
-        const assessment_stats stats =
-            engine.assess(sampler, 1, app, plan, k_rounds);
+        assessment_engine engine{registry.size(), &forest, factory(), sampler,
+                                 options};
+        const assessment_stats stats = engine.assess(app, plan, k_rounds);
         if (stats_out != nullptr) {
             *stats_out = engine.stats();
         }
@@ -275,11 +275,11 @@ TEST(EngineRecovery, TwentyPercentFaultScheduleIsBitIdentical) {
 TEST(EngineRecovery, StatsAccumulateAcrossAssessCalls) {
     recovery_fixture f;
     extended_dagger_sampler sampler{f.registry.probabilities(), k_seed};
-    assessment_engine engine{f.registry.size(), &f.forest, f.factory(),
+    assessment_engine engine{f.registry.size(), &f.forest, f.factory(), sampler,
                              {.workers = 2, .batch_rounds = 64}};
-    (void)engine.assess(sampler, 1, f.app, f.plan, 500);
+    (void)engine.assess(f.app, f.plan, 500);
     const std::uint64_t after_first = engine.stats().batches;
-    (void)engine.assess(sampler, 2, f.app, f.plan, 500);
+    (void)engine.assess(f.app, f.plan, 500);
     EXPECT_GT(engine.stats().batches, after_first);
     EXPECT_EQ(engine.stats().worker_failures.size(), 2u);
     EXPECT_GT(engine.stats().bytes_sent, 0u);
@@ -308,15 +308,15 @@ TEST(EngineRecovery, HoldsForEnvironmentChosenSeed) {
     expect_identical(stats, f.serial_reference(64));
 }
 
-// ---- engine_backend surface ----------------------------------------------
+// ---- assessment_backend surface ------------------------------------------
 
 TEST(EngineBackendRecovery, ExposesStatsAndSurvivesChaos) {
     recovery_fixture f;
     const chaos_schedule chaos{{.seed = 71, .crash_rate = 0.25}};
     extended_dagger_sampler sampler{f.registry.probabilities(), k_seed};
-    engine_backend backend{f.registry.size(), &f.forest, f.factory(), sampler,
-                           {.workers = 2, .batch_rounds = 64,
-                            .max_attempts = 25, .chaos = &chaos}};
+    assessment_engine backend{f.registry.size(), &f.forest, f.factory(), sampler,
+                              {.workers = 2, .batch_rounds = 64,
+                               .max_attempts = 25, .chaos = &chaos}};
     const assessment_stats stats = backend.assess(f.app, f.plan, k_rounds);
     expect_identical(stats, f.serial_reference(64));
     EXPECT_GT(backend.stats().retries, 0u);

@@ -696,8 +696,8 @@ TEST(IncrementalEquivalence, EngineAcrossTransports) {
                 options.socket.worker_binary = RECLOUD_WORKER_BIN;
                 options.topology = &f.topo;
             }
-            engine_backend backend{f.registry.size(), &f.forest, f.factory(),
-                                   sampler, options};
+            assessment_engine backend{f.registry.size(), &f.forest,
+                                      f.factory(), sampler, options};
             const auto stats = run_crn_sequence(backend, app, plans, 1000);
             if (!reference) {
                 reference = stats;

@@ -98,9 +98,8 @@ TEST(Integration, EngineAndAssessorAgreeWithLinksAndTrees) {
     assessment_engine engine{
         registry.size(), &forest,
         [&] { return std::make_unique<bfs_reachability>(topo, &links); },
-        {.workers = 3, .batch_rounds = 97}};
-    const assessment_stats parallel =
-        engine.assess(engine_sampler, 1, app, plan, 3000);
+        engine_sampler, {.workers = 3, .batch_rounds = 97}};
+    const assessment_stats parallel = engine.assess(app, plan, 3000);
 
     EXPECT_EQ(serial.reliable, parallel.reliable);
     EXPECT_EQ(serial.rounds, parallel.rounds);

@@ -367,9 +367,9 @@ TEST(TelemetryEquivalence, StatsBitIdenticalWithTracingOnOrOff) {
         }
         {
             extended_dagger_sampler sampler{f.registry.probabilities(), 51};
-            engine_backend backend{f.registry.size(), &f.forest, f.factory(),
-                                   sampler,
-                                   {.workers = 2, .batch_rounds = 200}};
+            assessment_engine backend{f.registry.size(), &f.forest,
+                                      f.factory(), sampler,
+                                      {.workers = 2, .batch_rounds = 200}};
             all.push_back(backend.assess(app, plan, rounds));
         }
         return all;
@@ -407,8 +407,8 @@ TEST(TelemetryEquivalence, LoopbackHarvestIsANoOpWithEmptyFleetView) {
     obs::metrics_registry::global().set_enabled(true);
 
     extended_dagger_sampler sampler{f.registry.probabilities(), 51};
-    engine_backend backend{f.registry.size(), &f.forest, f.factory(), sampler,
-                           {.workers = 2, .batch_rounds = 200}};
+    assessment_engine backend{f.registry.size(), &f.forest, f.factory(),
+                              sampler, {.workers = 2, .batch_rounds = 200}};
     (void)backend.assess(app, plan, 2000);
     const std::uint64_t before =
         obs::metrics_registry::global().snapshot().value("assess.rounds");

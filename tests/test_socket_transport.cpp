@@ -16,7 +16,9 @@
 #include <atomic>
 #include <cerrno>
 #include <chrono>
+#include <cstdlib>
 #include <memory>
+#include <string>
 #include <thread>
 #include <tuple>
 #include <utility>
@@ -91,12 +93,12 @@ struct socket_fixture {
                                 engine_stats* stats_out = nullptr,
                                 assessment_engine** engine_out = nullptr) {
         extended_dagger_sampler sampler{registry.probabilities(), k_seed};
-        assessment_engine engine{registry.size(), &forest, factory(), options};
+        assessment_engine engine{registry.size(), &forest, factory(), sampler,
+                                 options};
         if (engine_out != nullptr) {
             *engine_out = &engine;
         }
-        const assessment_stats stats =
-            engine.assess(sampler, 1, app, plan, k_rounds);
+        const assessment_stats stats = engine.assess(app, plan, k_rounds);
         if (stats_out != nullptr) {
             *stats_out = engine.stats();
         }
@@ -157,8 +159,17 @@ TEST(WorkerProtocol, EnvironmentRoundTripsBitExactly) {
                                 .truncate_rate = 0.03125,
                                 .stall_duration = std::chrono::milliseconds{7}}};
 
+    const std::span<const double> probabilities = f.registry.probabilities();
+    sampler_description sampler{
+        .kind = sampler_kind::antithetic,
+        .probabilities = {probabilities.begin(), probabilities.end()}};
+    sampler.probabilities[1] = 0.0;
+    sampler.probabilities[2] = 1.0;
+    sampler.probabilities[3] = 1.0 / 3.0;
+
     transport_env env;
     env.component_count = f.registry.size();
+    env.sampler = &sampler;
     env.forest = &f.forest;
     env.topology = &f.topo;
     env.links = &links;
@@ -171,6 +182,8 @@ TEST(WorkerProtocol, EnvironmentRoundTripsBitExactly) {
     const worker_environment decoded = decode_worker_environment(blob);
     EXPECT_EQ(decoded.worker_id, 5u);
     EXPECT_EQ(decoded.component_count, f.registry.size());
+    EXPECT_EQ(decoded.sampler.kind, sampler_kind::antithetic);
+    EXPECT_EQ(decoded.sampler.probabilities, sampler.probabilities);
     EXPECT_EQ(decoded.topology.graph.node_count(), f.topo.graph.node_count());
     EXPECT_EQ(decoded.topology.graph.edge_count(), f.topo.graph.edge_count());
     EXPECT_EQ(decoded.topology.hosts, f.topo.hosts);
@@ -190,6 +203,7 @@ TEST(WorkerProtocol, EnvironmentRoundTripsBitExactly) {
     const chaos_schedule chaos2{decoded.chaos};
     transport_env env2;
     env2.component_count = decoded.component_count;
+    env2.sampler = &decoded.sampler;
     env2.forest = &*decoded.forest;
     env2.topology = &decoded.topology;
     env2.links = &*decoded.links;
@@ -228,18 +242,20 @@ TEST(SocketTransport, BadWorkerBinaryThrows) {
     engine_options options = f.socket_options(1);
     options.socket.worker_binary = "/nonexistent/recloud_worker";
     options.socket.spawn_timeout = std::chrono::milliseconds{2000};
-    EXPECT_THROW(
-        assessment_engine(f.registry.size(), &f.forest, f.factory(), options),
-        transport_error);
+    extended_dagger_sampler sampler{f.registry.probabilities(), k_seed};
+    EXPECT_THROW(assessment_engine(f.registry.size(), &f.forest, f.factory(),
+                                   sampler, options),
+                 transport_error);
 }
 
 TEST(SocketTransport, MissingTopologyThrows) {
     socket_fixture f;
     engine_options options = f.socket_options(1);
     options.topology = nullptr;
-    EXPECT_THROW(
-        assessment_engine(f.registry.size(), &f.forest, f.factory(), options),
-        transport_error);
+    extended_dagger_sampler sampler{f.registry.probabilities(), k_seed};
+    EXPECT_THROW(assessment_engine(f.registry.size(), &f.forest, f.factory(),
+                                   sampler, options),
+                 transport_error);
 }
 
 // ---- socket transport: chaos matrix --------------------------------------
@@ -325,9 +341,10 @@ TEST(SocketTransport, RespawnBudgetExhaustedDegradesGracefully) {
     engine_stats stats;
     assessment_engine* engine = nullptr;
     extended_dagger_sampler sampler{f.registry.probabilities(), k_seed};
-    assessment_engine e{f.registry.size(), &f.forest, f.factory(), options};
+    assessment_engine e{f.registry.size(), &f.forest, f.factory(), sampler,
+                        options};
     engine = &e;
-    const assessment_stats got = e.assess(sampler, 1, f.app, f.plan, k_rounds);
+    const assessment_stats got = e.assess(f.app, f.plan, k_rounds);
     stats = e.stats();
     expect_identical(got, f.serial_reference());
     EXPECT_GT(stats.degraded, 0u);
@@ -344,6 +361,29 @@ TEST(SocketTransport, VerdictCacheOverSocketsStaysBitIdentical) {
     expect_identical(f.run_engine(options), f.serial_reference());
 }
 
+// CI hook: RECLOUD_CHAOS_SEED reseeds the schedule (as for the loopback
+// EngineRecovery twin) so CI runs sweep fresh fault patterns across real
+// processes, where a respawned worker samples its batch again from the
+// descriptor. Unset, a fixed default keeps the test reproducible.
+TEST(SocketTransport, HoldsForEnvironmentChosenSeed) {
+    std::uint64_t seed = 0x50c4e7;
+    const char* env = std::getenv("RECLOUD_CHAOS_SEED");
+    if (env != nullptr && env[0] != '\0') {
+        seed = std::strtoull(env, nullptr, 0);
+    }
+    SCOPED_TRACE("chaos seed " + std::to_string(seed));
+    socket_fixture f;
+    const chaos_schedule chaos{{.seed = seed,
+                                .crash_rate = 0.08,
+                                .corrupt_rate = 0.08,
+                                .truncate_rate = 0.05}};
+    engine_options options = f.socket_options(4);
+    options.max_attempts = 8;
+    options.chaos = &chaos;
+    options.socket.max_respawns = 64;
+    expect_identical(f.run_engine(options), f.serial_reference());
+}
+
 // ---- socket transport: real SIGKILL ---------------------------------------
 
 TEST(SocketTransport, SigkilledWorkerIsRespawnedBitIdentical) {
@@ -353,15 +393,14 @@ TEST(SocketTransport, SigkilledWorkerIsRespawnedBitIdentical) {
     options.socket.max_respawns = 16;
     extended_dagger_sampler sampler{f.registry.probabilities(), k_seed};
     assessment_engine engine{f.registry.size(), &f.forest, f.factory(),
-                             options};
+                             sampler, options};
     // Kill worker 0's PROCESS before the assessment: its first batch fails
     // at the transport layer and the slot respawns.
     const std::vector<int> pids = engine.transport().worker_pids();
     ASSERT_EQ(pids.size(), 4u);
     ASSERT_GT(pids[0], 0);
     ASSERT_EQ(::kill(pids[0], SIGKILL), 0);
-    const assessment_stats got =
-        engine.assess(sampler, 1, f.app, f.plan, k_rounds);
+    const assessment_stats got = engine.assess(f.app, f.plan, k_rounds);
     expect_identical(got, f.serial_reference());
     EXPECT_GE(engine.stats().worker_respawns, 1u);
     // The respawned fleet becomes whole again. The respawn runs in the
@@ -383,7 +422,7 @@ TEST(SocketTransport, SigkillStormKeepsBitIdentity) {
     options.socket.max_respawns = 1000;
     extended_dagger_sampler sampler{f.registry.probabilities(), k_seed};
     assessment_engine engine{f.registry.size(), &f.forest, f.factory(),
-                             options};
+                             sampler, options};
     std::atomic<bool> done{false};
     std::thread killer{[&] {
         std::size_t next = 0;
@@ -398,8 +437,7 @@ TEST(SocketTransport, SigkillStormKeepsBitIdentity) {
             std::this_thread::sleep_for(std::chrono::milliseconds(20));
         }
     }};
-    const assessment_stats got =
-        engine.assess(sampler, 1, f.app, f.plan, k_rounds);
+    const assessment_stats got = engine.assess(f.app, f.plan, k_rounds);
     done.store(true, std::memory_order_release);
     killer.join();
     // Timing decides WHICH batches die with their worker, never the counts.
@@ -430,12 +468,10 @@ TEST(SocketTransport, DestructionIsIdempotentUnderRepeatedUse) {
     engine_options options = f.socket_options(2);
     extended_dagger_sampler sampler{f.registry.probabilities(), k_seed};
     assessment_engine engine{f.registry.size(), &f.forest, f.factory(),
-                             options};
-    const assessment_stats first =
-        engine.assess(sampler, 1, f.app, f.plan, k_rounds);
-    sampler.reset(k_seed);
-    const assessment_stats second =
-        engine.assess(sampler, 1, f.app, f.plan, k_rounds);
+                             sampler, options};
+    const assessment_stats first = engine.assess(f.app, f.plan, k_rounds);
+    engine.reset_stream(k_seed);
+    const assessment_stats second = engine.assess(f.app, f.plan, k_rounds);
     expect_identical(first, second);
 }
 
@@ -478,8 +514,8 @@ TEST(SocketTransport, MediumFatTreeEightWorkersBitIdenticalToSerial) {
         assessment_engine engine{
             registry.size(), &forest,
             [&topo] { return std::make_unique<bfs_reachability>(topo); },
-            options};
-        return engine.assess(sampler, 1, app, plan, rounds);
+            sampler, options};
+        return engine.assess(app, plan, rounds);
     };
 
     const assessment_stats solo = run(1);
@@ -525,6 +561,9 @@ TEST(TelemetryHarvest, HarvestedWorkerCountersMatchLoopbackFleet) {
     const std::uint64_t loop_floods = after_loopback.value("route.floods");
     const std::uint64_t loop_reuse = after_loopback.value("route.flood_reuse");
     EXPECT_GT(loop_floods, 0u);
+    // Sampling is part of the map step: the workers draw every round.
+    const std::uint64_t loop_sampled = after_loopback.value("sample.rounds");
+    EXPECT_EQ(loop_sampled, k_rounds);
     registry.reset();
 
     // Socket fleet: worker-side counters accrue inside the worker
@@ -532,16 +571,17 @@ TEST(TelemetryHarvest, HarvestedWorkerCountersMatchLoopbackFleet) {
     // deltas in.
     extended_dagger_sampler sampler{f.registry.probabilities(), k_seed};
     assessment_engine engine{f.registry.size(), &f.forest, f.factory(),
-                             f.socket_options(2)};
-    const assessment_stats stats = engine.assess(sampler, 1, f.app, f.plan,
-                                                 k_rounds);
+                             sampler, f.socket_options(2)};
+    const assessment_stats stats = engine.assess(f.app, f.plan, k_rounds);
     EXPECT_EQ(stats.rounds, k_rounds);
     EXPECT_EQ(registry.snapshot().value("route.floods"), 0u);
+    EXPECT_EQ(registry.snapshot().value("sample.rounds"), 0u);
     engine.harvest_telemetry();
     const obs::telemetry_snapshot harvested = registry.snapshot();
     EXPECT_EQ(harvested.value("assess.rounds"), k_rounds);
     EXPECT_EQ(harvested.value("route.floods"), loop_floods);
     EXPECT_EQ(harvested.value("route.flood_reuse"), loop_reuse);
+    EXPECT_EQ(harvested.value("sample.rounds"), loop_sampled);
 }
 
 TEST(TelemetryHarvest, RepeatedHarvestDoesNotDoubleCount) {
@@ -555,8 +595,8 @@ TEST(TelemetryHarvest, RepeatedHarvestDoesNotDoubleCount) {
 
     extended_dagger_sampler sampler{f.registry.probabilities(), k_seed};
     assessment_engine engine{f.registry.size(), &f.forest, f.factory(),
-                             f.socket_options(2)};
-    (void)engine.assess(sampler, 1, f.app, f.plan, k_rounds);
+                             sampler, f.socket_options(2)};
+    (void)engine.assess(f.app, f.plan, k_rounds);
     engine.harvest_telemetry();
     const std::uint64_t floods = registry.snapshot().value("route.floods");
     EXPECT_GT(floods, 0u);
@@ -578,8 +618,8 @@ TEST(TelemetryHarvest, FleetTelemetryReportsEveryWorkerSortedByIdWithPid) {
 
     extended_dagger_sampler sampler{f.registry.probabilities(), k_seed};
     assessment_engine engine{f.registry.size(), &f.forest, f.factory(),
-                             f.socket_options(8)};
-    (void)engine.assess(sampler, 1, f.app, f.plan, k_rounds);
+                             sampler, f.socket_options(8)};
+    (void)engine.assess(f.app, f.plan, k_rounds);
     engine.harvest_telemetry();
 
     const std::vector<int> pids = engine.transport().worker_pids();
@@ -612,8 +652,8 @@ TEST(TelemetryHarvest, ShutdownHarvestFoldsCountersWithoutExplicitCall) {
     {
         extended_dagger_sampler sampler{f.registry.probabilities(), k_seed};
         assessment_engine engine{f.registry.size(), &f.forest, f.factory(),
-                                 f.socket_options(2)};
-        (void)engine.assess(sampler, 1, f.app, f.plan, k_rounds);
+                                 sampler, f.socket_options(2)};
+        (void)engine.assess(f.app, f.plan, k_rounds);
         EXPECT_EQ(registry.snapshot().value("route.floods"), 0u);
     }
     EXPECT_GT(registry.snapshot().value("route.floods"), 0u);
@@ -640,9 +680,8 @@ TEST(TelemetryHarvest, CacheCountersOverSocketsMatchLoopbackPrivateCaches) {
         options.verdict_cache.max_entries = 1 << 12;
         extended_dagger_sampler sampler{f.registry.probabilities(), k_seed};
         assessment_engine engine{f.registry.size(), &f.forest, f.factory(),
-                                 options};
-        const assessment_stats stats =
-            engine.assess(sampler, 1, f.app, f.plan, k_rounds);
+                                 sampler, options};
+        const assessment_stats stats = engine.assess(f.app, f.plan, k_rounds);
         engine.harvest_telemetry();
         const verdict_cache_stats* cache = engine.cache_stats();
         EXPECT_NE(cache, nullptr);
@@ -688,14 +727,12 @@ TEST(TelemetryHarvest, HarvestBetweenAssessmentsIsPureObservability) {
         }
         extended_dagger_sampler sampler{f.registry.probabilities(), k_seed};
         assessment_engine engine{f.registry.size(), &f.forest, f.factory(),
-                                 f.socket_options(2)};
-        const assessment_stats first =
-            engine.assess(sampler, 1, f.app, f.plan, k_rounds);
+                                 sampler, f.socket_options(2)};
+        const assessment_stats first = engine.assess(f.app, f.plan, k_rounds);
         if (obs_on) {
             engine.harvest_telemetry();
         }
-        const assessment_stats second =
-            engine.assess(sampler, 2, f.app, f.plan, k_rounds);
+        const assessment_stats second = engine.assess(f.app, f.plan, k_rounds);
         return std::pair{first, second};
     };
     const auto [on_first, on_second] = run(true);

@@ -394,8 +394,8 @@ TEST(CacheEquivalence, EngineBackendBitIdentical) {
         engine_options options{.workers = 2, .batch_rounds = 200};
         options.verdict_cache.enabled = cached;
         options.verdict_cache.support = &support;
-        engine_backend backend{f.registry.size(), &f.forest, f.factory(),
-                               sampler, options};
+        assessment_engine backend{f.registry.size(), &f.forest, f.factory(),
+                                  sampler, options};
         const assessment_stats stats = backend.assess(app, plan, 2000);
         if (cached) {
             EXPECT_NE(backend.cache_stats(), nullptr);
