@@ -49,8 +49,10 @@ int main() {
     // per-round work (sampling + a ~1 us fat-tree 4-of-5 check) is all on
     // the workers: once the rounds amortize the per-assessment setup and
     // context build, even the light 4-of-5 series scales with workers. The
-    // microservice app restores the paper's compute balance (~50x heavier
-    // route-and-check per round), so its scaling shows the paper's shape.
+    // microservice app restores the paper's compute balance (about 17x
+    // heavier route-and-check per round in the paper regime, most rounds
+    // being connected and judged per component), so its scaling shows the
+    // paper's shape.
     struct workload {
         const char* label;
         application app;

@@ -18,6 +18,11 @@
 //     >= K functional instances.
 // This reproduces the paper's Figure 6: FE functional = border-reachable;
 // DB functional = reachable from a functional FE; reliable iff >= K of each.
+// In a connected round (reachability_oracle::classify_round) the fixpoint
+// has a closed form, which requirement_evaluator uses: reliable iff every
+// requirement's target has >= K attached (border-reachable) instances and
+// every internal requirement's source has >= 1. validate() rejects
+// self-requirements, which that closed form relies on.
 #pragma once
 
 #include <cstdint>

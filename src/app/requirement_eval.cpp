@@ -12,10 +12,18 @@ requirement_evaluator::requirement_evaluator(const application& app,
         offset += c.replicas;
     }
     functional_.resize(offset, 0);
+    attached_count_.resize(app.components().size(), 0);
+    for (const reachability_requirement& req : app.requirements()) {
+        has_internal_ = has_internal_ || req.source.has_value();
+    }
 }
 
 bool requirement_evaluator::reliable_in_round(reachability_oracle& oracle,
-                                              round_state& rs) {
+                                              round_state& rs,
+                                              round_class cls) {
+    if (connected(cls)) {
+        return reliable_connected(oracle);
+    }
     const auto components = app_->components();
     const auto requirements = app_->requirements();
     const auto host_of = [&](std::uint32_t flat_index) {
@@ -89,6 +97,34 @@ bool requirement_evaluator::reliable_in_round(reachability_oracle& oracle,
             functional_count += functional_[i];
         }
         if (functional_count < req.min_reachable) {
+            return false;
+        }
+    }
+    return true;
+}
+
+bool requirement_evaluator::reliable_connected(reachability_oracle& oracle) {
+    const auto components = app_->components();
+
+    // In a connected round an instance reaches another on a distinct host
+    // iff both are attached, and attachment is border reachability. So an
+    // instance is functional iff it is attached, unless a requirement on
+    // its component has a source with no attached instance: that strips
+    // the whole target, whose K check then fails (K >= 1). The greatest
+    // fixpoint therefore holds iff every target keeps K attached instances
+    // and every source has one.
+    for (app_component_id c = 0; c < components.size(); ++c) {
+        const std::uint32_t begin = offsets_[c];
+        const std::uint32_t end = begin + components[c].replicas;
+        std::uint32_t attached = 0;
+        for (std::uint32_t i = begin; i < end; ++i) {
+            attached += oracle.border_reachable(plan_->hosts[i]) ? 1 : 0;
+        }
+        attached_count_[c] = attached;
+    }
+    for (const reachability_requirement& req : app_->requirements()) {
+        if (attached_count_[req.target] < req.min_reachable ||
+            (req.source && attached_count_[*req.source] == 0)) {
             return false;
         }
     }

@@ -43,7 +43,10 @@ double exact_reliability(const component_registry& registry,
         }
         rs.begin_round(failed);
         oracle.begin_round(rs);
-        if (evaluator.reliable_in_round(oracle, rs)) {
+        const round_class cls = evaluator.wants_round_class()
+                                    ? oracle.classify_round(failed)
+                                    : round_class::unclean;
+        if (evaluator.reliable_in_round(oracle, rs, cls)) {
             reliability += probability;
         }
     }

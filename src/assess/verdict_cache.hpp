@@ -205,8 +205,8 @@ public:
     /// `unclean` is always safe.
     void store(bool verdict, round_class cls = round_class::unclean);
 
-    /// Whether cross-plan retention is on — callers use this to skip the
-    /// oracle's cleanliness classification entirely when it is not.
+    /// Whether cross-plan retention is on — the only reason a k-of-n app's
+    /// rounds need the oracle's classification (cached_reliable_in_round).
     [[nodiscard]] bool cross_plan() const noexcept { return cross_plan_; }
 
     [[nodiscard]] const verdict_cache_stats& stats() const noexcept {
@@ -321,10 +321,12 @@ private:
 /// Judges one round through an optional cache: on a hit the oracle is never
 /// touched; on a miss (or without a cache) the usual round setup +
 /// route-and-check runs, passing the plan hosts as the oracle's query-target
-/// hint (bfs_reachability uses it to stop flooding early). In cross-plan
-/// mode a miss additionally asks the oracle to classify the round's
-/// cleanliness so the stored verdict can survive future plan swaps. The
-/// single seam every backend's round loop goes through.
+/// hint (bfs_reachability uses it to stop flooding early). The oracle
+/// classifies a judged round once when the class can pay: for an app with
+/// internal requirements (a connected round is then judged per component)
+/// or in cross-plan mode (the stored verdict can survive plan swaps). The
+/// same class goes to the evaluator and to the cache. The single seam every
+/// backend's round loop goes through.
 inline bool cached_reliable_in_round(verdict_cache* cache,
                                      std::span<const component_id> failed,
                                      round_state& rs,
@@ -339,11 +341,12 @@ inline bool cached_reliable_in_round(verdict_cache* cache,
     }
     rs.begin_round(failed);
     oracle.begin_round(rs, std::span<const node_id>{plan.hosts});
-    const bool verdict = evaluator.reliable_in_round(oracle, rs);
+    const bool classify = evaluator.wants_round_class() ||
+                          (cache != nullptr && cache->cross_plan());
+    const round_class cls =
+        classify ? oracle.classify_round(failed) : round_class::unclean;
+    const bool verdict = evaluator.reliable_in_round(oracle, rs, cls);
     if (cache != nullptr) {
-        const round_class cls = cache->cross_plan()
-                                    ? oracle.classify_round(failed)
-                                    : round_class::unclean;
         cache->store(verdict, cls);
     }
     return verdict;

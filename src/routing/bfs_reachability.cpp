@@ -254,9 +254,30 @@ round_class bfs_reachability::classify_round(
     if (rs_ == nullptr) {
         throw std::logic_error{"bfs_reachability: begin_round not called"};
     }
+    // The class needs the whole external region: flood without the target
+    // hint rather than settle a truncated flood, which rescans every node.
+    const bool hinted = targets_active_;
+    targets_active_ = false;
     ensure_external_flood();
+    targets_active_ = hinted;
     if (!external_settled_) {
         settle_external_flood();
+    }
+    // Cheap sufficient test before the host scan: a failed switch strands
+    // every single-homed host hanging off it (the commonest unclean round,
+    // a failed top-of-rack switch).
+    const network_graph& graph = topo_->graph;
+    for (const component_id id : rs_->raw_failed_list()) {
+        if (id >= graph.node_count() || id == topo_->external ||
+            graph.kind(id) == node_kind::host) {
+            continue;
+        }
+        for (const node_id next : graph.neighbors(id)) {
+            if (graph.kind(next) == node_kind::host &&
+                graph.neighbors(next).size() == 1) {
+                return round_class::unclean;
+            }
+        }
     }
     // Fully connected for any plan: every host is attached to the
     // external-connected alive region. An alive host must be IN the region

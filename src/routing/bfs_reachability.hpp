@@ -33,12 +33,14 @@ public:
     [[nodiscard]] bool border_reachable(node_id host) override;
     [[nodiscard]] bool host_to_host(node_id a, node_id b) override;
     /// Flood-based cleanliness (clean or unclean, never semi): settles the
-    /// external flood (completes any hint-truncated frontier), then checks
-    /// that every host — alive, or failed but assumed alive — sits adjacent
-    /// to the external-connected alive region via an alive link. That region
-    /// is one connected alive subgraph containing the border, so under the
-    /// condition every query any plan could ask degenerates to host
-    /// aliveness.
+    /// external flood (floods past the target hint, or completes a
+    /// hint-truncated frontier), then checks that every host — alive, or
+    /// failed but assumed alive — sits adjacent to the external-connected
+    /// alive region via an alive link. A raw-failed switch with a
+    /// single-homed host settles the check without the host scan. That
+    /// region is one connected alive subgraph containing the border, so
+    /// under the condition every query any plan could ask degenerates to
+    /// host aliveness.
     [[nodiscard]] round_class classify_round(
         std::span<const component_id> raw_failed) override;
     [[nodiscard]] std::unique_ptr<reachability_oracle> clone() const override;

@@ -74,6 +74,15 @@ fat_tree_routing::fat_tree_routing(const fat_tree& tree,
     // the switches it can flip, then size the per-round dedup stamps.
     const auto finish_touch_index = [this] {
         if (forest_ != nullptr) {
+            // A structural component some fault tree reads can fail
+            // components of other groups or racks through that tree: the
+            // role table cannot attribute its failure.
+            for (tree_node_id n = 0; n < forest_->tree_node_count(); ++n) {
+                const fault_tree_forest::node_view view = forest_->node(n);
+                if (view.kind == gate_kind::leaf && view.leaf < role_.size()) {
+                    role_[view.leaf] = role_unclean;
+                }
+            }
             for (component_id c = 0; c < touch_.size(); ++c) {
                 if (touch_[c].empty()) {
                     continue;
@@ -234,6 +243,15 @@ void fat_tree_routing::assign_link_role(component_id component,
 
 round_class fat_tree_routing::classify_round(
     std::span<const component_id> raw_failed) {
+    (void)raw_failed;  // classified once, by begin_round
+    if (rs_ == nullptr) {
+        throw std::logic_error{"fat_tree_routing: begin_round not called"};
+    }
+    return class_;
+}
+
+round_class fat_tree_routing::classify(
+    std::span<const component_id> raw_failed) const {
     std::uint64_t touched = 0;
     bool semi = false;
     for (const component_id id : raw_failed) {
@@ -261,6 +279,7 @@ round_class fat_tree_routing::classify_round(
 
 void fat_tree_routing::begin_round(round_state& rs) {
     rs_ = &rs;
+    class_ = classify(rs.raw_failed_list());
 }
 
 void fat_tree_routing::apply_candidate(component_id candidate) {
@@ -453,15 +472,11 @@ bool fat_tree_routing::border_reachable(node_id host) {
     if (rs_ == nullptr) {
         throw std::logic_error{"fat_tree_routing: begin_round not called"};
     }
-    if (!node_ok(host)) {
+    if (!attached(host)) {
         return false;
     }
-    if (links_ != nullptr && !link_ok(host_uplink_[host])) {
-        return false;
-    }
-    const node_id edge = tree_->edge_of_host(host);
-    if (!node_ok(edge)) {
-        return false;
+    if (connected(class_)) {
+        return true;  // the untouched core group carries it to the border
     }
     const int pod = tree_->pod_of_host(host);
     std::uint64_t up = uplink_mask(pod, tree_->edge_index_of_host(host));
@@ -499,6 +514,9 @@ bool fat_tree_routing::host_to_host(node_id a, node_id b) {
     }
     if (!node_ok(edge_b)) {
         return false;
+    }
+    if (connected(class_)) {
+        return true;  // the untouched core group carries rack to rack
     }
     const int pod_a = tree_->pod_of_host(a);
     const int pod_b = tree_->pod_of_host(b);

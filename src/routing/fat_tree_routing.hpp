@@ -21,16 +21,25 @@
 //                          cross pod: exists j in U(e_a) & U(e_b):
 //                                     T(p_a,j) & T(p_b,j) != 0.
 //
-// Masks are built per round by PATCHING: in the all-alive round every mask
-// is full, and each (effectively) failed switch or link component clears a
-// known set of bits. A reverse index from component id to its mask bits is
-// precomputed once, so preparing a round costs O(|raw failed| + |affected
-// deps|) and every query is O(1) — independent of g. When the oracle was
-// constructed without the fault-tree forest the assessed rounds use, it
-// falls back to the legacy lazy per-slot computation (O(g) per cold slot).
-// Without a link attachment, links are treated as infallible and the math
-// degenerates to the node-only closed form. std::uint64_t masks support k
-// up to 128.
+// Connected short-circuit: begin_round classifies the round from a role
+// table in O(|raw failed|) (see classify_round). In a connected (clean or
+// semi) round one core group survives untouched and carries every attached
+// rack to any rack and to the border, so both queries reduce to
+// attachment — the host, its uplink and its edge switch — and never touch
+// the masks.
+//
+// In the remaining (unclean) rounds, masks are built by PATCHING: in the
+// all-alive round every mask is full, and each (effectively) failed switch
+// or link component clears a known set of bits. A reverse index from
+// component id to its mask bits is precomputed once, so preparing a round
+// costs O(|raw failed| + |affected deps|), and a mask read costs O(1) plus
+// a scan of the round's exception lists (failed edge<->agg, agg<->core and
+// core<->border links) — short, since each entry is one failed link. When
+// the oracle was constructed without the fault-tree forest the assessed
+// rounds use, it falls back to the legacy lazy per-slot computation (O(g)
+// per cold slot). Without a link attachment, links are treated as
+// infallible and the math degenerates to the node-only closed form.
+// std::uint64_t masks support k up to 128.
 #pragma once
 
 #include <cstdint>
@@ -60,7 +69,9 @@ public:
     using reachability_oracle::begin_round;
     [[nodiscard]] bool border_reachable(node_id host) override;
     [[nodiscard]] bool host_to_host(node_id a, node_id b) override;
-    /// Closed-form cleanliness, O(|raw_failed|) via a role table. A round is
+    /// The class begin_round computed for the bound round (one classifier
+    /// path; `raw_failed` must be that round's raw failed-set). Closed-form
+    /// cleanliness, O(|raw_failed|) via a role table. A round is
     /// `clean` (fully connected for any plan) iff no edge switch, host-uplink
     /// link, or unclassifiable component (e.g. a fault-tree dependency)
     /// failed AND at least one core group — its aggregation switches across
@@ -73,6 +84,11 @@ public:
     /// carries every attached rack anywhere, so the verdict is a pure
     /// function of slot-wise attachment-effective aliveness — precisely the
     /// contract reachability_oracle::classify_round demands for semi.
+    /// A component that is a leaf of the oracle's forest classifies the
+    /// round unclean whatever its structural role, since its failure can
+    /// fail other components through their fault trees. Without a forest,
+    /// the class assumes what every infrastructure builder guarantees:
+    /// dependency leaves are not topology components.
     [[nodiscard]] round_class classify_round(
         std::span<const component_id> raw_failed) override;
     [[nodiscard]] std::unique_ptr<reachability_oracle> clone() const override;
@@ -83,6 +99,15 @@ public:
 
 private:
     [[nodiscard]] bool node_ok(node_id id) { return !rs_->failed(id); }
+    /// The host, its uplink and its edge switch are alive: all a connected
+    /// round asks of a host.
+    [[nodiscard]] bool attached(node_id host) {
+        return node_ok(host) &&
+               (links_ == nullptr || link_ok(host_uplink_[host])) &&
+               node_ok(tree_->edge_of_host(host));
+    }
+    [[nodiscard]] round_class classify(
+        std::span<const component_id> raw_failed) const;
     [[nodiscard]] bool link_ok(std::uint32_t edge) {
         if (links_ == nullptr) {
             return true;
@@ -106,6 +131,7 @@ private:
     const link_attachment* links_;
     const fault_tree_forest* forest_;
     round_state* rs_ = nullptr;
+    round_class class_ = round_class::unclean;  ///< of the bound round
 
     // ---- patched-mask fast path ------------------------------------------
     // Reverse index: component id -> the mask bits its effective failure

@@ -15,12 +15,20 @@ namespace recloud {
 
 class link_attachment;  // topology/links.hpp
 
-/// Cross-plan cleanliness of one sampled round (see classify_round).
+/// Connectivity class of one sampled round (see classify_round). It drives
+/// both judging (requirement_evaluator's connected path) and cross-plan
+/// verdict retention (verdict_cache).
 enum class round_class : std::uint8_t {
     unclean = 0,  ///< verdict may depend on the plan beyond slot aliveness
     semi = 1,     ///< pure function of slot-wise ATTACHMENT-effective aliveness
     clean = 2,    ///< pure function of slot-wise host-effective aliveness
 };
+
+/// Whether a round is connected: clean or semi. See classify_round for the
+/// contract such a round gives host_to_host and border_reachable.
+[[nodiscard]] constexpr bool connected(round_class cls) noexcept {
+    return cls != round_class::unclean;
+}
 
 class reachability_oracle {
 public:
@@ -51,10 +59,18 @@ public:
     /// structures, §3.2.4). a == b reduces to "a is effectively alive".
     [[nodiscard]] virtual bool host_to_host(node_id a, node_id b) = 0;
 
-    /// Round cleanliness classifier for cross-plan verdict retention.
+    /// Round connectivity classifier: decides whether the requirement
+    /// evaluator may judge the round component by component, and whether the
+    /// verdict cache may keep the verdict across plan swaps.
     /// `raw_failed` is the round's raw failed-set (the same span
     /// begin_round's round_state was given); may only be called while the
     /// oracle is bound to that round.
+    ///
+    /// Contract of a connected (clean or semi) round, for distinct hosts:
+    ///   host_to_host(a, b) == border_reachable(a) && border_reachable(b),
+    /// where border_reachable(h) is the host's attachment-effective
+    /// aliveness (below). Reachability then carries no pairwise information,
+    /// which is what lets requirement_evaluator skip the pairwise fixpoint.
     ///
     /// `clean` ONLY when the round's surviving network is "fully connected
     /// for any plan": every host of the topology — assumed alive together
@@ -77,7 +93,7 @@ public:
     ///
     /// Degrading any round to `unclean` is always safe — the default
     /// classifies nothing, so test doubles and exotic oracles simply forgo
-    /// cross-plan reuse, never corrupt it.
+    /// connected judging and cross-plan reuse, never corrupt them.
     [[nodiscard]] virtual round_class classify_round(
         std::span<const component_id> raw_failed) {
         (void)raw_failed;

@@ -1,6 +1,7 @@
 #include "util/thread_pool.hpp"
 
 #include <algorithm>
+#include <exception>
 #include <stdexcept>
 #include <string>
 
@@ -93,8 +94,20 @@ void thread_pool::parallel_for(std::size_t count,
         }));
         begin = end;
     }
+    // Wait for every chunk before rethrowing: a chunk still running after
+    // an early return would call `fn` after its caller released it.
+    std::exception_ptr first_error;
     for (auto& future : futures) {
-        future.get();  // propagates the first task exception per chunk
+        try {
+            future.get();
+        } catch (...) {
+            if (!first_error) {
+                first_error = std::current_exception();
+            }
+        }
+    }
+    if (first_error) {
+        std::rethrow_exception(first_error);
     }
 }
 

@@ -3,14 +3,27 @@
 // reachable; under random failures host_to_host is symmetric; failed hosts
 // are never reachable; border-reachable hosts can reach each other when
 // connectivity is transitive (BFS oracle).
+//
+// ConnectedJudging checks the connected-round fast path on random inputs:
+// in every round an oracle classifies clean or semi, the connected-round
+// contract holds for random host pairs, and a verdict judged per component
+// equals the pairwise verdict.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <functional>
+#include <memory>
 #include <string>
 #include <vector>
 
+#include "app/application.hpp"
+#include "app/deployment.hpp"
+#include "app/requirement_eval.hpp"
+#include "assess/verdict_cache.hpp"
+#include "core/scenario.hpp"
 #include "faults/round_state.hpp"
 #include "routing/bfs_reachability.hpp"
+#include "routing/fat_tree_routing.hpp"
 #include "sampling/monte_carlo.hpp"
 #include "topology/bcube.hpp"
 #include "topology/dcell.hpp"
@@ -135,6 +148,253 @@ TEST_P(OracleProperty, ConnectivityIsTransitiveThroughBorderSide) {
             ASSERT_TRUE(oracle.host_to_host(a, b)) << tc.label;
         }
     }
+}
+
+// ---- connected judging == pairwise judging ---------------------------------
+
+/// Forwards every query to `inner` but keeps the base classify_round, which
+/// classifies nothing: a round judged through it takes the pairwise path.
+class pairwise_only final : public reachability_oracle {
+public:
+    explicit pairwise_only(reachability_oracle& inner) : inner_(&inner) {}
+
+    void begin_round(round_state& rs) override { inner_->begin_round(rs); }
+    void begin_round(round_state& rs,
+                     std::span<const node_id> query_hosts) override {
+        inner_->begin_round(rs, query_hosts);
+    }
+    bool border_reachable(node_id host) override {
+        return inner_->border_reachable(host);
+    }
+    bool host_to_host(node_id a, node_id b) override {
+        return inner_->host_to_host(a, b);
+    }
+
+private:
+    reachability_oracle* inner_;
+};
+
+/// A random mesh: 2-6 components of 1-3 replicas. Component 0 is a pure
+/// source: it needs nothing and no requirement targets it, so instances of
+/// it that are alive but detached stay functional on the pairwise path.
+application random_mesh(rng& random) {
+    application app;
+    const auto count = static_cast<std::uint32_t>(2 + random.uniform_below(5));
+    for (std::uint32_t c = 0; c < count; ++c) {
+        app.add_component(std::to_string(c),
+                          static_cast<std::uint32_t>(1 + random.uniform_below(3)));
+    }
+    const auto replicas = [&](app_component_id c) {
+        return app.components()[c].replicas;
+    };
+    const auto pick_k = [&](app_component_id c) {
+        return static_cast<std::uint32_t>(1 + random.uniform_below(replicas(c)));
+    };
+    app.require_reachable(1, 0, pick_k(1));
+    for (app_component_id target = 1; target < count; ++target) {
+        if (random.uniform() < 0.4) {
+            app.require_external(target, pick_k(target));
+        }
+        for (app_component_id source = 0; source < count; ++source) {
+            if (source != target && random.uniform() < 0.3) {
+                app.require_reachable(target, source, pick_k(target));
+            }
+        }
+    }
+    app.validate();
+    return app;
+}
+
+/// One of the paper's structures or a random mesh, with at most
+/// `max_instances` instances.
+application random_app(rng& random, std::size_t max_instances) {
+    while (true) {
+        const auto n = static_cast<std::uint32_t>(1 + random.uniform_below(4));
+        const auto k = static_cast<std::uint32_t>(1 + random.uniform_below(n));
+        application app;
+        switch (random.uniform_below(4)) {
+            case 0:
+                app = application::k_of_n(k, n);
+                break;
+            case 1:
+                app = application::layered(
+                    static_cast<std::uint32_t>(2 + random.uniform_below(3)), k, n);
+                break;
+            case 2:
+                app = application::microservice(
+                    static_cast<std::uint32_t>(1 + random.uniform_below(3)),
+                    static_cast<std::uint32_t>(random.uniform_below(3)), k, n);
+                break;
+            default:
+                app = random_mesh(random);
+                break;
+        }
+        if (app.total_instances() <= max_instances) {
+            return app;
+        }
+    }
+}
+
+/// A validated plan on distinct random hosts.
+deployment_plan random_plan(rng& random, const application& app,
+                            const built_topology& topo) {
+    std::vector<node_id> hosts = topo.hosts;
+    for (std::size_t i = hosts.size(); i > 1; --i) {
+        std::swap(hosts[i - 1], hosts[random.uniform_below(i)]);
+    }
+    deployment_plan plan;
+    plan.hosts.assign(hosts.begin(), hosts.begin() + app.total_instances());
+    validate_plan(plan, app, topo);
+    return plan;
+}
+
+struct judged_app {
+    application app;
+    deployment_plan plan;
+    std::unique_ptr<requirement_evaluator> evaluator;
+};
+
+std::vector<judged_app> random_apps(rng& random, const built_topology& topo,
+                                    int count) {
+    std::vector<judged_app> apps(static_cast<std::size_t>(count));
+    for (judged_app& j : apps) {
+        j.app = random_app(random, topo.hosts.size());
+        j.plan = random_plan(random, j.app, topo);
+        j.evaluator = std::make_unique<requirement_evaluator>(j.app, j.plan);
+    }
+    return apps;
+}
+
+/// Random distinct host pairs of one round must satisfy the connected-round
+/// contract; `reference` (when given) decides reachability independently.
+void check_contract(rng& random, const built_topology& topo,
+                    reachability_oracle& oracle,
+                    reachability_oracle* reference, const std::string& label) {
+    for (int probe = 0; probe < 24; ++probe) {
+        const node_id a = topo.hosts[random.uniform_below(topo.hosts.size())];
+        const node_id b = topo.hosts[random.uniform_below(topo.hosts.size())];
+        if (a == b) {
+            continue;
+        }
+        const bool both = oracle.border_reachable(a) && oracle.border_reachable(b);
+        ASSERT_EQ(oracle.host_to_host(a, b), both)
+            << label << " hosts " << a << ", " << b;
+        if (reference != nullptr) {
+            ASSERT_EQ(reference->border_reachable(a), oracle.border_reachable(a))
+                << label << " host " << a;
+            ASSERT_EQ(reference->host_to_host(a, b), both)
+                << label << " hosts " << a << ", " << b;
+        }
+    }
+}
+
+TEST(ConnectedJudging, FatTreeWithLinksAndForestMatchesPairwiseAndBfs) {
+    // The infrastructure builder's k=8 fat-tree with every link fallible and
+    // its power-supply forest, on the same oracle the scenario builds.
+    infrastructure_options options;
+    options.model_link_failures = true;
+    const auto infra = fat_tree_infrastructure::build(8, options);
+    const built_topology& topo = infra.topology();
+    fat_tree_routing oracle{infra.tree(), infra.links(), &infra.forest()};
+    bfs_reachability reference{topo, infra.links()};
+    pairwise_only pairwise{oracle};
+    pairwise_only pairwise_reference{reference};
+    round_state rs{infra.registry().size(), &infra.forest()};
+
+    rng random{2024};
+    std::vector<judged_app> apps = random_apps(random, topo, 16);
+    std::size_t connected_rounds = 0;
+    std::size_t unclean_rounds = 0;
+    for (const double rate : {0.0005, 0.003, 0.01, 0.03}) {
+        // Hosts fail often, so connected rounds strip whole components.
+        std::vector<double> probs(infra.registry().size(), 0.0);
+        for (component_id c = 0; c < probs.size(); ++c) {
+            if (infra.registry().probability(c) > 0.0) {
+                probs[c] = rate;
+            }
+        }
+        for (const node_id host : topo.hosts) {
+            probs[host] = 0.1;
+        }
+        monte_carlo_sampler sampler{probs, 77};
+        std::vector<component_id> failed;
+        for (int round = 0; round < 150; ++round) {
+            sampler.next_round(failed);
+            rs.begin_round(failed);
+            oracle.begin_round(rs);
+            reference.begin_round(rs);
+            const round_class cls = oracle.classify_round(failed);
+            const std::string label =
+                "rate " + std::to_string(rate) + " round " + std::to_string(round);
+            if (connected(cls)) {
+                ++connected_rounds;
+                check_contract(random, topo, oracle, &reference, label);
+                if (HasFatalFailure()) {
+                    return;
+                }
+            } else {
+                ++unclean_rounds;
+            }
+            for (judged_app& j : apps) {
+                const bool fast = cached_reliable_in_round(
+                    nullptr, failed, rs, oracle, j.plan, *j.evaluator);
+                ASSERT_EQ(fast, cached_reliable_in_round(nullptr, failed, rs,
+                                                         pairwise, j.plan,
+                                                         *j.evaluator))
+                    << label;
+                if (connected(cls)) {
+                    ASSERT_EQ(fast, cached_reliable_in_round(
+                                        nullptr, failed, rs, pairwise_reference,
+                                        j.plan, *j.evaluator))
+                        << label;
+                }
+            }
+        }
+    }
+    // The rates span both kinds of round.
+    EXPECT_GT(connected_rounds, 100u);
+    EXPECT_GT(unclean_rounds, 100u);
+}
+
+TEST_P(OracleProperty, ConnectedJudgingMatchesPairwise) {
+    const topology_case tc = all_topologies()[GetParam()];
+    const built_topology topo = tc.build();
+    round_state rs{topo.graph.node_count(), nullptr};
+    bfs_reachability oracle{topo};
+    pairwise_only pairwise{oracle};
+
+    rng random{101 + GetParam()};
+    std::vector<judged_app> apps = random_apps(random, topo, 12);
+    std::size_t connected_rounds = 0;
+    for (const double rate : {0.01, 0.05, 0.15}) {
+        std::vector<double> probs(topo.graph.node_count(), rate);
+        probs[topo.external] = 0.0;
+        monte_carlo_sampler sampler{probs, 41 + GetParam()};
+        std::vector<component_id> failed;
+        for (int round = 0; round < 100; ++round) {
+            sampler.next_round(failed);
+            rs.begin_round(failed);
+            oracle.begin_round(rs);
+            const round_class cls = oracle.classify_round(failed);
+            const std::string label = tc.label + " rate " + std::to_string(rate) +
+                                      " round " + std::to_string(round);
+            if (connected(cls)) {
+                ++connected_rounds;
+                check_contract(random, topo, oracle, nullptr, label);
+                if (HasFatalFailure()) {
+                    return;
+                }
+            }
+            for (judged_app& j : apps) {
+                ASSERT_EQ(cached_reliable_in_round(nullptr, failed, rs, oracle,
+                                                   j.plan, *j.evaluator),
+                          cached_reliable_in_round(nullptr, failed, rs, pairwise,
+                                                   j.plan, *j.evaluator))
+                    << label;
+            }
+        }
+    }
+    EXPECT_GT(connected_rounds, 0u) << tc.label;
 }
 
 INSTANTIATE_TEST_SUITE_P(AllTopologies, OracleProperty,

@@ -163,6 +163,24 @@ TEST(ThreadPool, ParallelForPropagatesException) {
                  std::runtime_error);
 }
 
+TEST(ThreadPool, ParallelForFinishesEveryChunkBeforeRethrowing) {
+    // The caller may release `fn` (and whatever it captures) as soon as
+    // parallel_for returns, so no chunk may still be running then.
+    thread_pool pool{2};
+    std::atomic<int> finished{0};
+    EXPECT_THROW(pool.parallel_for(8,
+                                   [&finished](std::size_t i) {
+                                       if (i == 0) {
+                                           throw std::runtime_error{"first"};
+                                       }
+                                       std::this_thread::sleep_for(
+                                           std::chrono::milliseconds{2});
+                                       ++finished;
+                                   }),
+                 std::runtime_error);
+    EXPECT_EQ(finished.load(), 7);
+}
+
 TEST(ThreadPool, DestructorDrainsQueue) {
     std::atomic<int> counter{0};
     {
