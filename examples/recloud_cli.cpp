@@ -359,6 +359,16 @@ void report(const deployment_response& response, const built_topology& topo,
                 static_cast<unsigned long long>(cache->retained_entries),
                 static_cast<unsigned long long>(cache->cross_plan_hits));
         }
+        if (cache->replay_groups > 0) {
+            // Replayed groups whose verdict the journal kept never reach the
+            // cache, so its hit rate alone understates the reuse.
+            std::printf(
+                "  journal: replayed=%llu groups re-judged=%llu (%.1f%%)\n",
+                static_cast<unsigned long long>(cache->replay_groups),
+                static_cast<unsigned long long>(cache->replay_rejudged),
+                100.0 * static_cast<double>(cache->replay_rejudged) /
+                    static_cast<double>(cache->replay_groups));
+        }
     }
     std::printf("placement:\n");
     for (const node_id host : response.plan.hosts) {

@@ -18,11 +18,12 @@ void judge_rounds(failure_sampler& sampler, std::size_t rounds,
         }
         sampler.next_round(failed);
         const auto index = static_cast<std::uint32_t>(results.rounds());
-        results.add(cached_reliable_in_round(judge.cache, failed, judge.rs,
-                                             judge.oracle, judge.plan,
-                                             judge.evaluator));
+        const bool verdict =
+            cached_reliable_in_round(judge.cache, failed, judge.rs,
+                                     judge.oracle, judge.plan, judge.evaluator);
+        results.add(verdict);
         if (journal != nullptr) {
-            journal->record(index, failed, *judge.cache);
+            journal->record(index, failed, verdict, *judge.cache);
         }
     }
 }

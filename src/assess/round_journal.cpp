@@ -1,6 +1,7 @@
 #include "assess/round_journal.hpp"
 
 #include <algorithm>
+#include <numeric>
 
 #include "obs/metrics.hpp"
 
@@ -28,11 +29,11 @@ std::optional<assessment_stats> round_journal::replay_or_begin(
             return replayed;
         }
     }
-    begin(key);
+    begin(key, plan);
     return std::nullopt;
 }
 
-void round_journal::begin(const journal_key& key) {
+void round_journal::begin(const journal_key& key, const deployment_plan& plan) {
     valid_ = false;
     key_ = key;
     keys_.clear();
@@ -41,12 +42,19 @@ void round_journal::begin(const journal_key& key) {
     round_group_.reserve(key.rounds);
     residue_index_.clear();
     index_.clear();
+    verdict_plan_ = plan.hosts;
+    reliable_ = 0;
+    verdicts_stale_ = false;
+    indexed_ = false;
 }
 
 void round_journal::record(std::uint32_t round,
-                           std::span<const component_id> failed,
+                           std::span<const component_id> failed, bool verdict,
                            const verdict_cache& cache) {
-    // Group the round by its support-filtered signature.
+    // Group the round by its support-filtered signature. Every round of a
+    // group has the group's verdict (a pure function of the key); its class
+    // is the weakest any of them was judged with, so keeping the verdict
+    // across a swap is sound for every one of them.
     const std::span<const component_id> key = cache.last_key();
     std::vector<std::uint32_t>& bucket = index_[hash_ids(key)];
     auto id = static_cast<std::uint32_t>(groups_.size());
@@ -62,11 +70,15 @@ void round_journal::record(std::uint32_t round,
         group g;
         g.key_begin = static_cast<std::uint32_t>(keys_.size());
         g.key_length = static_cast<std::uint32_t>(key.size());
+        g.verdict = verdict;
         keys_.insert(keys_.end(), key.begin(), key.end());
         groups_.push_back(g);
         bucket.push_back(id);
     }
-    ++groups_[id].multiplicity;
+    group& g = groups_[id];
+    ++g.multiplicity;
+    g.cls = std::min(g.cls, cache.last_class());
+    reliable_ += verdict ? 1 : 0;
     round_group_.push_back(id);
 
     // Off-support residue, inverted: component -> the rounds it failed in
@@ -81,10 +93,68 @@ void round_journal::record(std::uint32_t round,
     }
 }
 
+void round_journal::index_groups(verdict_cache& cache) {
+    // CSR over component ids: component -> the groups whose key holds it.
+    const std::size_t components = cache.support().component_count();
+    component_begin_.assign(components + 1, 0);
+    for (const component_id c : keys_) {
+        ++component_begin_[c + 1];
+    }
+    for (std::size_t c = 0; c < components; ++c) {
+        component_begin_[c + 1] += component_begin_[c];
+    }
+    component_groups_.resize(keys_.size());
+    std::vector<std::uint32_t> fill(component_begin_.begin(),
+                                    component_begin_.end() - 1);
+    unclean_groups_.clear();
+    for (std::uint32_t g = 0; g < groups_.size(); ++g) {
+        for (const component_id c : key_of(groups_[g])) {
+            component_groups_[fill[c]++] = g;
+        }
+        if (groups_[g].cls == round_class::unclean) {
+            unclean_groups_.push_back(g);
+        }
+    }
+    // From now on the journal answers for every recorded key, so the
+    // entries the pass stored would only lengthen warm-rebind sweeps.
+    cache.drop_entries();
+    indexed_ = true;
+}
+
+void round_journal::select_rejudge(const verdict_support& support,
+                                   const deployment_plan& plan) {
+    rejudge_.clear();
+    if (verdicts_stale_) {
+        rejudge_.resize(groups_.size());
+        std::iota(rejudge_.begin(), rejudge_.end(), 0U);
+        return;
+    }
+    if (plan.hosts == verdict_plan_) {
+        return;  // every verdict is already this plan's
+    }
+    rejudge_.assign(unclean_groups_.begin(), unclean_groups_.end());
+    delta_.compute(support, verdict_plan_, plan.hosts);
+    for (const component_id c : delta_.components()) {
+        for (std::uint32_t i = component_begin_[c];
+             i < component_begin_[c + 1]; ++i) {
+            const std::uint32_t g = component_groups_[i];
+            if (delta_.kills(c, groups_[g].cls)) {
+                rejudge_.push_back(g);
+            }
+        }
+    }
+    // Once each, in group order.
+    std::sort(rejudge_.begin(), rejudge_.end());
+    rejudge_.erase(std::unique(rejudge_.begin(), rejudge_.end()),
+                   rejudge_.end());
+}
+
 std::optional<assessment_stats> round_journal::replay(
     verdict_cache& cache, round_state& rs, reachability_oracle& oracle,
     const deployment_plan& plan, requirement_evaluator& evaluator,
     const run_budget* budget) {
+    throw_if_preempted(budget);  // before anything moves
+
     // Pass 1 (no judging): which recorded rounds are dirty under the new
     // plan — some off-support residue entered the new support (it belongs
     // to the swapped-in host or its dependencies)? Only the binding's
@@ -109,7 +179,6 @@ std::optional<assessment_stats> round_journal::replay(
         return std::nullopt;
     }
     std::sort(dirty_pairs_.begin(), dirty_pairs_.end());
-    dirty_per_group_.assign(groups_.size(), 0);
     dirty_rounds_.clear();
     dirty_pool_.clear();
     for (std::size_t i = 0; i < dirty_pairs_.size();) {
@@ -118,46 +187,61 @@ std::optional<assessment_stats> round_journal::replay(
         for (; i < dirty_pairs_.size() && dirty_pairs_[i].first == round; ++i) {
             dirty_pool_.push_back(dirty_pairs_[i].second);
         }
-        const std::uint32_t g = round_group_[round];
-        ++dirty_per_group_[g];
         dirty_rounds_.push_back(
-            {g, begin, static_cast<std::uint32_t>(dirty_pool_.size()) - begin});
+            {round_group_[round], begin,
+             static_cast<std::uint32_t>(dirty_pool_.size()) - begin});
     }
     if (dirty_rounds_.size() > churn_limit) {
         return std::nullopt;
     }
-    RECLOUD_COUNTER_INC("assess.journal_replays");
 
-    // Pass 2: judge once per group for the clean multiplicity, then each
-    // dirty round individually with its residue merged into the group key
-    // (the seam's lookup filters and sorts, so plain concatenation is
-    // enough; components the new support dropped are filtered there too).
-    result_accumulator results;
-    for (std::size_t g = 0; g < groups_.size(); ++g) {
-        if (g % budget_poll_stride == 0) {
+    // Pass 2: move the kept group verdicts to the new plan, judging again
+    // only the groups the swap delta can change (a group's verdict is that
+    // of its key alone, which is what its clean rounds judge).
+    if (!indexed_) {
+        index_groups(cache);
+    }
+    select_rejudge(cache.support(), plan);
+    RECLOUD_COUNTER_INC("assess.journal_replays");
+    RECLOUD_COUNTER_ADD("assess.replay_groups", groups_.size());
+    RECLOUD_COUNTER_ADD("assess.replay_rejudged", rejudge_.size());
+    cache.count_replay(groups_.size(), rejudge_.size());
+    verdicts_stale_ = true;
+    for (std::size_t i = 0; i < rejudge_.size(); ++i) {
+        if (i % budget_poll_stride == 0) {
             throw_if_preempted(budget);
         }
-        const group& entry = groups_[g];
-        const std::uint32_t clean = entry.multiplicity - dirty_per_group_[g];
-        if (clean == 0) {
-            continue;
+        group& entry = groups_[rejudge_[i]];
+        const bool verdict = cached_reliable_in_round(&cache, key_of(entry), rs,
+                                                      oracle, plan, evaluator);
+        if (verdict != entry.verdict) {
+            if (verdict) {
+                reliable_ += entry.multiplicity;
+            } else {
+                reliable_ -= entry.multiplicity;
+            }
+            entry.verdict = verdict;
         }
-        const std::span<const component_id> key{keys_.data() + entry.key_begin,
-                                                entry.key_length};
+    }
+    verdicts_stale_ = false;
+    verdict_plan_ = plan.hosts;
+
+    // Pass 3: each dirty round trades its group's verdict for its own,
+    // judged with its residue merged into the group key (the seam's lookup
+    // filters and sorts, so plain concatenation is enough; components the
+    // new support dropped are filtered there too).
+    std::size_t reliable = reliable_;
+    for (const dirty_round& round : dirty_rounds_) {
+        const group& entry = groups_[round.group];
+        const std::span<const component_id> key = key_of(entry);
+        merged_.assign(key.begin(), key.end());
+        const auto residue = dirty_pool_.begin() + round.begin;
+        merged_.insert(merged_.end(), residue, residue + round.length);
         const bool verdict =
-            cached_reliable_in_round(&cache, key, rs, oracle, plan, evaluator);
-        results.merge(verdict ? clean : 0, clean);
+            cached_reliable_in_round(&cache, merged_, rs, oracle, plan, evaluator);
+        reliable = reliable - (entry.verdict ? 1 : 0) + (verdict ? 1 : 0);
     }
-    for (const dirty_round& dirty : dirty_rounds_) {
-        const group& entry = groups_[dirty.group];
-        const auto key = keys_.begin() + entry.key_begin;
-        merged_.assign(key, key + entry.key_length);
-        const auto residue = dirty_pool_.begin() + dirty.begin;
-        merged_.insert(merged_.end(), residue, residue + dirty.length);
-        results.add(
-            cached_reliable_in_round(&cache, merged_, rs, oracle, plan, evaluator));
-    }
-    return results.stats();
+    return make_assessment_stats(reliable, round_group_.size());
 }
 
 }  // namespace recloud

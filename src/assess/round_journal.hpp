@@ -3,17 +3,26 @@
 // over a freshly-reset stream can stand in for sampling it again.
 //
 // A recording pass stores, per round, the support-filtered signature
-// (deduplicated into groups with multiplicities) and an inverted index from
-// each raw component that fell OUTSIDE the support of the recording plan to
-// the rounds it failed in. A replay for a DIFFERENT plan of the same
-// application shape then skips sampling entirely: the new binding's support
-// additions (plan hosts + deps — the only ids whose support membership can
-// differ) probe the index, so finding the dirty rounds costs O(|swap delta|)
-// instead of a scan over every recorded residue. Clean rounds are judged
-// once per group; dirty ones individually with their entered residue merged
-// into the key. Every verdict still flows through cached_reliable_in_round,
-// so replayed stats are bit-identical to the full pass by the same
-// support-filtering invariant the verdict cache itself rests on.
+// (deduplicated into groups with multiplicities, each group with its
+// verdict and round class) and an inverted index from each raw component
+// that fell OUTSIDE the support of the recording plan to the rounds it
+// failed in. A replay for another plan of the same application shape then
+// skips sampling entirely, and its work scales with the swap delta:
+//   * dirty rounds: the new binding's support additions (plan hosts + deps
+//     — the only ids whose support membership can differ) probe the residue
+//     index, so finding the rounds whose signature the new plan sees
+//     differently costs O(|swap delta|); each is judged individually with
+//     its entered residue merged into the key;
+//   * group verdicts: the journal remembers the plan its group verdicts are
+//     valid for and keeps every verdict the swap delta from that plan
+//     cannot change (the verdict cache's retention rule, swap_delta).
+//     Through an index from component to groups only the unclean groups
+//     and the groups whose key meets the delta are judged again, and the
+//     kept reliable tally moves by each changed verdict times its
+//     multiplicity.
+// Every verdict still flows through cached_reliable_in_round, so replayed
+// stats are bit-identical to the full pass by the same support-filtering
+// invariant the verdict cache itself rests on.
 //
 // One journal describes one stream. Its owner decides which stream that is
 // and keeps the journal next to the verdict cache that records and replays
@@ -67,19 +76,21 @@ public:
     /// starts recording under `key` and returns nullopt: the caller samples
     /// the stream, calls record() after judging each round and finish() after
     /// the last one. A pass abandoned midway (preemption) stays invalid and
-    /// is never replayed. `budget` (nullable) is polled every
-    /// budget_poll_stride groups of a replay; a preempt there leaves the
-    /// journal valid, since a replay only reads it.
+    /// is never replayed. `budget` (nullable) is polled once before a replay
+    /// touches anything and every budget_poll_stride groups it judges again;
+    /// a preempt among those leaves the pass valid but its group verdicts
+    /// stale, so the next replay judges every group.
     [[nodiscard]] std::optional<assessment_stats> replay_or_begin(
         const journal_key& key, verdict_cache& cache, round_state& rs,
         reachability_oracle& oracle, const deployment_plan& plan,
         requirement_evaluator& evaluator, const run_budget* budget);
 
     /// Records round `round` right after the seam judged `failed` (the raw
-    /// sampled set) through `cache`: last_key() is then the sorted filtered
-    /// key of that lookup — valid on hits, misses and the empty fast path.
+    /// sampled set) through `cache` as `verdict`: last_key() and
+    /// last_class() then describe that lookup — valid on hits, misses and
+    /// the empty fast path.
     void record(std::uint32_t round, std::span<const component_id> failed,
-                const verdict_cache& cache);
+                bool verdict, const verdict_cache& cache);
 
     /// Marks the pass begun by replay_or_begin() complete.
     void finish() noexcept { valid_ = true; }
@@ -89,6 +100,9 @@ private:
         std::uint32_t key_begin = 0;
         std::uint32_t key_length = 0;
         std::uint32_t multiplicity = 0;
+        bool verdict = false;  ///< under verdict_plan_
+        /// The weakest class any of its rounds was judged with.
+        round_class cls = round_class::clean;
     };
     struct dirty_round {
         std::uint32_t group = 0;
@@ -96,12 +110,22 @@ private:
         std::uint32_t length = 0;
     };
 
-    void begin(const journal_key& key);
+    void begin(const journal_key& key, const deployment_plan& plan);
     /// nullopt (nothing judged) when churn exceeds a quarter of the rounds.
     [[nodiscard]] std::optional<assessment_stats> replay(
         verdict_cache& cache, round_state& rs, reachability_oracle& oracle,
         const deployment_plan& plan, requirement_evaluator& evaluator,
         const run_budget* budget);
+    /// First replay of a pass: builds the component -> groups index and the
+    /// unclean list, and drops the cache entries the pass stored.
+    void index_groups(verdict_cache& cache);
+    /// Fills rejudge_ with the groups whose verdict `plan` may change.
+    void select_rejudge(const verdict_support& support,
+                        const deployment_plan& plan);
+    [[nodiscard]] std::span<const component_id> key_of(
+        const group& g) const noexcept {
+        return {keys_.data() + g.key_begin, g.key_length};
+    }
 
     bool valid_ = false;
     journal_key key_;
@@ -113,9 +137,23 @@ private:
     std::unordered_map<std::uint64_t, std::vector<std::uint32_t>>
         index_;  ///< key hash -> candidate group ids (exact-checked)
 
+    // Kept verdicts: the plan they are valid for, sum of verdict x
+    // multiplicity over the groups, and whether a preempted replay left
+    // them half moved to another plan.
+    std::vector<node_id> verdict_plan_;
+    std::size_t reliable_ = 0;
+    bool verdicts_stale_ = false;
+
+    // Built by index_groups() once per pass.
+    bool indexed_ = false;
+    std::vector<std::uint32_t> component_begin_;  ///< CSR offsets by id
+    std::vector<std::uint32_t> component_groups_;
+    std::vector<std::uint32_t> unclean_groups_;
+
     // Replay scratch.
+    swap_delta delta_;
+    std::vector<std::uint32_t> rejudge_;
     std::vector<std::pair<std::uint32_t, component_id>> dirty_pairs_;
-    std::vector<std::uint32_t> dirty_per_group_;
     std::vector<dirty_round> dirty_rounds_;
     std::vector<component_id> dirty_pool_;
     std::vector<component_id> merged_;

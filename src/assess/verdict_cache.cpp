@@ -146,6 +146,43 @@ verdict_support::verdict_support(const built_topology& topo,
         static_cast<std::uint32_t>(attach_pool_.size());
 }
 
+void swap_delta::add(component_id id, std::uint8_t kills) {
+    if (level_[id] == 0) {
+        list_.push_back(id);
+    }
+    level_[id] |= kills;
+}
+
+void swap_delta::compute(const verdict_support& support,
+                         std::span<const node_id> from,
+                         std::span<const node_id> to) {
+    if (level_.empty()) {
+        level_.assign(support.component_count(), 0);
+    }
+    for (const component_id id : list_) {
+        level_[id] = 0;
+    }
+    list_.clear();
+    const fault_tree_forest* forest = support.forest();
+    constexpr std::uint8_t core = kills_clean | kills_semi;
+    for (std::size_t i = 0; i < to.size(); ++i) {
+        if (from[i] == to[i]) {
+            continue;
+        }
+        for (const node_id host : {from[i], to[i]}) {
+            add(host, core);
+            if (forest != nullptr) {
+                for (const component_id dep : forest->dependencies_of(host)) {
+                    add(dep, core);
+                }
+            }
+            for (const component_id id : support.host_attachment(host)) {
+                add(id, kills_semi);
+            }
+        }
+    }
+}
+
 verdict_cache::verdict_cache(const verdict_support& support,
                              std::size_t max_entries, bool cross_plan)
     : support_(&support),
@@ -154,11 +191,7 @@ verdict_cache::verdict_cache(const verdict_support& support,
       mask_(power_of_two_at_least(2 * max_entries_) - 1),
       slots_(mask_ + 1),
       member_(support.membership().begin(), support.membership().end()),
-      support_size_(support.static_size()) {
-    if (cross_plan_) {
-        delta_member_.assign(support.component_count(), 0);
-    }
-}
+      support_size_(support.static_size()) {}
 
 void verdict_cache::reset_table() noexcept {
     ++epoch_;
@@ -175,38 +208,7 @@ void verdict_cache::reset_table() noexcept {
 }
 
 void verdict_cache::warm_rebind(const deployment_plan& plan) {
-    // Swap delta: hosts that moved in or out of a slot (exact slot-wise
-    // diff — multiplicity and permutation changes count, so duplicate-host
-    // plans stay sound) plus their fault-tree dependencies at the core kill
-    // level, plus their attachment components at the semi kill level.
-    const fault_tree_forest* forest = support_->forest();
-    const auto delta_add = [this](component_id id, std::uint8_t kills) {
-        if ((delta_member_[id] & kills) == kills) {
-            return;
-        }
-        if (delta_member_[id] == 0) {
-            delta_list_.push_back(id);
-        }
-        delta_member_[id] |= kills;
-    };
-    delta_list_.clear();
-    constexpr std::uint8_t core = delta_kills_clean | delta_kills_semi;
-    for (std::size_t i = 0; i < plan.hosts.size(); ++i) {
-        if (bound_hosts_[i] == plan.hosts[i]) {
-            continue;
-        }
-        for (const node_id host : {bound_hosts_[i], plan.hosts[i]}) {
-            delta_add(host, core);
-            if (forest != nullptr) {
-                for (const component_id dep : forest->dependencies_of(host)) {
-                    delta_add(dep, core);
-                }
-            }
-            for (const component_id id : support_->host_attachment(host)) {
-                delta_add(id, delta_kills_semi);
-            }
-        }
-    }
+    delta_.compute(*support_, bound_hosts_, plan.hosts);
 
     // Retain clean/semi, delta-disjoint entries; tombstone the rest.
     // Tombstones keep probe chains intact and are reused by later
@@ -216,20 +218,8 @@ void verdict_cache::warm_rebind(const deployment_plan& plan) {
     std::size_t write = 0;
     for (const std::uint32_t index : live_slots_) {
         slot& s = slots_[index];
-        bool keep = (s.flags & (slot_clean | slot_semi)) != 0;
-        if (keep) {
-            const std::uint8_t kills = (s.flags & slot_clean) != 0
-                                           ? delta_kills_clean
-                                           : delta_kills_semi;
-            const component_id* key = key_pool_.data() + s.key_begin;
-            for (std::uint32_t i = 0; i < s.key_length; ++i) {
-                if ((delta_member_[key[i]] & kills) != 0) {
-                    keep = false;
-                    break;
-                }
-            }
-        }
-        if (keep) {
+        if (!delta_.meets({key_pool_.data() + s.key_begin, s.key_length},
+                          class_of(s.flags))) {
             s.flags |= slot_retained;
             live_slots_[write++] = index;
             ++retained;
@@ -240,9 +230,6 @@ void verdict_cache::warm_rebind(const deployment_plan& plan) {
         }
     }
     live_slots_.resize(write);
-    for (const component_id id : delta_list_) {
-        delta_member_[id] = 0;
-    }
     stats_.retained_entries += retained;
     RECLOUD_COUNTER_ADD("cache.retained_entries", retained);
     if (size_ == 0) {
@@ -352,6 +339,7 @@ verdict_cache::lookup_result verdict_cache::lookup(
     if (filtered_.empty()) {
         if (empty_valid_) {
             ++stats_.empty_hits;
+            last_class_ = empty_class_;
             return {true, empty_verdict_};
         }
         ++stats_.misses;
@@ -368,6 +356,7 @@ verdict_cache::lookup_result verdict_cache::lookup(
         if ((slots_[index].flags & slot_retained) != 0) {
             ++stats_.cross_plan_hits;
         }
+        last_class_ = class_of(slots_[index].flags);
         return result;
     }
     ++stats_.misses;
@@ -383,6 +372,7 @@ void verdict_cache::store(bool verdict, round_class cls) {
         throw std::logic_error{"verdict_cache: store without a pending miss"};
     }
     pending_store_ = false;
+    last_class_ = cls;
     if (pending_empty_) {
         empty_valid_ = true;
         empty_verdict_ = verdict;

@@ -101,6 +101,66 @@ private:
     std::vector<component_id> attach_pool_;
 };
 
+/// The swap delta between two bindings of one application shape (DESIGN.md
+/// §11): every host that moved in or out of a slot (exact slot-wise diff —
+/// multiplicity and permutation changes count, so duplicate-host plans stay
+/// sound) plus its fault-tree dependencies at the core kill level, plus its
+/// attachment components (verdict_support::host_attachment) at the semi kill
+/// level. A core component invalidates clean AND semi verdicts; an
+/// attachment component invalidates semi verdicts only — clean rounds have
+/// no attachment failures at all, so their verdicts cannot depend on those.
+/// The verdict cache retains entries by it and the CRN round journal keeps
+/// group verdicts by it, so both apply one rule.
+class swap_delta {
+public:
+    /// Replaces the delta with the one between two host lists of equal
+    /// length over `support`.
+    void compute(const verdict_support& support, std::span<const node_id> from,
+                 std::span<const node_id> to);
+
+    /// The delta's components, each once.
+    [[nodiscard]] std::span<const component_id> components() const noexcept {
+        return list_;
+    }
+
+    /// Whether `id` is a delta component that can change a verdict of class
+    /// `cls` (any delta component, for unclean).
+    [[nodiscard]] bool kills(component_id id, round_class cls) const noexcept {
+        return (level_[id] & kill_mask(cls)) != 0;
+    }
+
+    /// Whether a verdict of class `cls` judged from `key` may differ across
+    /// the delta: always for unclean, else iff some key component kills it.
+    [[nodiscard]] bool meets(std::span<const component_id> key,
+                             round_class cls) const noexcept {
+        const std::uint8_t mask = kill_mask(cls);
+        if (mask == unclean_mask) {
+            return true;
+        }
+        return std::any_of(key.begin(), key.end(), [&](component_id id) {
+            return (level_[id] & mask) != 0;
+        });
+    }
+
+private:
+    static constexpr std::uint8_t kills_semi = 1;
+    static constexpr std::uint8_t kills_clean = 2;
+    static constexpr std::uint8_t unclean_mask = 0xff;
+
+    [[nodiscard]] static constexpr std::uint8_t kill_mask(
+        round_class cls) noexcept {
+        return cls == round_class::clean  ? kills_clean
+               : cls == round_class::semi ? kills_semi
+                                          : unclean_mask;
+    }
+    void add(component_id id, std::uint8_t kills);
+
+    /// Kill levels by component id (bitwise), sized on first use and
+    /// cleared through list_.
+    std::vector<std::uint8_t> level_;
+    std::vector<component_id> list_;
+};
+
 /// Observability counters for one cache (or an aggregate over workers).
 struct verdict_cache_stats {
     std::uint64_t rounds = 0;      ///< lookups (rounds routed through the cache)
@@ -115,6 +175,11 @@ struct verdict_cache_stats {
     std::uint64_t cross_plan_hits = 0;  ///< hits served by retained entries
     std::uint64_t retained_entries = 0;  ///< entries kept across warm rebinds
     std::uint64_t support_size = 0;  ///< of the current binding (not summed)
+    /// CRN journal groups replayed in front of this cache, and how many of
+    /// them were judged again (round_journal; the engine does not journal,
+    /// so its workers never report these).
+    std::uint64_t replay_groups = 0;
+    std::uint64_t replay_rejudged = 0;
 
     /// Rounds answered without route-and-check.
     [[nodiscard]] std::uint64_t saved_rounds() const noexcept {
@@ -140,6 +205,8 @@ struct verdict_cache_stats {
         cross_plan_hits += other.cross_plan_hits;
         retained_entries += other.retained_entries;
         support_size = other.support_size;
+        replay_groups += other.replay_groups;
+        replay_rejudged += other.replay_rejudged;
     }
 };
 
@@ -228,9 +295,31 @@ public:
         return bound_additions_;
     }
     [[nodiscard]] std::size_t entries() const noexcept { return size_; }
-    /// The support-filtered sorted key of the last lookup (test hook).
+    /// The support-filtered sorted key of the last lookup — valid on hits,
+    /// misses and the empty fast path. The CRN journal groups rounds by it.
     [[nodiscard]] std::span<const component_id> last_key() const noexcept {
         return filtered_;
+    }
+    /// The class of the last lookup's round: the stored entry's on a hit,
+    /// the empty-round verdict's on the empty path, the one store() was
+    /// given on a miss.
+    [[nodiscard]] round_class last_class() const noexcept {
+        return last_class_;
+    }
+    [[nodiscard]] const verdict_support& support() const noexcept {
+        return *support_;
+    }
+
+    /// Drops every table entry (a generation bump); the binding and the
+    /// empty-round verdict stay. For an owner that keeps the verdicts of the
+    /// recorded keys itself and never looks them up again (round_journal).
+    void drop_entries() noexcept { reset_table(); }
+
+    /// Counts one CRN journal replay in front of this cache (see
+    /// verdict_cache_stats::replay_groups).
+    void count_replay(std::size_t groups, std::size_t rejudged) noexcept {
+        stats_.replay_groups += groups;
+        stats_.replay_rejudged += rejudged;
     }
 
 private:
@@ -247,13 +336,12 @@ private:
     static constexpr std::uint8_t slot_retained = 4;  ///< survived a rebind
     static constexpr std::uint8_t slot_semi = 8;      ///< semi-clean round
 
-    // Swap-delta kill levels (values of delta_member_, bitwise): a core
-    // delta component (changed host or a dependency of one) invalidates
-    // clean AND semi entries; an attachment component of a changed host
-    // invalidates semi entries only — clean rounds have no attachment
-    // failures at all, so their verdicts cannot depend on those.
-    static constexpr std::uint8_t delta_kills_semi = 1;
-    static constexpr std::uint8_t delta_kills_clean = 2;
+    [[nodiscard]] static constexpr round_class class_of(
+        std::uint8_t flags) noexcept {
+        return (flags & slot_clean) != 0  ? round_class::clean
+               : (flags & slot_semi) != 0 ? round_class::semi
+                                          : round_class::unclean;
+    }
 
     void reset_table() noexcept;
     /// Warm (cross-plan) rebind: tombstones every entry whose key meets the
@@ -284,10 +372,7 @@ private:
     std::size_t support_size_ = 0;
     std::vector<component_id> bound_additions_;  ///< see accessor
 
-    // Swap-delta scratch for warm rebinds (component_count bytes, cleared
-    // via delta_list_ after every use).
-    std::vector<std::uint8_t> delta_member_;
-    std::vector<component_id> delta_list_;
+    swap_delta delta_;  ///< scratch of warm rebinds
 
     // Binding identity.
     bool bound_ = false;
@@ -301,6 +386,7 @@ private:
     bool empty_valid_ = false;
     bool empty_verdict_ = false;
     round_class empty_class_ = round_class::unclean;
+    round_class last_class_ = round_class::unclean;  ///< see last_class()
 
     // State carried from a missing lookup() to its store().
     std::vector<component_id> filtered_;

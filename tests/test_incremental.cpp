@@ -33,6 +33,7 @@
 #include "search/neighbor.hpp"
 #include "topology/fat_tree.hpp"
 #include "topology/leaf_spine.hpp"
+#include "util/rng.hpp"
 
 namespace recloud {
 namespace {
@@ -1127,6 +1128,279 @@ TEST(RunBudget, PreemptedParallelSearchLeavesNoStaleJournal) {
         EXPECT_EQ(reused.search.trace[i].best_score,
                   cold.search.trace[i].best_score);
     }
+}
+
+// ---- journal replay: re-judging by swap delta ----------------------------
+
+/// A fat-tree with fallible links and the power forest, judged through
+/// either its closed-form oracle or the flood.
+struct replay_family {
+    std::string name;
+    scenario_ptr scenario;
+    bool flood = false;
+
+    [[nodiscard]] oracle_factory factory() const {
+        if (!flood) {
+            return [s = scenario] { return s->make_oracle(); };
+        }
+        return [s = scenario] {
+            return std::make_unique<bfs_reachability>(s->topology(),
+                                                      s->links());
+        };
+    }
+    [[nodiscard]] verdict_support support() const {
+        return verdict_support{scenario->topology(), scenario->registry().size(),
+                               scenario->forest(), scenario->links()};
+    }
+};
+
+std::vector<replay_family> replay_families() {
+    infrastructure_options options;
+    options.model_link_failures = true;
+    const scenario_ptr fat_tree = make_fat_tree_scenario(4, options);
+    return {{"fat_tree_routing", fat_tree, false},
+            {"bfs_reachability", fat_tree, true}};
+}
+
+bool shares_dependency(const fault_tree_forest& forest, node_id a, node_id b) {
+    const std::vector<component_id> deps_a = forest.dependencies_of(a);
+    const std::vector<component_id> deps_b = forest.dependencies_of(b);
+    return std::any_of(deps_a.begin(), deps_a.end(), [&](component_id dep) {
+        return std::find(deps_b.begin(), deps_b.end(), dep) != deps_b.end();
+    });
+}
+
+/// The candidates of an annealing-like walk over plans with distinct hosts:
+/// each is the current plan with one slot moved — to a random free host, to
+/// a free host sharing the old host's fault-tree dependency, back to the
+/// slot's previous host — or with two slots permuted; about half are
+/// accepted as the next current plan. The first candidate is a plain
+/// single-slot swap of the initial plan, which is candidate 0.
+std::vector<deployment_plan> swap_walk(const scenario& s, std::size_t instances,
+                                       std::size_t steps, std::uint64_t seed) {
+    const std::vector<node_id>& hosts = s.topology().hosts;
+    rng random{seed};
+    const auto is_free = [](const deployment_plan& plan, node_id host) {
+        return std::find(plan.hosts.begin(), plan.hosts.end(), host) ==
+               plan.hosts.end();
+    };
+    const auto random_free = [&](const deployment_plan& plan) {
+        for (;;) {
+            const node_id host = hosts[random.uniform_below(hosts.size())];
+            if (is_free(plan, host)) {
+                return host;
+            }
+        }
+    };
+    deployment_plan current;
+    while (current.hosts.size() < instances) {
+        current.hosts.push_back(random_free(current));
+    }
+    std::vector<node_id> previous(instances, invalid_node);
+    std::vector<deployment_plan> out{current};
+    for (std::size_t step = 0; step < steps; ++step) {
+        deployment_plan next = current;
+        const std::size_t slot = random.uniform_below(instances);
+        const node_id old = current.hosts[slot];
+        const std::uint64_t kind = step == 0 ? 3 : random.uniform_below(4);
+        std::vector<node_id> sharing;
+        if (kind == 2 && s.forest() != nullptr) {
+            for (const node_id host : hosts) {
+                if (host != old && is_free(current, host) &&
+                    shares_dependency(*s.forest(), old, host)) {
+                    sharing.push_back(host);
+                }
+            }
+        }
+        if (kind == 0) {
+            const std::size_t other =
+                (slot + 1 + random.uniform_below(instances - 1)) % instances;
+            std::swap(next.hosts[slot], next.hosts[other]);
+        } else if (kind == 1 && previous[slot] != invalid_node &&
+                   is_free(current, previous[slot])) {
+            next.hosts[slot] = previous[slot];
+        } else if (!sharing.empty()) {
+            next.hosts[slot] = sharing[random.uniform_below(sharing.size())];
+        } else {
+            next.hosts[slot] = random_free(current);
+        }
+        out.push_back(next);
+        if (random.uniform_below(2) == 0) {
+            for (std::size_t i = 0; i < instances; ++i) {
+                if (next.hosts[i] != current.hosts[i]) {
+                    previous[i] = current.hosts[i];
+                }
+            }
+            current = next;
+        }
+    }
+    return out;
+}
+
+/// One registry counter, or 0 while the registry is off.
+std::uint64_t registry_counter(const char* name) {
+    return obs::metrics_registry::global().snapshot().value(name);
+}
+
+TEST(IncrementalReplay, RandomizedSwapWalksMatchFullPasses) {
+    // Every candidate of a walk is assessed on the same reset stream, as
+    // under CRN search: the journals record the first and replay the rest,
+    // keeping the group verdicts a swap cannot change. Each step must equal
+    // incremental-off bit for bit, for both oracles, two application
+    // shapes and 1 or 4 workers; after the first single swap only part of
+    // the groups is judged again.
+    obs::metrics_registry::global().set_enabled(true);
+    for (const replay_family& family : replay_families()) {
+        const verdict_support support = family.support();
+        const std::vector<application> apps = {application::k_of_n(3, 4),
+                                               application::microservice(1, 1, 2, 3)};
+        for (std::size_t a = 0; a < apps.size(); ++a) {
+            const application& app = apps[a];
+            const std::vector<deployment_plan> walk =
+                swap_walk(*family.scenario, app.total_instances(), 24, 71 + a);
+            std::optional<std::vector<assessment_stats>> reference;
+            for (const std::size_t workers : {1u, 4u}) {
+                for (const bool incremental : {false, true}) {
+                    SCOPED_TRACE(family.name + " app " + std::to_string(a) +
+                                 " workers " + std::to_string(workers) +
+                                 " incremental " + std::to_string(incremental));
+                    extended_dagger_sampler sampler{
+                        family.scenario->registry().probabilities(), 29};
+                    parallel_backend_options options{.threads = workers,
+                                                     .batch_rounds = 500};
+                    options.verdict_cache.enabled = true;
+                    options.verdict_cache.support = &support;
+                    options.verdict_cache.cross_plan = incremental;
+                    parallel_backend backend{
+                        family.scenario->registry().size(),
+                        family.scenario->forest(), family.factory(), sampler,
+                        options};
+                    std::vector<assessment_stats> stats;
+                    std::uint64_t groups = 0;
+                    std::uint64_t rejudged = 0;
+                    for (std::size_t i = 0; i < walk.size(); ++i) {
+                        const std::uint64_t groups_before =
+                            registry_counter("assess.replay_groups");
+                        const std::uint64_t rejudged_before =
+                            registry_counter("assess.replay_rejudged");
+                        backend.reset_stream(3);
+                        stats.push_back(backend.assess(app, walk[i], 3000));
+                        if (i == 1) {
+                            groups = registry_counter("assess.replay_groups") -
+                                     groups_before;
+                            rejudged =
+                                registry_counter("assess.replay_rejudged") -
+                                rejudged_before;
+                        }
+                    }
+                    if (!reference) {
+                        reference = stats;
+                    }
+                    for (std::size_t i = 0; i < walk.size(); ++i) {
+                        SCOPED_TRACE("step " + std::to_string(i));
+                        expect_identical(stats[i], (*reference)[i]);
+                    }
+                    const verdict_cache_stats* cache = backend.cache_stats();
+                    ASSERT_NE(cache, nullptr);
+                    if (incremental) {
+                        EXPECT_GT(groups, 0u);
+                        EXPECT_LT(rejudged, groups);
+                        EXPECT_GT(cache->replay_groups, cache->replay_rejudged);
+                    } else {
+                        EXPECT_EQ(groups, 0u);
+                        EXPECT_EQ(cache->replay_groups, 0u);
+                    }
+                }
+            }
+        }
+    }
+    obs::metrics_registry::global().set_enabled(false);
+}
+
+TEST(IncrementalReplay, PreemptMidRejudgeLeavesVerdictsToRejudge) {
+    // A budget firing after a replay judged some groups again leaves the
+    // kept verdicts half moved to the interrupted plan. The next replay —
+    // for a plan whose swap delta from the last complete one misses the
+    // groups already moved — must judge every group and equal a full pass.
+    const replay_family family = replay_families()[1];
+    const verdict_support support = family.support();
+    const application app = application::k_of_n(4, 4);
+    const std::vector<node_id>& hosts = family.scenario->topology().hosts;
+    ASSERT_GE(hosts.size(), 12u);
+    const deployment_plan plan_a{.hosts = {hosts[0], hosts[4], hosts[8],
+                                           hosts[11]}};
+    deployment_plan plan_b = plan_a;  // slot 0 moved
+    plan_b.hosts[0] = hosts[2];
+    deployment_plan plan_c = plan_a;  // slot 1 moved
+    plan_c.hosts[1] = hosts[6];
+    constexpr std::size_t rounds = 20000;
+
+    const auto wire = std::make_shared<tripwire_oracle::wire>();
+    const auto make_backend = [&](extended_dagger_sampler& sampler,
+                                  bool incremental) {
+        parallel_backend_options options{.threads = 1, .batch_rounds = 1000};
+        options.verdict_cache.enabled = true;
+        options.verdict_cache.support = &support;
+        options.verdict_cache.cross_plan = incremental;
+        return std::make_unique<parallel_backend>(
+            family.scenario->registry().size(), family.scenario->forest(),
+            [factory = family.factory(), wire] {
+                return std::make_unique<tripwire_oracle>(factory(), wire);
+            },
+            sampler, options);
+    };
+    const auto probabilities = family.scenario->registry().probabilities();
+
+    // Full passes (incremental off) for the answers.
+    extended_dagger_sampler full_sampler{probabilities, 61};
+    const auto full = make_backend(full_sampler, false);
+    const auto full_pass = [&](const deployment_plan& plan) {
+        full->reset_stream(5);
+        return full->assess(app, plan, rounds);
+    };
+    const assessment_stats expected_b = full_pass(plan_b);
+    const assessment_stats expected_c = full_pass(plan_c);
+
+    // How many groups plan B's replay judges again, uninterrupted.
+    extended_dagger_sampler twin_sampler{probabilities, 61};
+    const auto twin = make_backend(twin_sampler, true);
+    twin->reset_stream(5);
+    (void)twin->assess(app, plan_a, rounds);
+    twin->reset_stream(5);
+    expect_identical(twin->assess(app, plan_b, rounds), expected_b);
+    const std::uint64_t rejudged = twin->cache_stats()->replay_rejudged;
+    // The budget must fire before a poll that some re-judged group is still
+    // ahead of.
+    ASSERT_GT(rejudged, 2 * budget_poll_stride);
+
+    extended_dagger_sampler sampler{probabilities, 61};
+    const auto backend = make_backend(sampler, true);
+    backend->reset_stream(5);
+    (void)backend->assess(app, plan_a, rounds);
+
+    run_budget budget;
+    backend->set_budget(&budget);
+    wire->budget.store(&budget);
+    wire->rounds_left.store(budget_poll_stride / 2);
+    const std::uint64_t judged_before = wire->judged.load();
+    backend->reset_stream(5);
+    EXPECT_THROW((void)backend->assess(app, plan_b, rounds), search_preempted);
+    const std::uint64_t judged = wire->judged.load() - judged_before;
+    EXPECT_GE(judged, budget_poll_stride / 2);  // some groups judged again
+    EXPECT_LT(judged, rejudged);                // ... but not all of them
+    wire->budget.store(nullptr);
+    wire->rounds_left.store(std::numeric_limits<std::int64_t>::max());
+    backend->set_budget(nullptr);
+
+    const verdict_cache_stats before = *backend->cache_stats();
+    backend->reset_stream(5);
+    expect_identical(backend->assess(app, plan_c, rounds), expected_c);
+    const verdict_cache_stats* after = backend->cache_stats();
+    const std::uint64_t groups = after->replay_groups - before.replay_groups;
+    EXPECT_GT(groups, 0u);  // replayed, judging every group again
+    EXPECT_EQ(after->replay_rejudged - before.replay_rejudged, groups);
+    backend->reset_stream(5);
+    expect_identical(backend->assess(app, plan_b, rounds), expected_b);
 }
 
 // ---- reporting -----------------------------------------------------------
