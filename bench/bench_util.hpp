@@ -35,12 +35,6 @@ inline const std::vector<data_center_scale>& all_scales() {
     return scales;
 }
 
-/// Scales used by default; the large DC is included everywhere but callers
-/// may choose to shrink per-scale budgets with default_scale_factor().
-inline std::vector<data_center_scale> bench_scales() {
-    return all_scales();
-}
-
 inline void print_header(const char* title, const char* paper_ref) {
     std::printf("\n================================================================\n");
     std::printf("%s\n", title);

@@ -1,6 +1,6 @@
 // Build provenance (observability satellite): which exact binary produced a
 // result. Every JSON/trace/timeline export and the CLI banner embed this so
-// BENCH_*.json rows and Perfetto traces stay attributable after the fact.
+// benchmark results and Perfetto traces stay attributable after the fact.
 //
 // The values are baked in at compile time: the git hash and sanitizer preset
 // come from CMake (per-file compile definitions on build_info.cpp — editing

@@ -55,7 +55,7 @@ class admin_server;
 enum class scheduling_policy : std::uint8_t {
     /// Strict admission order; slo_deadline is never ENFORCED (no EDF pop,
     /// no shedding, no preemption) but deadline met/missed is still
-    /// MEASURED — the baseline the bench_slo_sched comparison runs against.
+    /// MEASURED — the baseline the EDF-vs-FIFO service test runs against.
     fifo,
     /// Earliest-deadline-first: the pop takes the smallest (deadline, id)
     /// key, requests whose deadline already passed are shed without

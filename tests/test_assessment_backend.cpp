@@ -406,10 +406,6 @@ std::vector<assessment_stats> run_contract(
 
 TEST(BackendContract, EveryBackendSamplesTheSameBatches) {
     backend_fixture f;
-    const application app = application::k_of_n(2, 3);
-    const std::vector<deployment_plan> plans = {
-        f.plan_for(app, 0), f.plan_for(app, 1), f.plan_for(app, 2),
-        f.plan_for(app, 7)};
     const verdict_support support{f.topo, f.registry.size(), &f.forest,
                                   nullptr};
     using sampler_factory =
@@ -475,46 +471,58 @@ TEST(BackendContract, EveryBackendSamplesTheSameBatches) {
              }});
     }
 
-    for (const auto& [sampler_name, make_sampler] : samplers) {
-        // The reference: every step rebuilt from the forked batches of its
-        // (seed, epoch), independently of any backend.
-        std::vector<assessment_stats> expected;
-        {
-            round_state rs{f.registry.size(), &f.forest};
-            bfs_reachability oracle{f.topo};
-            std::uint64_t seed = 0;
-            std::uint64_t epoch = 0;
-            for (const contract_step& step : contract_sequence()) {
-                if (step.reset) {
-                    seed = *step.reset;
-                    epoch = 0;
+    // A k-of-n app, and a microservice app (12 instances on distinct hosts)
+    // whose internal requirements take the connected-round judge.
+    const std::vector<std::pair<const char*, application>> apps = {
+        {"2-of-3", application::k_of_n(2, 3)},
+        {"microservice 2-1", application::microservice(2, 1, 2, 3)},
+    };
+    for (const auto& [app_name, app] : apps) {
+        const std::vector<deployment_plan> plans = {
+            f.plan_for(app, 0), f.plan_for(app, 1), f.plan_for(app, 2),
+            f.plan_for(app, 7)};
+        for (const auto& [sampler_name, make_sampler] : samplers) {
+            // The reference: every step rebuilt from the forked batches of its
+            // (seed, epoch), independently of any backend.
+            std::vector<assessment_stats> expected;
+            {
+                round_state rs{f.registry.size(), &f.forest};
+                bfs_reachability oracle{f.topo};
+                std::uint64_t seed = 0;
+                std::uint64_t epoch = 0;
+                for (const contract_step& step : contract_sequence()) {
+                    if (step.reset) {
+                        seed = *step.reset;
+                        epoch = 0;
+                    }
+                    const auto base = make_sampler(seed);
+                    expected.push_back(forked_batch_reference(
+                        *base, ++epoch, rs, oracle, app, plans[step.plan],
+                        step.rounds, contract_batch_rounds));
                 }
-                const auto base = make_sampler(seed);
-                expected.push_back(forked_batch_reference(
-                    *base, ++epoch, rs, oracle, app, plans[step.plan],
-                    step.rounds, contract_batch_rounds));
             }
-        }
-        for (const backend_spec& spec : specs) {
-            for (const bool incremental : {false, true}) {
-                SCOPED_TRACE(std::string{sampler_name} + " " + spec.label +
-                             (incremental ? " incremental" : " cold"));
-                verdict_cache_options cache;
-                cache.enabled = true;
-                cache.support = &support;
-                cache.cross_plan = incremental;
-                const auto sampler = make_sampler(1);
-                const auto backend = spec.make(*sampler, cache);
-                const std::vector<assessment_stats> got =
-                    run_contract(*backend, app, plans);
-                ASSERT_EQ(got.size(), expected.size());
-                for (std::size_t i = 0; i < got.size(); ++i) {
-                    SCOPED_TRACE("step " + std::to_string(i));
-                    EXPECT_EQ(got[i].rounds, expected[i].rounds);
-                    EXPECT_EQ(got[i].reliable, expected[i].reliable);
-                    EXPECT_EQ(got[i].reliability, expected[i].reliability);
-                    EXPECT_EQ(got[i].variance, expected[i].variance);
-                    EXPECT_EQ(got[i].ciw95, expected[i].ciw95);
+            for (const backend_spec& spec : specs) {
+                for (const bool incremental : {false, true}) {
+                    SCOPED_TRACE(std::string{app_name} + " " + sampler_name +
+                                 " " + spec.label +
+                                 (incremental ? " incremental" : " cold"));
+                    verdict_cache_options cache;
+                    cache.enabled = true;
+                    cache.support = &support;
+                    cache.cross_plan = incremental;
+                    const auto sampler = make_sampler(1);
+                    const auto backend = spec.make(*sampler, cache);
+                    const std::vector<assessment_stats> got =
+                        run_contract(*backend, app, plans);
+                    ASSERT_EQ(got.size(), expected.size());
+                    for (std::size_t i = 0; i < got.size(); ++i) {
+                        SCOPED_TRACE("step " + std::to_string(i));
+                        EXPECT_EQ(got[i].rounds, expected[i].rounds);
+                        EXPECT_EQ(got[i].reliable, expected[i].reliable);
+                        EXPECT_EQ(got[i].reliability, expected[i].reliability);
+                        EXPECT_EQ(got[i].variance, expected[i].variance);
+                        EXPECT_EQ(got[i].ciw95, expected[i].ciw95);
+                    }
                 }
             }
         }

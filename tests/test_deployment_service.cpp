@@ -372,6 +372,8 @@ TEST(Service, HotScenarioShedsOnItsOwnShardOnly) {
     EXPECT_EQ(stats.rejected, 1u);
     EXPECT_EQ(stats.shed_queue_full, 1u);
     EXPECT_EQ(stats.shed_quota, 0u);
+    // Overload sheds at the bound instead of growing the queue past it.
+    EXPECT_EQ(stats.peak_queue_depth, options.queue_capacity);
 }
 
 TEST(Service, TenantQuotaShedsExcessInFlightRequests) {
@@ -534,6 +536,69 @@ TEST(Service, FifoPolicyIgnoresDeadlineOrderingButStillMeasures) {
     const service_stats stats = service.stats();
     EXPECT_EQ(stats.deadline_met + stats.deadline_missed, 1u);
     EXPECT_EQ(stats.preempted, 0u);
+}
+
+TEST(Service, EdfMeetsMoreDeadlinesThanFifoUnderMixedLoad) {
+    // The SLO scheduling win: the same mix of heavy no-deadline searches and
+    // light tight-deadline ones, queued behind one wedged worker, meets
+    // strictly more deadlines under edf than under fifo. Every search is
+    // bounded by iterations; a heavy search outlasts the light deadlines
+    // because its first event is held until they have all passed. So fifo,
+    // which runs a heavy search before each light one, misses them by
+    // construction, and edf, which pops the light ones first, meets them
+    // on any machine that runs the wedged search and two 5-iteration ones
+    // within a second.
+    constexpr auto light_deadline = std::chrono::seconds{1};
+    const auto run = [&](scheduling_policy policy) {
+        start_order_gate gate{1};
+        monotonic_clock::time_point hold_until{};
+        service_options options;
+        options.workers = 1;
+        options.scheduling = policy;
+        options.defaults = small_search_defaults();
+        options.defaults.observer =
+            [&, gated = gate.observer()](
+                const obs::search_iteration_event& event) {
+                gated(event);
+                if (event.request_id % 2 == 0) {  // heavy: ids 2 and 4
+                    std::this_thread::sleep_until(hold_until);
+                }
+            };
+        deployment_service service{options};
+        service.add_scenario("dc", make_fat_tree_scenario(4));
+
+        auto wedged = service.submit(request_for("dc", 1));
+        gate.await_started();
+        std::vector<std::future<service_response>> queued;
+        for (std::uint64_t seed = 2; seed <= 5; ++seed) {
+            const bool heavy = seed % 2 == 0;
+            service_request request =
+                heavy ? request_for("dc", seed)
+                      : deadline_request_for("dc", seed, light_deadline);
+            request.max_iterations = heavy ? 40 : 5;
+            queued.push_back(service.submit(std::move(request)));
+        }
+        // Every light deadline falls at or before this point; the gate's
+        // mutex publishes it to the worker before any heavy search starts.
+        hold_until = monotonic_clock::now() + light_deadline +
+                     std::chrono::milliseconds{1};
+        gate.release();
+
+        EXPECT_EQ(wedged.get().status, request_status::completed);
+        for (auto& future : queued) {
+            EXPECT_EQ(future.get().status, request_status::completed);
+        }
+        return std::pair{service.stats(), gate.order()};
+    };
+
+    const auto [edf, edf_order] = run(scheduling_policy::edf);
+    const auto [fifo, fifo_order] = run(scheduling_policy::fifo);
+    EXPECT_EQ(edf_order, (std::vector<std::uint64_t>{1, 3, 5, 2, 4}));
+    EXPECT_EQ(fifo_order, (std::vector<std::uint64_t>{1, 2, 3, 4, 5}));
+    EXPECT_GT(edf.deadline_met, fifo.deadline_met);
+    EXPECT_EQ(edf.deadline_met, 2u);
+    EXPECT_EQ(fifo.deadline_missed, 2u);
+    EXPECT_EQ(edf.shed_unmeetable + fifo.shed_unmeetable, 0u);
 }
 
 TEST(Service, UnmeetableDeadlineIsShedAtAdmission) {

@@ -732,6 +732,13 @@ void expect_same_search(const deployment_response& on,
     EXPECT_EQ(on.search.plans_evaluated, off.search.plans_evaluated);
     EXPECT_EQ(on.search.plans_generated, off.search.plans_generated);
     EXPECT_EQ(on.search.symmetric_skips, off.search.symmetric_skips);
+    EXPECT_EQ(on.search.accepted_worse, off.search.accepted_worse);
+    // The best candidate's stats come from the search's own (replayed)
+    // assessment, not from the winner's fresh re-assessment.
+    expect_identical(on.search.best_evaluation.stats,
+                     off.search.best_evaluation.stats);
+    EXPECT_EQ(on.search.best_evaluation.score,
+              off.search.best_evaluation.score);
     EXPECT_EQ(on.fulfilled, off.fulfilled);
 }
 
@@ -739,39 +746,66 @@ TEST(IncrementalTrajectory, PinnedSearchAcrossBackends) {
     // The flagship facade property, now for the incremental switch: a full
     // annealing search — CRN resets, rejected candidates, winner
     // re-assessment — lands on the identical plan, stats and counters with
-    // RECLOUD_INCREMENTAL forced on or off, for every backend.
-    auto infra = fat_tree_infrastructure::build(data_center_scale::tiny);
-    for (const assessment_backend_kind kind :
-         {assessment_backend_kind::serial, assessment_backend_kind::parallel,
-          assessment_backend_kind::engine}) {
-        const auto run = [&](bool incremental) {
-            env_guard cache_env{"RECLOUD_VERDICT_CACHE", "1"};
-            env_guard incr_env{"RECLOUD_INCREMENTAL", incremental ? "1" : "0"};
-            recloud_options options;
-            options.assessment_rounds = 1000;
-            options.max_iterations = 25;
-            options.seed = 9;
-            options.backend = kind;
-            options.assessment_threads = 2;
-            re_cloud system{infra, options};
-            deployment_request request{application::k_of_n(2, 3), 1.0,
-                                       std::chrono::seconds{20}};
-            deployment_response response = system.find_deployment(request);
-            const verdict_cache_stats* cache = system.cache_stats();
-            EXPECT_NE(cache, nullptr);
-            if (cache != nullptr) {
-                if (incremental) {
-                    EXPECT_GT(cache->warm_rebinds, 0u);
-                } else {
-                    EXPECT_EQ(cache->warm_rebinds, 0u);
+    // RECLOUD_INCREMENTAL forced on or off, for every backend. Two
+    // probability regimes: the paper's default (about 1% per component,
+    // near-unique failure signatures) and a realistic one (5e-4 per
+    // component), where signatures repeat, most rounds are clean and the
+    // journal replay re-judges only the groups a swap can change. The
+    // realistic regime runs more rounds, so that swaps meet failed rounds,
+    // and a 3-of-3 app, so that one failed host changes a verdict.
+    infrastructure_options realistic;
+    realistic.probabilities.switch_mean = 5e-4;
+    realistic.probabilities.switch_stddev = 5e-4 / 8.0;
+    realistic.probabilities.other_mean = 5e-4;
+    realistic.probabilities.other_stddev = 5e-4 / 8.0;
+    struct regime_spec {
+        const char* name;
+        infrastructure_options infra;
+        std::size_t rounds;
+        application app;
+    };
+    for (const regime_spec& regime :
+         {regime_spec{"paper", {}, 1000, application::k_of_n(2, 3)},
+          regime_spec{"realistic", realistic, 20'000,
+                      application::k_of_n(3, 3)}}) {
+        auto infra = fat_tree_infrastructure::build(data_center_scale::tiny,
+                                                    regime.infra);
+        for (const assessment_backend_kind kind :
+             {assessment_backend_kind::serial,
+              assessment_backend_kind::parallel,
+              assessment_backend_kind::engine}) {
+            const auto run = [&](bool incremental) {
+                env_guard cache_env{"RECLOUD_VERDICT_CACHE", "1"};
+                env_guard incr_env{"RECLOUD_INCREMENTAL",
+                                   incremental ? "1" : "0"};
+                recloud_options options;
+                options.assessment_rounds = regime.rounds;
+                options.max_iterations = 25;
+                options.seed = 9;
+                options.backend = kind;
+                options.assessment_threads = 2;
+                re_cloud system{infra, options};
+                deployment_request request{regime.app, 1.0,
+                                           std::chrono::seconds{20}};
+                deployment_response response =
+                    system.find_deployment(request);
+                const verdict_cache_stats* cache = system.cache_stats();
+                EXPECT_NE(cache, nullptr);
+                if (cache != nullptr) {
+                    if (incremental) {
+                        EXPECT_GT(cache->warm_rebinds, 0u);
+                    } else {
+                        EXPECT_EQ(cache->warm_rebinds, 0u);
+                    }
                 }
-            }
-            return response;
-        };
-        SCOPED_TRACE("backend " + std::to_string(static_cast<int>(kind)));
-        const deployment_response off = run(false);
-        const deployment_response on = run(true);
-        expect_same_search(on, off);
+                return response;
+            };
+            SCOPED_TRACE(std::string{regime.name} + " backend " +
+                         std::to_string(static_cast<int>(kind)));
+            const deployment_response off = run(false);
+            const deployment_response on = run(true);
+            expect_same_search(on, off);
+        }
     }
 }
 
