@@ -56,7 +56,7 @@ supports = 5              # microservice only
 max_seconds = 5
 desired_downtime_hours = 160
 rounds = 10000
-sampler = dagger          # dagger | monte-carlo | antithetic
+sampler = dagger          # dagger | monte-carlo
 backend = serial          # serial | parallel | engine (assessment execution)
 threads = 0               # parallel/engine workers; 0 = all hardware threads
 max_attempts = 3          # engine only: dispatch attempts per batch before
@@ -225,9 +225,6 @@ sampler_kind parse_sampler(const std::string& name) {
     if (name == "monte-carlo") {
         return sampler_kind::monte_carlo;
     }
-    if (name == "antithetic") {
-        return sampler_kind::antithetic;
-    }
     throw config_error{"unknown search.sampler: " + name};
 }
 
@@ -317,8 +314,14 @@ void report(const deployment_response& response, const built_topology& topo,
             std::size_t chains = 1) {
     std::printf("fulfilled:        %s\n", response.fulfilled ? "yes" : "no");
     std::printf("outcome:          %s\n", to_string(response.outcome));
-    std::printf("reliability:      %.5f (95%% CI width %.2e)\n",
-                response.stats.reliability, response.stats.ciw95);
+    // Which estimator produced the CIW95: batch replicates or Eq. 2.
+    const std::string estimator =
+        response.stats.replicates != 0
+            ? std::to_string(response.stats.replicates) + " replicates"
+            : "binomial";
+    std::printf("reliability:      %.5f (95%% CI width %.2e, %s)\n",
+                response.stats.reliability, response.stats.ciw95,
+                estimator.c_str());
     std::printf("annual downtime:  %.1f hours\n",
                 annual_downtime_hours(response.stats.reliability));
     std::printf("plans: generated=%zu assessed=%zu symmetric-skips=%zu in %.2fs\n",

@@ -1,6 +1,5 @@
 #include "assess/assessor.hpp"
 
-#include <cstdint>
 #include <vector>
 
 #include "obs/metrics.hpp"
@@ -17,13 +16,12 @@ void judge_rounds(failure_sampler& sampler, std::size_t rounds,
             throw_if_preempted(budget);
         }
         sampler.next_round(failed);
-        const auto index = static_cast<std::uint32_t>(results.rounds());
         const bool verdict =
             cached_reliable_in_round(judge.cache, failed, judge.rs,
                                      judge.oracle, judge.plan, judge.evaluator);
         results.add(verdict);
         if (journal != nullptr) {
-            journal->record(index, failed, verdict, *judge.cache);
+            journal->record(failed, verdict, *judge.cache);
         }
     }
 }

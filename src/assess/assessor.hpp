@@ -1,6 +1,8 @@
 // Reliability assessment of a deployment plan (paper §3.2): sample failure
 // states for X rounds, run route-and-check per round, and aggregate the
-// result list into R, V and CIW95 (Eqs. 1-3).
+// result list into R, V and CIW95 (Eqs. 1-3). Eq. 2 prices V as if rounds
+// were iid; the backends (assess/backend.hpp) estimate V from their
+// independent batches instead once there are min_replicates of them.
 #pragma once
 
 #include <cstddef>
@@ -31,8 +33,9 @@ struct round_judge {
 
 /// The one sample-judge-record loop. Draws `rounds` rounds from `sampler`,
 /// judges each through cached_reliable_in_round and adds the verdict to
-/// `results`. When `journal` is given (it needs `judge.cache`), each round
-/// is recorded under the index results.rounds() had before it, so one
+/// `results` as a loose round (a caller that judges a batch merges the
+/// batch's tally as one replicate). When `journal` is given (it needs
+/// `judge.cache`), each round is recorded after the ones before it, so one
 /// journal can span several calls. `budget` (nullable) is polled every
 /// budget_poll_stride rounds; when it fires search_preempted propagates.
 void judge_rounds(failure_sampler& sampler, std::size_t rounds,
@@ -47,9 +50,10 @@ void judge_rounds(failure_sampler& sampler, std::size_t rounds,
 /// the fault-tree forest; `oracle` must match the topology the plan deploys
 /// into. The sampler continues its stream (it is NOT reset). `cache` may be
 /// nullptr; when given it is bound to (app, plan) here and memoizes round
-/// verdicts — the returned stats are bit-identical either way. `budget`
-/// (nullable) is polled every few hundred rounds; when it fires the partial
-/// tally is discarded and search_preempted thrown (core/run_budget.hpp).
+/// verdicts — the returned stats are bit-identical either way. One stream
+/// is no set of replicates, so V is Eq. 2's. `budget` (nullable) is polled
+/// every few hundred rounds; when it fires the partial tally is discarded
+/// and search_preempted thrown (core/run_budget.hpp).
 [[nodiscard]] assessment_stats assess_deployment(failure_sampler& sampler,
                                                  round_state& rs,
                                                  reachability_oracle& oracle,
@@ -63,7 +67,11 @@ void judge_rounds(failure_sampler& sampler, std::size_t rounds,
 /// until the 95% confidence interval width (Eq. 3) drops to `target_ciw` or
 /// `max_rounds` is reached. Useful when a developer wants a guaranteed error
 /// bound rather than a fixed round budget (§4.2.4 motivates exactly this:
-/// "some application developers may want even higher accuracy").
+/// "some application developers may want even higher accuracy"). The
+/// bound met is Eq. 2's below min_replicates batches and the replicate one
+/// (V from the batches) from there, but a replicate bound stops the loop
+/// only from twice min_replicates; rounds that all agree (V = 0) stop it
+/// only once 4/target rounds are in.
 struct adaptive_assess_options {
     double target_ciw = 1e-3;
     std::size_t initial_rounds = 1000;

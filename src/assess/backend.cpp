@@ -14,33 +14,64 @@
 
 namespace recloud {
 
+namespace {
+
+/// Replicates before a replicate bound may stop assess_until_ciw. From
+/// min_replicates on V is usable, but 20 replicates estimate it only to
+/// about 30%, and the loop stops on the first estimate that meets the
+/// target, so stopping that early keeps the runs whose V came out low and
+/// the stopped interval under-covers (EXPERIMENTS.md, "Coverage at the
+/// adaptive stop").
+constexpr std::size_t min_stopping_replicates = 2 * min_replicates;
+
+}  // namespace
+
 assessment_stats assessment_backend::assess_until_ciw(
     const application& app, const deployment_plan& plan,
     const adaptive_assess_options& options) {
     if (options.target_ciw <= 0.0) {
         throw std::invalid_argument{"assess_until_ciw: target must be > 0"};
     }
-    // Run an initial burst, then repeatedly predict the total rounds needed
-    // from the current estimate and run the shortfall (at least as many as
-    // already done, so the prediction error of early noisy estimates cannot
-    // stall progress). Each burst is one assess(), i.e. one epoch.
+    // Run an initial burst, then grow until the bound meets the target.
+    // Each burst is one epoch whose batches join the replicates. Fewer than
+    // min_replicates leave V at the binomial Eq. 2, which overstates
+    // dagger's variance, so its prediction is not trusted: the rounds
+    // double. From min_replicates on, the total is planned from the
+    // per-round variance the reported bound implies, s^2 = (CIW95/4)^2 N
+    // (V N inflated by the Student-t quantile), growing by at least a
+    // quarter per burst so a noisy prediction cannot creep.
     result_accumulator results;
     const auto run_rounds = [&](std::size_t rounds) {
-        const assessment_stats chunk = assess(app, plan, rounds);
-        results.merge(chunk.reliable, chunk.rounds);
+        results.merge(run_epoch(app, plan, rounds));
     };
     run_rounds(std::min(std::max<std::size_t>(options.initial_rounds, 1),
                         options.max_rounds));
     for (;;) {
         throw_if_preempted(budget_);  // between prediction batches
         const assessment_stats stats = results.stats();
-        if (stats.ciw95 <= options.target_ciw ||
-            results.rounds() >= options.max_rounds) {
+        const std::size_t done = results.rounds();
+        // A replicate bound stops the loop only from min_stopping_replicates
+        // on. Rounds that all agree give V = 0, which says nothing of the
+        // spread: that bound counts as met only once a single contradicting
+        // round could no longer push CIW95 past the target.
+        const bool met =
+            stats.ciw95 <= options.target_ciw &&
+            (stats.replicates == 0 ||
+             stats.replicates >= min_stopping_replicates) &&
+            (stats.variance > 0.0 ||
+             done >= rounds_for_target_variance(options.target_ciw, 0.0));
+        if (met || done >= options.max_rounds) {
             return stats;
         }
-        const std::size_t predicted =
-            rounds_for_target_ciw(options.target_ciw, stats.reliability);
-        const std::size_t want = std::max(predicted, 2 * results.rounds());
+        std::size_t want = 2 * done;
+        if (stats.replicates != 0) {
+            const double bound = stats.ciw95 / 4.0;
+            want = std::max(
+                rounds_for_target_variance(
+                    options.target_ciw,
+                    bound * bound * static_cast<double>(done)),
+                done + done / 4);
+        }
         const std::size_t next = std::min(want, options.max_rounds);
         run_rounds(next - results.rounds());
     }
@@ -68,7 +99,9 @@ void judge_batch(const sampler_description& sampler, std::uint64_t epoch,
     RECLOUD_COUNTER_INC("assess.batches");
     const std::unique_ptr<failure_sampler> substream =
         sampler.fork(substream_id(epoch, batch));
-    judge_rounds(*substream, rounds, judge, results, journal, budget);
+    result_accumulator tally;
+    judge_rounds(*substream, rounds, judge, tally, journal, budget);
+    results.merge(tally.reliable_rounds(), tally.rounds());
 }
 
 /// One assess() call as every worker sees it.
@@ -143,12 +176,11 @@ result_accumulator parallel_backend::run_worker(std::size_t w,
                                   .epoch = job.epoch,
                                   .rounds = share,
                                   .app = job.app_fingerprint};
-            if (const std::optional<assessment_stats> replayed =
+            if (std::optional<result_accumulator> replayed =
                     workers_[w]->journal.replay_or_begin(
                         key, *cache, context.rs, *context.oracle, job.plan,
-                        evaluator, job.budget)) {
-                results.merge(replayed->reliable, replayed->rounds);
-                return results;
+                        evaluator, job.budget, batch_rounds)) {
+                return *replayed;
             }
             journal = &workers_[w]->journal;
         }
@@ -170,9 +202,9 @@ result_accumulator parallel_backend::run_worker(std::size_t w,
     return results;
 }
 
-assessment_stats parallel_backend::assess(const application& app,
-                                          const deployment_plan& plan,
-                                          std::size_t rounds) {
+result_accumulator parallel_backend::run_epoch(const application& app,
+                                              const deployment_plan& plan,
+                                              std::size_t rounds) {
     RECLOUD_SPAN("assess.deployment");
     RECLOUD_COUNTER_ADD("assess.rounds", rounds);
     ++epoch_;
@@ -192,8 +224,8 @@ assessment_stats parallel_backend::assess(const application& app,
 
     // Worker w judges batches w, w+W, ... Batch b's rounds come from
     // substream (epoch, b) whichever worker runs it, and the per-batch
-    // counts are summed — addition commutes, so the schedule cannot affect
-    // the result.
+    // replicates are summed — addition commutes, so the schedule cannot
+    // affect the result.
     //
     // Lifecycle: workers poll the armed budget inside their batches; the
     // first to see it fire raises `aborted` so siblings stop at their next
@@ -219,14 +251,13 @@ assessment_stats parallel_backend::assess(const application& app,
             future.wait();
         }
         for (auto& future : futures) {
-            const result_accumulator counts = future.get();
-            results.merge(counts.reliable_rounds(), counts.rounds());
+            results.merge(future.get());
         }
     }
     if (aborted.load(std::memory_order_relaxed)) {
         throw search_preempted{};
     }
-    return results.stats();
+    return results;
 }
 
 void parallel_backend::reset_stream(std::uint64_t seed) {

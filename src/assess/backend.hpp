@@ -6,12 +6,19 @@
 // scheme: an assessment's rounds are cut into batches of `batch_rounds`,
 // and batch b of assessment epoch e (1-based, counted since construction
 // or the last reset_stream()) is always sampled from
-// base_sampler.fork(substream_id(e, b)). Per-batch (reliable, rounds)
-// counts are summed, and addition commutes, so
+// base_sampler.fork(substream_id(e, b)). Each batch's (reliable, rounds)
+// tally is merged as one replicate into a result_accumulator — integer
+// sums, and addition commutes, so
 //
-//   stats are a pure function of (seed, batch_rounds) and the sequence of
-//   assess()/reset_stream() calls — never of the backend, the worker
-//   count, the schedule or the transport (DESIGN.md §6).
+//   stats are a pure function of (seed, batch_rounds, sampler) and the
+//   sequence of assess()/reset_stream() calls — never of the backend, the
+//   worker count, the schedule or the transport (DESIGN.md §6).
+//
+// Forked batches are independent by construction, so they are the
+// replicates V is estimated from (Eqs. 1-3 assume iid rounds, which
+// dagger's cycles are not): with at least min_replicates batches stats
+// report the ratio-estimator variance over batch tallies, below that the
+// binomial Eq. 2.
 //
 // Two executors implement it, both through judge_batch:
 //
@@ -73,8 +80,9 @@ struct judge_context {
 };
 
 /// Judges batch `batch` of assessment `epoch`: the `rounds` rounds of
-/// sampler.fork(substream_id(epoch, batch)), added to `results` through
-/// judge_rounds. The one way every executor turns a batch into counts.
+/// sampler.fork(substream_id(epoch, batch)), judged through judge_rounds
+/// and merged into `results` as one replicate. The one way every executor
+/// turns a batch into counts.
 void judge_batch(const sampler_description& sampler, std::uint64_t epoch,
                  std::uint64_t batch, std::size_t rounds,
                  const round_judge& judge, result_accumulator& results,
@@ -88,13 +96,18 @@ public:
     /// Runs `rounds` sampling + route-and-check rounds for one plan as the
     /// next epoch: every call samples fresh batches until reset_stream()
     /// rewinds the epoch count.
-    [[nodiscard]] virtual assessment_stats assess(const application& app,
-                                                  const deployment_plan& plan,
-                                                  std::size_t rounds) = 0;
+    [[nodiscard]] assessment_stats assess(const application& app,
+                                          const deployment_plan& plan,
+                                          std::size_t rounds) {
+        return run_epoch(app, plan, rounds).stats();
+    }
 
-    /// Adaptive-precision assessment: keeps adding rounds until CIW95 drops
-    /// to the target or max_rounds is reached (§4.2.4). Built on assess(),
-    /// so every backend runs the same prediction loop.
+    /// Adaptive-precision assessment: keeps adding epochs until CIW95 drops
+    /// to the target or max_rounds is reached (§4.2.4), merging their
+    /// batches as replicates. Below min_replicates the rounds double per
+    /// epoch; from there on the total is planned from the replicate bound,
+    /// which stops the loop only from twice min_replicates on. Built on
+    /// run_epoch(), so every backend runs the same loop.
     [[nodiscard]] assessment_stats assess_until_ciw(
         const application& app, const deployment_plan& plan,
         const adaptive_assess_options& options);
@@ -127,6 +140,11 @@ public:
     [[nodiscard]] const run_budget* budget() const noexcept { return budget_; }
 
 protected:
+    /// One assess() epoch as its tally, one replicate per batch.
+    [[nodiscard]] virtual result_accumulator run_epoch(
+        const application& app, const deployment_plan& plan,
+        std::size_t rounds) = 0;
+
     const run_budget* budget_ = nullptr;
 };
 
@@ -163,9 +181,6 @@ public:
                      oracle_factory make_oracle, failure_sampler& sampler,
                      const parallel_backend_options& options = {});
 
-    [[nodiscard]] assessment_stats assess(const application& app,
-                                          const deployment_plan& plan,
-                                          std::size_t rounds) override;
     void reset_stream(std::uint64_t seed) override;
     /// "serial" with one worker, "parallel" otherwise.
     [[nodiscard]] const char* name() const noexcept override {
@@ -190,6 +205,9 @@ private:
     };
     struct assessment;
 
+    [[nodiscard]] result_accumulator run_epoch(const application& app,
+                                               const deployment_plan& plan,
+                                               std::size_t rounds) override;
     /// Judges worker `w`'s share of the assessment; raises `aborted` (and
     /// returns a partial tally) when the budget fires or a sibling aborted.
     [[nodiscard]] result_accumulator run_worker(std::size_t w,

@@ -19,13 +19,14 @@ std::uint64_t hash_ids(std::span<const component_id> ids) noexcept {
 
 }  // namespace
 
-std::optional<assessment_stats> round_journal::replay_or_begin(
+std::optional<result_accumulator> round_journal::replay_or_begin(
     const journal_key& key, verdict_cache& cache, round_state& rs,
     reachability_oracle& oracle, const deployment_plan& plan,
-    requirement_evaluator& evaluator, const run_budget* budget) {
+    requirement_evaluator& evaluator, const run_budget* budget,
+    std::size_t batch_rounds) {
     if (valid_ && key == key_) {
-        if (std::optional<assessment_stats> replayed =
-                replay(cache, rs, oracle, plan, evaluator, budget)) {
+        if (std::optional<result_accumulator> replayed = replay(
+                cache, rs, oracle, plan, evaluator, budget, batch_rounds)) {
             return replayed;
         }
     }
@@ -43,14 +44,13 @@ void round_journal::begin(const journal_key& key, const deployment_plan& plan) {
     residue_index_.clear();
     index_.clear();
     verdict_plan_ = plan.hosts;
-    reliable_ = 0;
     verdicts_stale_ = false;
     indexed_ = false;
 }
 
-void round_journal::record(std::uint32_t round,
-                           std::span<const component_id> failed, bool verdict,
-                           const verdict_cache& cache) {
+void round_journal::record(std::span<const component_id> failed,
+                           bool verdict, const verdict_cache& cache) {
+    const auto round = static_cast<std::uint32_t>(round_group_.size());
     // Group the round by its support-filtered signature. Every round of a
     // group has the group's verdict (a pure function of the key); its class
     // is the weakest any of them was judged with, so keeping the verdict
@@ -76,9 +76,7 @@ void round_journal::record(std::uint32_t round,
         bucket.push_back(id);
     }
     group& g = groups_[id];
-    ++g.multiplicity;
     g.cls = std::min(g.cls, cache.last_class());
-    reliable_ += verdict ? 1 : 0;
     round_group_.push_back(id);
 
     // Off-support residue, inverted: component -> the rounds it failed in
@@ -149,10 +147,10 @@ void round_journal::select_rejudge(const verdict_support& support,
                    rejudge_.end());
 }
 
-std::optional<assessment_stats> round_journal::replay(
+std::optional<result_accumulator> round_journal::replay(
     verdict_cache& cache, round_state& rs, reachability_oracle& oracle,
     const deployment_plan& plan, requirement_evaluator& evaluator,
-    const run_budget* budget) {
+    const run_budget* budget, std::size_t batch_rounds) {
     throw_if_preempted(budget);  // before anything moves
 
     // Pass 1 (no judging): which recorded rounds are dirty under the new
@@ -188,7 +186,7 @@ std::optional<assessment_stats> round_journal::replay(
             dirty_pool_.push_back(dirty_pairs_[i].second);
         }
         dirty_rounds_.push_back(
-            {round_group_[round], begin,
+            {round, round_group_[round], begin,
              static_cast<std::uint32_t>(dirty_pool_.size()) - begin});
     }
     if (dirty_rounds_.size() > churn_limit) {
@@ -212,16 +210,8 @@ std::optional<assessment_stats> round_journal::replay(
             throw_if_preempted(budget);
         }
         group& entry = groups_[rejudge_[i]];
-        const bool verdict = cached_reliable_in_round(&cache, key_of(entry), rs,
-                                                      oracle, plan, evaluator);
-        if (verdict != entry.verdict) {
-            if (verdict) {
-                reliable_ += entry.multiplicity;
-            } else {
-                reliable_ -= entry.multiplicity;
-            }
-            entry.verdict = verdict;
-        }
+        entry.verdict = cached_reliable_in_round(&cache, key_of(entry), rs,
+                                                 oracle, plan, evaluator);
     }
     verdicts_stale_ = false;
     verdict_plan_ = plan.hosts;
@@ -230,18 +220,38 @@ std::optional<assessment_stats> round_journal::replay(
     // judged with its residue merged into the group key (the seam's lookup
     // filters and sorts, so plain concatenation is enough; components the
     // new support dropped are filtered there too).
-    std::size_t reliable = reliable_;
-    for (const dirty_round& round : dirty_rounds_) {
+    for (dirty_round& round : dirty_rounds_) {
         const group& entry = groups_[round.group];
         const std::span<const component_id> key = key_of(entry);
         merged_.assign(key.begin(), key.end());
         const auto residue = dirty_pool_.begin() + round.begin;
         merged_.insert(merged_.end(), residue, residue + round.length);
-        const bool verdict =
+        round.verdict =
             cached_reliable_in_round(&cache, merged_, rs, oracle, plan, evaluator);
-        reliable = reliable - (entry.verdict ? 1 : 0) + (verdict ? 1 : 0);
     }
-    return make_assessment_stats(reliable, round_group_.size());
+    return batch_tallies(batch_rounds);
+}
+
+result_accumulator round_journal::batch_tallies(
+    std::size_t batch_rounds) const {
+    // dirty_rounds_ is in round order, so each batch takes its dirty rounds
+    // off the front.
+    result_accumulator pass;
+    const std::size_t rounds = round_group_.size();
+    auto dirty = dirty_rounds_.begin();
+    for (std::size_t begin = 0; begin < rounds; begin += batch_rounds) {
+        const std::size_t end = std::min(rounds, begin + batch_rounds);
+        std::size_t reliable = 0;
+        for (std::size_t i = begin; i < end; ++i) {
+            reliable += groups_[round_group_[i]].verdict ? 1 : 0;
+        }
+        for (; dirty != dirty_rounds_.end() && dirty->round < end; ++dirty) {
+            reliable = reliable - (groups_[dirty->group].verdict ? 1 : 0) +
+                       (dirty->verdict ? 1 : 0);
+        }
+        pass.merge(reliable, end - begin);
+    }
+    return pass;
 }
 
 }  // namespace recloud

@@ -17,9 +17,8 @@
 //     valid for and keeps every verdict the swap delta from that plan
 //     cannot change (the verdict cache's retention rule, swap_delta).
 //     Through an index from component to groups only the unclean groups
-//     and the groups whose key meets the delta are judged again, and the
-//     kept reliable tally moves by each changed verdict times its
-//     multiplicity.
+//     and the groups whose key meets the delta are judged again; the
+//     per-batch tallies are then read off the rounds' group verdicts.
 // Every verdict still flows through cached_reliable_in_round, so replayed
 // stats are bit-identical to the full pass by the same support-filtering
 // invariant the verdict cache itself rests on.
@@ -72,7 +71,9 @@ public:
     /// to (app, plan) and `key` naming the stream about to be judged. When a
     /// COMPLETE pass recorded under `key` is held and at most a quarter of
     /// its rounds turn dirty under `plan`, judges the journal instead of the
-    /// stream and returns the stats — bit-identical to a full pass. Otherwise
+    /// stream and returns the tally — bit-identical to a full pass: one
+    /// replicate per consecutive `batch_rounds` rounds (the last may be
+    /// short), exactly as a full pass merges its batches. Otherwise
     /// starts recording under `key` and returns nullopt: the caller samples
     /// the stream, calls record() after judging each round and finish() after
     /// the last one. A pass abandoned midway (preemption) stays invalid and
@@ -80,17 +81,18 @@ public:
     /// touches anything and every budget_poll_stride groups it judges again;
     /// a preempt among those leaves the pass valid but its group verdicts
     /// stale, so the next replay judges every group.
-    [[nodiscard]] std::optional<assessment_stats> replay_or_begin(
+    [[nodiscard]] std::optional<result_accumulator> replay_or_begin(
         const journal_key& key, verdict_cache& cache, round_state& rs,
         reachability_oracle& oracle, const deployment_plan& plan,
-        requirement_evaluator& evaluator, const run_budget* budget);
+        requirement_evaluator& evaluator, const run_budget* budget,
+        std::size_t batch_rounds);
 
-    /// Records round `round` right after the seam judged `failed` (the raw
-    /// sampled set) through `cache` as `verdict`: last_key() and
+    /// Records the pass's next round right after the seam judged `failed`
+    /// (the raw sampled set) through `cache` as `verdict`: last_key() and
     /// last_class() then describe that lookup — valid on hits, misses and
     /// the empty fast path.
-    void record(std::uint32_t round, std::span<const component_id> failed,
-                bool verdict, const verdict_cache& cache);
+    void record(std::span<const component_id> failed, bool verdict,
+                const verdict_cache& cache);
 
     /// Marks the pass begun by replay_or_begin() complete.
     void finish() noexcept { valid_ = true; }
@@ -99,23 +101,28 @@ private:
     struct group {
         std::uint32_t key_begin = 0;
         std::uint32_t key_length = 0;
-        std::uint32_t multiplicity = 0;
         bool verdict = false;  ///< under verdict_plan_
         /// The weakest class any of its rounds was judged with.
         round_class cls = round_class::clean;
     };
     struct dirty_round {
+        std::uint32_t round = 0;
         std::uint32_t group = 0;
         std::uint32_t begin = 0;
         std::uint32_t length = 0;
+        bool verdict = false;  ///< its own, once pass 3 judged it
     };
 
     void begin(const journal_key& key, const deployment_plan& plan);
     /// nullopt (nothing judged) when churn exceeds a quarter of the rounds.
-    [[nodiscard]] std::optional<assessment_stats> replay(
+    [[nodiscard]] std::optional<result_accumulator> replay(
         verdict_cache& cache, round_state& rs, reachability_oracle& oracle,
         const deployment_plan& plan, requirement_evaluator& evaluator,
-        const run_budget* budget);
+        const run_budget* budget, std::size_t batch_rounds);
+    /// The replayed pass as one replicate per `batch_rounds` rounds, from
+    /// the kept group verdicts and the dirty rounds' own.
+    [[nodiscard]] result_accumulator batch_tallies(
+        std::size_t batch_rounds) const;
     /// First replay of a pass: builds the component -> groups index and the
     /// unclean list, and drops the cache entries the pass stored.
     void index_groups(verdict_cache& cache);
@@ -137,11 +144,9 @@ private:
     std::unordered_map<std::uint64_t, std::vector<std::uint32_t>>
         index_;  ///< key hash -> candidate group ids (exact-checked)
 
-    // Kept verdicts: the plan they are valid for, sum of verdict x
-    // multiplicity over the groups, and whether a preempted replay left
-    // them half moved to another plan.
+    // Kept verdicts: the plan they are valid for, and whether a preempted
+    // replay left them half moved to another plan.
     std::vector<node_id> verdict_plan_;
-    std::size_t reliable_ = 0;
     bool verdicts_stale_ = false;
 
     // Built by index_groups() once per pass.

@@ -198,9 +198,9 @@ const verdict_cache_stats* assessment_engine::cache_stats() const noexcept {
     return &combined_cache_stats_;
 }
 
-assessment_stats assessment_engine::assess(const application& app,
-                                           const deployment_plan& plan,
-                                           std::size_t rounds) {
+result_accumulator assessment_engine::run_epoch(const application& app,
+                                               const deployment_plan& plan,
+                                               std::size_t rounds) {
     RECLOUD_SPAN("engine.assess");
     RECLOUD_COUNTER_ADD("assess.rounds", rounds);
     const run_budget* budget = budget_;
@@ -405,7 +405,7 @@ assessment_stats assessment_engine::assess(const application& app,
             local_cache_stats_.accumulate(*stats);
         }
     }
-    return results.stats();
+    return results;
 }
 
 }  // namespace recloud

@@ -170,16 +170,6 @@ public:
                       oracle_factory make_oracle, failure_sampler& sampler,
                       const engine_options& options = {});
 
-    /// Assesses one plan over `rounds` rounds as the next epoch. The armed
-    /// budget (set_budget) is the request lifecycle token: the master polls
-    /// it between batches and WHILE waiting on dispatched results (sliced
-    /// waits), and when it fires the assessment aborts cleanly — outstanding
-    /// dispatches are abandoned, drained, and their late results dropped;
-    /// the transport stays reusable (no zombie workers, no desync) — then
-    /// search_preempted propagates with the partial tally discarded.
-    [[nodiscard]] assessment_stats assess(const application& app,
-                                          const deployment_plan& plan,
-                                          std::size_t rounds) override;
     void reset_stream(std::uint64_t seed) override;
     [[nodiscard]] const char* name() const noexcept override { return "engine"; }
 
@@ -215,6 +205,19 @@ public:
     }
 
 private:
+    /// Assesses one plan over `rounds` rounds as the next epoch, merging
+    /// each accepted batch result as one replicate (every batch is its own
+    /// replicate). The armed budget (set_budget) is the request lifecycle
+    /// token: the master polls it between batches and WHILE waiting on
+    /// dispatched results (sliced waits), and when it fires the assessment
+    /// aborts cleanly — outstanding dispatches are abandoned, drained, and
+    /// their late results dropped; the transport stays reusable (no zombie
+    /// workers, no desync) — then search_preempted propagates with the
+    /// partial tally discarded.
+    [[nodiscard]] result_accumulator run_epoch(const application& app,
+                                               const deployment_plan& plan,
+                                               std::size_t rounds) override;
+
     failure_sampler* sampler_;  ///< non-owning; see ctor lifetime contract
     engine_options options_;
     transport_env env_;  ///< every worker context's, the degraded path's too

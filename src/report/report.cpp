@@ -54,7 +54,8 @@ std::string to_json(const assessment_stats& stats) {
     out << "{\"rounds\":" << stats.rounds << ",\"reliable\":" << stats.reliable
         << ",\"reliability\":" << number(stats.reliability)
         << ",\"variance\":" << number(stats.variance)
-        << ",\"ciw95\":" << number(stats.ciw95) << "}";
+        << ",\"ciw95\":" << number(stats.ciw95)
+        << ",\"replicates\":" << stats.replicates << "}";
     return out.str();
 }
 

@@ -17,7 +17,8 @@ namespace recloud {
 /// Escapes a string for inclusion in a JSON document (quotes included).
 [[nodiscard]] std::string json_escape(const std::string& text);
 
-/// {"rounds":..,"reliable":..,"reliability":..,"variance":..,"ciw95":..}
+/// {"rounds":..,"reliable":..,"reliability":..,"variance":..,"ciw95":..,
+/// "replicates":..} — replicates 0 means V is the binomial Eq. 2.
 [[nodiscard]] std::string to_json(const assessment_stats& stats);
 
 /// Full deployment response: fulfilled flag, plan hosts, assessment, and

@@ -2,7 +2,6 @@
 
 #include <cmath>
 
-#include "sampling/antithetic.hpp"
 #include "sampling/extended_dagger.hpp"
 #include "sampling/monte_carlo.hpp"
 
@@ -19,8 +18,6 @@ std::unique_ptr<failure_sampler> make_sampler(sampler_kind kind,
     switch (kind) {
         case sampler_kind::monte_carlo:
             return std::make_unique<monte_carlo_sampler>(probabilities, seed);
-        case sampler_kind::antithetic:
-            return std::make_unique<antithetic_sampler>(probabilities, seed);
         case sampler_kind::extended_dagger:
             break;
     }
@@ -36,7 +33,7 @@ sampler_description decode_sampler(byte_reader& in,
                                    std::size_t component_count) {
     sampler_description sampler;
     const std::uint8_t kind = in.read_u8();
-    if (kind > static_cast<std::uint8_t>(sampler_kind::antithetic)) {
+    if (kind > static_cast<std::uint8_t>(sampler_kind::extended_dagger)) {
         throw serialize_error{"sampler: unknown kind"};
     }
     sampler.kind = static_cast<sampler_kind>(kind);

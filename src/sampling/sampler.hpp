@@ -22,7 +22,6 @@ namespace recloud {
 enum class sampler_kind : std::uint8_t {
     monte_carlo,      ///< §3.2.1 strawman (what INDaaS uses)
     extended_dagger,  ///< §3.2.2, the reCloud default
-    antithetic,       ///< antithetic variates (extension; see sampling/antithetic.hpp)
 };
 
 class failure_sampler;

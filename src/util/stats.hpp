@@ -38,12 +38,19 @@ struct assessment_stats {
     std::size_t rounds = 0;       ///< n
     std::size_t reliable = 0;     ///< number of rounds with d_i = 1
     double reliability = 0.0;     ///< R = sum(d_i)/n           (Eq. 1)
-    double variance = 0.0;        ///< V = Var[L]/n             (Eq. 2)
-    double ciw95 = 0.0;           ///< CIW95 = 4*sqrt(V)        (Eq. 3)
+    double variance = 0.0;        ///< V = Var[L]/n (Eq. 2), or from replicates
+    /// CIW95 = 4*sqrt(V) (Eq. 3); from replicates 2*t*sqrt(V), with t the
+    /// Student-t quantile for replicates - 1 degrees of freedom.
+    double ciw95 = 0.0;
+    /// Independent replicates V was estimated from, or 0 when V is the
+    /// binomial Eq. 2 (result_accumulator::stats).
+    std::size_t replicates = 0;
 };
 
 /// Computes Eqs. 1-3 from the count of reliable rounds. For a 0/1 list,
-/// Var[L] = R*(1-R), so only the counts are needed.
+/// Var[L] = R*(1-R), so only the counts are needed — when the rounds are
+/// iid. Correlated rounds (dagger cycles) need V from independent
+/// replicates instead (result_accumulator in sampling/result_stats.hpp).
 [[nodiscard]] assessment_stats make_assessment_stats(std::size_t reliable_rounds,
                                                      std::size_t total_rounds) noexcept;
 

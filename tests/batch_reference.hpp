@@ -1,6 +1,7 @@
 // Test reference for the batch scheme every assessment backend shares
 // (assess/backend.hpp): assessment `epoch` cuts its rounds into batches of
-// `batch_rounds`, and batch b is drawn from base.fork(substream_id(epoch, b)).
+// `batch_rounds`, batch b is drawn from base.fork(substream_id(epoch, b)),
+// and each batch's tally is one replicate of the result accumulator.
 // Rebuilt here round by round — no backend, no verdict cache, no shared
 // round loop — so the backends can be checked against it bit for bit.
 #pragma once
@@ -37,12 +38,14 @@ inline assessment_stats forked_batch_reference(
         }
         const std::size_t count =
             std::min(batch_rounds, rounds - b * batch_rounds);
+        std::size_t reliable = 0;
         for (std::size_t i = 0; i < count; ++i) {
             substream->next_round(failed);
             rs.begin_round(failed);
             oracle.begin_round(rs);
-            results.add(evaluator.reliable_in_round(oracle, rs));
+            reliable += evaluator.reliable_in_round(oracle, rs) ? 1 : 0;
         }
+        results.merge(reliable, count);
     }
     return results.stats();
 }

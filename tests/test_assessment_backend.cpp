@@ -17,7 +17,6 @@
 #include "core/recloud.hpp"
 #include "exec/engine.hpp"
 #include "routing/bfs_reachability.hpp"
-#include "sampling/antithetic.hpp"
 #include "sampling/extended_dagger.hpp"
 #include "sampling/injection.hpp"
 #include "sampling/monte_carlo.hpp"
@@ -372,7 +371,9 @@ TEST(ReCloudBackend, SerialAndParallelSearchesAgreeOnPlanShape) {
 
 /// A CRN sequence touching every part of the contract: a reset, several
 /// epochs without one, a short last batch (1100 = 4 x 250 + 100), a reset
-/// to another seed and back, and a plan the journals already saw.
+/// to another seed and back, and a plan the journals already saw. The last
+/// two steps have 24 batches (5900 = 23 x 250 + 150), so V comes from the
+/// batch replicates, the second through the journals' per-batch replay.
 struct contract_step {
     std::optional<std::uint64_t> reset{};  ///< reset_stream() before the step
     std::size_t plan = 0;
@@ -385,6 +386,8 @@ const std::vector<contract_step>& contract_sequence() {
         {.plan = 1, .rounds = 1030},  // epoch 3, a 30-round last batch
         {.reset = 5, .plan = 2},  {.reset = 9, .plan = 0},
         {.reset = 5, .plan = 3},  {.reset = 5, .plan = 0},
+        {.reset = 11, .plan = 0, .rounds = 5900},
+        {.reset = 11, .plan = 2, .rounds = 5900},
     };
     return steps;
 }
@@ -419,11 +422,6 @@ TEST(BackendContract, EveryBackendSamplesTheSameBatches) {
         {"dagger",
          [&](std::uint64_t seed) {
              return std::make_unique<extended_dagger_sampler>(
-                 f.registry.probabilities(), seed);
-         }},
-        {"antithetic",
-         [&](std::uint64_t seed) {
-             return std::make_unique<antithetic_sampler>(
                  f.registry.probabilities(), seed);
          }},
     };
@@ -522,7 +520,9 @@ TEST(BackendContract, EveryBackendSamplesTheSameBatches) {
                         EXPECT_EQ(got[i].reliability, expected[i].reliability);
                         EXPECT_EQ(got[i].variance, expected[i].variance);
                         EXPECT_EQ(got[i].ciw95, expected[i].ciw95);
+                        EXPECT_EQ(got[i].replicates, expected[i].replicates);
                     }
+                    EXPECT_EQ(got.back().replicates, 24u);
                 }
             }
         }

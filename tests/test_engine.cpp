@@ -81,7 +81,7 @@ TEST(Wire, BatchDescriptorRejectsOutOfRangeFields) {
 }
 
 TEST(Wire, SamplerRoundtrip) {
-    const sampler_description sampler{.kind = sampler_kind::antithetic,
+    const sampler_description sampler{.kind = sampler_kind::monte_carlo,
                                       .probabilities = {0.0, 0.25, 1.0, 1e-4},
                                       .seed = 99};
     byte_writer w;
@@ -92,6 +92,18 @@ TEST(Wire, SamplerRoundtrip) {
     EXPECT_EQ(decoded.probabilities, sampler.probabilities);
     EXPECT_EQ(decoded.seed, 0u);  // the seed travels with each setup
     EXPECT_TRUE(r.at_end());
+}
+
+TEST(Wire, SamplerRejectsUnknownKinds) {
+    // Kind 2 was the retired antithetic sampler; a stale peer naming it, or
+    // any later kind, must fail to decode rather than map to a live one.
+    for (const std::uint8_t kind : {std::uint8_t{2}, std::uint8_t{255}}) {
+        byte_writer w;
+        w.write_u8(kind);
+        w.write_f64_vector(std::vector<double>{0.5});
+        byte_reader r{w.bytes()};
+        EXPECT_THROW((void)decode_sampler(r, 1), serialize_error);
+    }
 }
 
 TEST(Wire, SamplerRejectsBadProbabilities) {

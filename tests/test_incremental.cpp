@@ -27,7 +27,6 @@
 #include "report/report.hpp"
 #include "routing/bfs_reachability.hpp"
 #include "routing/fat_tree_routing.hpp"
-#include "sampling/antithetic.hpp"
 #include "sampling/extended_dagger.hpp"
 #include "sampling/monte_carlo.hpp"
 #include "search/neighbor.hpp"
@@ -105,6 +104,7 @@ void expect_identical(const assessment_stats& a, const assessment_stats& b) {
     EXPECT_EQ(a.reliability, b.reliability);
     EXPECT_EQ(a.variance, b.variance);
     EXPECT_EQ(a.ciw95, b.ciw95);
+    EXPECT_EQ(a.replicates, b.replicates);
 }
 
 // ---- neighbor swap hint --------------------------------------------------
@@ -596,9 +596,6 @@ TEST(IncrementalEquivalence, SerialMultiPlanAcrossSamplers) {
             case 0:
                 return std::make_unique<monte_carlo_sampler>(
                     f.registry.probabilities(), 57);
-            case 1:
-                return std::make_unique<antithetic_sampler>(
-                    f.registry.probabilities(), 57);
             default:
                 return std::make_unique<extended_dagger_sampler>(
                     f.registry.probabilities(), 57);
@@ -606,7 +603,7 @@ TEST(IncrementalEquivalence, SerialMultiPlanAcrossSamplers) {
     };
     // mode 0: no cache at all (ground truth); 1: cache, incremental off;
     // 2: cache + cross-plan retention + journal replay.
-    for (int kind = 0; kind < 3; ++kind) {
+    for (int kind = 0; kind < 2; ++kind) {
         std::optional<std::vector<assessment_stats>> reference;
         for (int mode = 0; mode < 3; ++mode) {
             auto sampler = make(kind);
@@ -1281,8 +1278,10 @@ TEST(IncrementalReplay, RandomizedSwapWalksMatchFullPasses) {
     // under CRN search: the journals record the first and replay the rest,
     // keeping the group verdicts a swap cannot change. Each step must equal
     // incremental-off bit for bit, for both oracles, two application
-    // shapes and 1 or 4 workers; after the first single swap only part of
-    // the groups is judged again.
+    // shapes, 1 or 4 workers and 6 or 24 batches (the second puts V on the
+    // batch replicates, so each replay must rebuild the full pass's
+    // per-batch tallies); after the first single swap only part of the
+    // groups is judged again.
     obs::metrics_registry::global().set_enabled(true);
     for (const replay_family& family : replay_families()) {
         const verdict_support support = family.support();
@@ -1292,57 +1291,62 @@ TEST(IncrementalReplay, RandomizedSwapWalksMatchFullPasses) {
             const application& app = apps[a];
             const std::vector<deployment_plan> walk =
                 swap_walk(*family.scenario, app.total_instances(), 24, 71 + a);
-            std::optional<std::vector<assessment_stats>> reference;
-            for (const std::size_t workers : {1u, 4u}) {
-                for (const bool incremental : {false, true}) {
-                    SCOPED_TRACE(family.name + " app " + std::to_string(a) +
-                                 " workers " + std::to_string(workers) +
-                                 " incremental " + std::to_string(incremental));
-                    extended_dagger_sampler sampler{
-                        family.scenario->registry().probabilities(), 29};
-                    parallel_backend_options options{.threads = workers,
-                                                     .batch_rounds = 500};
-                    options.verdict_cache.enabled = true;
-                    options.verdict_cache.support = &support;
-                    options.verdict_cache.cross_plan = incremental;
-                    parallel_backend backend{
-                        family.scenario->registry().size(),
-                        family.scenario->forest(), family.factory(), sampler,
-                        options};
-                    std::vector<assessment_stats> stats;
-                    std::uint64_t groups = 0;
-                    std::uint64_t rejudged = 0;
-                    for (std::size_t i = 0; i < walk.size(); ++i) {
-                        const std::uint64_t groups_before =
-                            registry_counter("assess.replay_groups");
-                        const std::uint64_t rejudged_before =
-                            registry_counter("assess.replay_rejudged");
-                        backend.reset_stream(3);
-                        stats.push_back(backend.assess(app, walk[i], 3000));
-                        if (i == 1) {
-                            groups = registry_counter("assess.replay_groups") -
-                                     groups_before;
-                            rejudged =
-                                registry_counter("assess.replay_rejudged") -
-                                rejudged_before;
+            for (const std::size_t batch_rounds : {500u, 125u}) {
+                std::optional<std::vector<assessment_stats>> reference;
+                for (const std::size_t workers : {1u, 4u}) {
+                    for (const bool incremental : {false, true}) {
+                        SCOPED_TRACE(family.name + " app " + std::to_string(a) +
+                                     " workers " + std::to_string(workers) +
+                                     " batch " + std::to_string(batch_rounds) +
+                                     " incremental " + std::to_string(incremental));
+                        extended_dagger_sampler sampler{
+                            family.scenario->registry().probabilities(), 29};
+                        parallel_backend_options options{
+                            .threads = workers, .batch_rounds = batch_rounds};
+                        options.verdict_cache.enabled = true;
+                        options.verdict_cache.support = &support;
+                        options.verdict_cache.cross_plan = incremental;
+                        parallel_backend backend{
+                            family.scenario->registry().size(),
+                            family.scenario->forest(), family.factory(), sampler,
+                            options};
+                        std::vector<assessment_stats> stats;
+                        std::uint64_t groups = 0;
+                        std::uint64_t rejudged = 0;
+                        for (std::size_t i = 0; i < walk.size(); ++i) {
+                            const std::uint64_t groups_before =
+                                registry_counter("assess.replay_groups");
+                            const std::uint64_t rejudged_before =
+                                registry_counter("assess.replay_rejudged");
+                            backend.reset_stream(3);
+                            stats.push_back(backend.assess(app, walk[i], 3000));
+                            if (i == 1) {
+                                groups = registry_counter("assess.replay_groups") -
+                                         groups_before;
+                                rejudged =
+                                    registry_counter("assess.replay_rejudged") -
+                                    rejudged_before;
+                            }
                         }
-                    }
-                    if (!reference) {
-                        reference = stats;
-                    }
-                    for (std::size_t i = 0; i < walk.size(); ++i) {
-                        SCOPED_TRACE("step " + std::to_string(i));
-                        expect_identical(stats[i], (*reference)[i]);
-                    }
-                    const verdict_cache_stats* cache = backend.cache_stats();
-                    ASSERT_NE(cache, nullptr);
-                    if (incremental) {
-                        EXPECT_GT(groups, 0u);
-                        EXPECT_LT(rejudged, groups);
-                        EXPECT_GT(cache->replay_groups, cache->replay_rejudged);
-                    } else {
-                        EXPECT_EQ(groups, 0u);
-                        EXPECT_EQ(cache->replay_groups, 0u);
+                        if (!reference) {
+                            reference = stats;
+                        }
+                        for (std::size_t i = 0; i < walk.size(); ++i) {
+                            SCOPED_TRACE("step " + std::to_string(i));
+                            expect_identical(stats[i], (*reference)[i]);
+                            EXPECT_EQ(stats[i].replicates,
+                                      batch_rounds == 125 ? 24u : 0u);
+                        }
+                        const verdict_cache_stats* cache = backend.cache_stats();
+                        ASSERT_NE(cache, nullptr);
+                        if (incremental) {
+                            EXPECT_GT(groups, 0u);
+                            EXPECT_LT(rejudged, groups);
+                            EXPECT_GT(cache->replay_groups, cache->replay_rejudged);
+                        } else {
+                            EXPECT_EQ(groups, 0u);
+                            EXPECT_EQ(cache->replay_groups, 0u);
+                        }
                     }
                 }
             }

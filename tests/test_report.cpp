@@ -26,6 +26,8 @@ TEST(Report, AssessmentStatsJson) {
     EXPECT_EQ(json.find("{\"rounds\":1000,\"reliable\":900,"), 0u);
     EXPECT_NE(json.find("\"reliability\":0.9"), std::string::npos);
     EXPECT_NE(json.find("\"ciw95\":"), std::string::npos);
+    // 0 replicates: the CIW95 is the binomial Eq. 2.
+    EXPECT_NE(json.find("\"replicates\":0}"), std::string::npos);
 }
 
 TEST(Report, DeploymentResponseJson) {

@@ -4,9 +4,9 @@
 #include <cmath>
 #include <limits>
 #include <memory>
+#include <utility>
 #include <vector>
 
-#include "sampling/antithetic.hpp"
 #include "sampling/dagger.hpp"
 #include "util/stats.hpp"
 #include "sampling/extended_dagger.hpp"
@@ -54,7 +54,7 @@ TEST(DaggerSlot, NeverFailingComponent) {
 
 // ---- samplers: shared behaviour, parameterized over the sampler kind ----
 
-enum class kind { monte_carlo, extended_dagger, antithetic };
+enum class kind { monte_carlo, extended_dagger };
 
 std::unique_ptr<failure_sampler> make(kind k, std::span<const double> probs,
                                       std::uint64_t seed) {
@@ -63,8 +63,6 @@ std::unique_ptr<failure_sampler> make(kind k, std::span<const double> probs,
             return std::make_unique<monte_carlo_sampler>(probs, seed);
         case kind::extended_dagger:
             return std::make_unique<extended_dagger_sampler>(probs, seed);
-        case kind::antithetic:
-            return std::make_unique<antithetic_sampler>(probs, seed);
     }
     return nullptr;
 }
@@ -151,14 +149,12 @@ TEST_P(SamplerProperty, ZeroProbabilityNeverFails) {
 
 INSTANTIATE_TEST_SUITE_P(AllSamplers, SamplerProperty,
                          ::testing::Values(kind::monte_carlo,
-                                           kind::extended_dagger,
-                                           kind::antithetic),
+                                           kind::extended_dagger),
                          [](const auto& info) {
                              switch (info.param) {
                                  case kind::monte_carlo: return "monte_carlo";
                                  case kind::extended_dagger:
                                      return "extended_dagger";
-                                 case kind::antithetic: return "antithetic";
                              }
                              return "unknown";
                          });
@@ -233,58 +229,6 @@ TEST(ExtendedDagger, VarianceReductionOnKOfNindicator) {
     EXPECT_LT(v_dagger, v_mc);
 }
 
-// ---- antithetic specifics -------------------------------------------------
-
-TEST(Antithetic, PairsAreNegativelyCorrelated) {
-    // Within a mirrored pair, a component with p <= 0.5 can never fail in
-    // both rounds (r < p and 1-r < p cannot hold simultaneously).
-    const std::vector<double> probs{0.3, 0.5, 0.1};
-    antithetic_sampler sampler{probs, 17};
-    std::vector<component_id> first;
-    std::vector<component_id> second;
-    for (int pair = 0; pair < 5000; ++pair) {
-        sampler.next_round(first);
-        sampler.next_round(second);
-        for (const component_id id : first) {
-            ASSERT_EQ(std::count(second.begin(), second.end(), id), 0)
-                << "component failed in both halves of an antithetic pair";
-        }
-    }
-}
-
-TEST(Antithetic, VarianceReductionOnNoFailureIndicator) {
-    const std::vector<double> probs(20, 0.05);
-    const std::size_t batches = 300;
-    const std::size_t rounds_per_batch = 100;
-    const auto batch_variance = [&](failure_sampler& sampler) {
-        std::vector<double> means;
-        std::vector<component_id> failed;
-        for (std::size_t b = 0; b < batches; ++b) {
-            std::size_t ok = 0;
-            for (std::size_t r = 0; r < rounds_per_batch; ++r) {
-                sampler.next_round(failed);
-                ok += failed.empty() ? 1 : 0;
-            }
-            means.push_back(static_cast<double>(ok) / rounds_per_batch);
-        }
-        return variance_of(means);
-    };
-    monte_carlo_sampler mc{probs, 23};
-    antithetic_sampler anti{probs, 23};
-    EXPECT_LT(batch_variance(anti), batch_variance(mc));
-}
-
-TEST(Antithetic, ResetDiscardsPendingMirrorRound) {
-    const std::vector<double> probs{0.4, 0.4, 0.4};
-    antithetic_sampler sampler{probs, 31};
-    std::vector<component_id> first_run;
-    sampler.next_round(first_run);  // generates a pair, returns first half
-    sampler.reset(31);
-    std::vector<component_id> after_reset;
-    sampler.next_round(after_reset);
-    EXPECT_EQ(after_reset, first_run);  // stream restarted, not the mirror
-}
-
 // ---- result statistics ---------------------------------------------------
 
 TEST(ResultAccumulator, CountsAndStats) {
@@ -309,9 +253,127 @@ TEST(ResultAccumulator, MergeFromWorkers) {
     EXPECT_EQ(acc.reliable_rounds(), 80u);
 }
 
+/// 24 unequal replicates (a short last one, like a short last batch).
+std::vector<std::pair<std::size_t, std::size_t>> sample_replicates() {
+    std::vector<std::pair<std::size_t, std::size_t>> out;
+    for (std::size_t b = 0; b < 24; ++b) {
+        const std::size_t rounds = b + 1 < 24 ? 100 : 37;
+        out.emplace_back(std::min(rounds, 80 + (b * 7) % 19), rounds);
+    }
+    return out;
+}
+
+TEST(ResultAccumulator, ReplicateVarianceIsTheRatioEstimator) {
+    result_accumulator acc;
+    double reliable = 0.0;
+    double rounds = 0.0;
+    for (const auto& [r, n] : sample_replicates()) {
+        acc.merge(r, n);
+        reliable += static_cast<double>(r);
+        rounds += static_cast<double>(n);
+    }
+    const double ratio = reliable / rounds;
+    double spread = 0.0;
+    for (const auto& [r, n] : sample_replicates()) {
+        const double d = static_cast<double>(r) - ratio * static_cast<double>(n);
+        spread += d * d;
+    }
+    const double expected = 24.0 / 23.0 * spread / (rounds * rounds);
+    const assessment_stats s = acc.stats();
+    EXPECT_EQ(s.replicates, 24u);
+    EXPECT_DOUBLE_EQ(s.reliability, ratio);
+    EXPECT_NEAR(s.variance, expected, 1e-12 * expected);
+    // The Student-t quantile for 23 degrees of freedom replaces Eq. 3's 2.
+    EXPECT_NEAR(s.ciw95, 2.0 * 2.1147266 * std::sqrt(s.variance),
+                1e-6 * s.ciw95);
+    // The same counts priced as iid rounds (Eq. 2) give another V.
+    EXPECT_NE(s.variance,
+              make_assessment_stats(acc.reliable_rounds(), acc.rounds()).variance);
+}
+
+TEST(ResultAccumulator, StudentTQuantileMatchesTheDistribution) {
+    // Quantiles at Phi(2) by numerical integration of the t density.
+    EXPECT_NEAR(student_t_two_sigma(19.0), 2.1404937, 1e-6);
+    EXPECT_NEAR(student_t_two_sigma(29.0), 2.0899683, 1e-6);
+    EXPECT_NEAR(student_t_two_sigma(39.0), 2.0661651, 1e-6);
+    EXPECT_NEAR(student_t_two_sigma(99.0), 2.0255680, 1e-6);
+    EXPECT_NEAR(student_t_two_sigma(1e9), 2.0, 1e-6);
+}
+
+TEST(ResultAccumulator, MergeOrderAndGroupingLeaveStatsBitIdentical) {
+    // Backends merge batches in schedule order and workers' tallies in
+    // worker order; the integer moments make every order agree exactly.
+    const auto replicates = sample_replicates();
+    result_accumulator forward;
+    for (const auto& [r, n] : replicates) {
+        forward.merge(r, n);
+    }
+    result_accumulator odd;
+    result_accumulator even;
+    for (std::size_t b = replicates.size(); b-- > 0;) {
+        (b % 2 == 0 ? even : odd).merge(replicates[b].first, replicates[b].second);
+    }
+    result_accumulator grouped;
+    grouped.merge(odd);
+    grouped.merge(even);
+    const assessment_stats a = forward.stats();
+    const assessment_stats b = grouped.stats();
+    EXPECT_EQ(a.rounds, b.rounds);
+    EXPECT_EQ(a.reliable, b.reliable);
+    EXPECT_EQ(a.variance, b.variance);
+    EXPECT_EQ(a.ciw95, b.ciw95);
+    EXPECT_EQ(a.replicates, b.replicates);
+}
+
+TEST(ResultAccumulator, FewReplicatesOrLooseRoundsKeepEq2) {
+    result_accumulator few;
+    const auto replicates = sample_replicates();
+    for (std::size_t b = 0; b + 1 < min_replicates; ++b) {
+        few.merge(replicates[b].first, replicates[b].second);
+    }
+    const assessment_stats binomial =
+        make_assessment_stats(few.reliable_rounds(), few.rounds());
+    EXPECT_EQ(few.stats().replicates, 0u);
+    EXPECT_EQ(few.stats().variance, binomial.variance);
+
+    // Rounds outside every replicate leave the moments incomplete.
+    result_accumulator loose;
+    for (const auto& [r, n] : replicates) {
+        loose.merge(r, n);
+    }
+    loose.add(true);
+    EXPECT_EQ(loose.replicates(), 24u);
+    EXPECT_EQ(loose.stats().replicates, 0u);
+    EXPECT_EQ(loose.stats().variance,
+              make_assessment_stats(loose.reliable_rounds(), loose.rounds())
+                  .variance);
+}
+
+TEST(ResultAccumulator, IdenticalReplicatesHaveZeroVariance) {
+    // All-reliable and equal-ratio replicates spread by nothing: exactly
+    // zero for the first, zero up to rounding (never negative) for the
+    // second.
+    result_accumulator all;
+    result_accumulator equal;
+    for (std::size_t b = 0; b < 30; ++b) {
+        all.merge(1024, 1024);
+        equal.merge(999, 1000);
+    }
+    EXPECT_EQ(all.stats().variance, 0.0);
+    EXPECT_EQ(all.stats().replicates, 30u);
+    EXPECT_GE(equal.stats().variance, 0.0);
+    EXPECT_LT(equal.stats().variance, 1e-20);
+}
+
+TEST(RoundsForTargetCiw, PlansFromPerRoundVariance) {
+    // n = 16 s^2 / target^2 for any per-round variance, not only R(1-R).
+    EXPECT_EQ(rounds_for_target_variance(1e-2, 0.01), 1600u);
+    EXPECT_EQ(rounds_for_target_variance(0.25, 0.5), 128u);
+}
+
 TEST(RoundsForTargetCiw, MatchesInverseFormula) {
     // CIW = 4*sqrt(R(1-R)/n): for R=0.99, target 1e-3 -> n = 16*0.0099/1e-6.
-    const std::size_t n = rounds_for_target_ciw(1e-3, 0.99);
+    const std::size_t n = rounds_for_target_variance(1e-3, 0.99 * 0.01);
     EXPECT_EQ(n, static_cast<std::size_t>(std::ceil(16.0 * 0.0099 / 1e-6)));
     const assessment_stats s =
         make_assessment_stats(static_cast<std::size_t>(0.99 * n), n);
@@ -319,27 +381,30 @@ TEST(RoundsForTargetCiw, MatchesInverseFormula) {
 }
 
 TEST(RoundsForTargetCiw, DegenerateReliability) {
-    // Anticipating certainty plans ceil(4/target) rounds — the smallest
-    // sample whose CIW could still meet the target if one round disagrees —
-    // instead of a useless single round.
-    EXPECT_EQ(rounds_for_target_ciw(1e-4, 1.0), 40'000u);
-    EXPECT_EQ(rounds_for_target_ciw(1e-4, 0.0), 40'000u);
-    EXPECT_GE(rounds_for_target_ciw(0.5, 1.0), 8u);
-    EXPECT_THROW((void)rounds_for_target_ciw(0.0, 0.5), std::invalid_argument);
+    // Zero per-round variance (R anticipated at exactly 0 or 1) plans
+    // ceil(4/target) rounds — the smallest sample whose CIW could still
+    // meet the target if one round disagrees — instead of a useless single
+    // round.
+    EXPECT_EQ(rounds_for_target_variance(1e-4, 0.0), 40'000u);
+    EXPECT_GE(rounds_for_target_variance(0.5, 0.0), 8u);
+    EXPECT_THROW((void)rounds_for_target_variance(0.0, 0.25),
+                 std::invalid_argument);
     const double nan = std::numeric_limits<double>::quiet_NaN();
-    EXPECT_THROW((void)rounds_for_target_ciw(nan, 0.5), std::invalid_argument);
+    EXPECT_THROW((void)rounds_for_target_variance(nan, 0.25),
+                 std::invalid_argument);
 }
 
 TEST(RoundsForTargetCiw, TinyTargetClampsInsteadOfOverflowing) {
-    // 16*Var[L]/target^2 overflows size_t's range as a double for tiny
+    // 16*s^2/target^2 overflows size_t's range as a double for tiny
     // targets; the cast used to be UB. Now it clamps to the documented cap.
-    EXPECT_EQ(rounds_for_target_ciw(1e-300, 0.5), max_ciw_planning_rounds);
-    EXPECT_EQ(rounds_for_target_ciw(5e-10, 0.5), max_ciw_planning_rounds);
-    EXPECT_EQ(rounds_for_target_ciw(1e-300, 1.0), max_ciw_planning_rounds);
-    EXPECT_EQ(rounds_for_target_ciw(std::numeric_limits<double>::min(), 0.5),
+    EXPECT_EQ(rounds_for_target_variance(1e-300, 0.25), max_ciw_planning_rounds);
+    EXPECT_EQ(rounds_for_target_variance(5e-10, 0.25), max_ciw_planning_rounds);
+    EXPECT_EQ(rounds_for_target_variance(1e-300, 0.0), max_ciw_planning_rounds);
+    EXPECT_EQ(rounds_for_target_variance(std::numeric_limits<double>::min(),
+                                         0.25),
               max_ciw_planning_rounds);
     // Just under the cap still computes the formula value.
-    EXPECT_LT(rounds_for_target_ciw(1e-6, 0.5), max_ciw_planning_rounds);
+    EXPECT_LT(rounds_for_target_variance(1e-6, 0.25), max_ciw_planning_rounds);
 }
 
 // ---- substreams (fork) --------------------------------------------------
@@ -360,8 +425,7 @@ template <typename Sampler>
 class SamplerFork : public ::testing::Test {};
 
 using fork_samplers = ::testing::Types<monte_carlo_sampler,
-                                       extended_dagger_sampler,
-                                       antithetic_sampler>;
+                                       extended_dagger_sampler>;
 TYPED_TEST_SUITE(SamplerFork, fork_samplers);
 
 TYPED_TEST(SamplerFork, SameStreamIdYieldsIdenticalStream) {

@@ -161,7 +161,7 @@ TEST(WorkerProtocol, EnvironmentRoundTripsBitExactly) {
 
     const std::span<const double> probabilities = f.registry.probabilities();
     sampler_description sampler{
-        .kind = sampler_kind::antithetic,
+        .kind = sampler_kind::monte_carlo,
         .probabilities = {probabilities.begin(), probabilities.end()}};
     sampler.probabilities[1] = 0.0;
     sampler.probabilities[2] = 1.0;
@@ -182,7 +182,7 @@ TEST(WorkerProtocol, EnvironmentRoundTripsBitExactly) {
     const worker_environment decoded = decode_worker_environment(blob);
     EXPECT_EQ(decoded.worker_id, 5u);
     EXPECT_EQ(decoded.component_count, f.registry.size());
-    EXPECT_EQ(decoded.sampler.kind, sampler_kind::antithetic);
+    EXPECT_EQ(decoded.sampler.kind, sampler_kind::monte_carlo);
     EXPECT_EQ(decoded.sampler.probabilities, sampler.probabilities);
     EXPECT_EQ(decoded.topology.graph.node_count(), f.topo.graph.node_count());
     EXPECT_EQ(decoded.topology.graph.edge_count(), f.topo.graph.edge_count());

@@ -17,7 +17,6 @@
 #include "core/recloud.hpp"
 #include "exec/engine.hpp"
 #include "routing/bfs_reachability.hpp"
-#include "sampling/antithetic.hpp"
 #include "sampling/extended_dagger.hpp"
 #include "sampling/monte_carlo.hpp"
 #include "topology/leaf_spine.hpp"
@@ -320,15 +319,12 @@ TEST(CacheEquivalence, SerialAcrossSamplers) {
             case 0:
                 return std::make_unique<monte_carlo_sampler>(
                     f.registry.probabilities(), seed);
-            case 1:
-                return std::make_unique<antithetic_sampler>(
-                    f.registry.probabilities(), seed);
             default:
                 return std::make_unique<extended_dagger_sampler>(
                     f.registry.probabilities(), seed);
         }
     };
-    for (int kind = 0; kind < 3; ++kind) {
+    for (int kind = 0; kind < 2; ++kind) {
         const auto run = [&](bool cached) {
             auto sampler = make(kind, 57);
             verdict_cache_options options;
