@@ -22,7 +22,10 @@
 // has a closed form, which requirement_evaluator uses: reliable iff every
 // requirement's target has >= K attached (border-reachable) instances and
 // every internal requirement's source has >= 1. validate() rejects
-// self-requirements, which that closed form relies on.
+// self-requirements, which that closed form relies on. The evaluator counts
+// attached instances from the round's failures, in O(|raw failed| +
+// instances a failure can detach + requirements) rather than one oracle call
+// per instance.
 #pragma once
 
 #include <cstdint>

@@ -1,6 +1,18 @@
 #include "app/requirement_eval.hpp"
 
+#include <algorithm>
+#include <utility>
+
 namespace recloud {
+
+void attachment_closure(const reachability_oracle& oracle,
+                        const fault_tree_forest* forest, node_id host,
+                        std::vector<component_id>& out) {
+    out.clear();
+    out.push_back(host);
+    oracle.append_attachment(host, out);
+    add_dependencies(forest, out);
+}
 
 requirement_evaluator::requirement_evaluator(const application& app,
                                              const deployment_plan& plan)
@@ -12,7 +24,7 @@ requirement_evaluator::requirement_evaluator(const application& app,
         offset += c.replicas;
     }
     functional_.resize(offset, 0);
-    attached_count_.resize(app.components().size(), 0);
+    detached_.resize(app.components().size(), 0);
     for (const reachability_requirement& req : app.requirements()) {
         has_internal_ = has_internal_ || req.source.has_value();
     }
@@ -22,7 +34,7 @@ bool requirement_evaluator::reliable_in_round(reachability_oracle& oracle,
                                               round_state& rs,
                                               round_class cls) {
     if (connected(cls)) {
-        return reliable_connected(oracle);
+        return reliable_connected(oracle, rs);
     }
     const auto components = app_->components();
     const auto requirements = app_->requirements();
@@ -103,7 +115,49 @@ bool requirement_evaluator::reliable_in_round(reachability_oracle& oracle,
     return true;
 }
 
-bool requirement_evaluator::reliable_connected(reachability_oracle& oracle) {
+void requirement_evaluator::index_closures(const reachability_oracle& oracle,
+                                           const fault_tree_forest* forest) {
+    index_links_ = oracle.consulted_links();
+    index_forest_ = forest;
+    const std::size_t slots = plan_->hosts.size();
+    component_of_.resize(slots);
+    for (app_component_id c = 0; c < offsets_.size(); ++c) {
+        const std::uint32_t end = offsets_[c] + app_->components()[c].replicas;
+        std::fill(component_of_.begin() + offsets_[c],
+                  component_of_.begin() + end, c);
+    }
+    asked_.assign(slots, 0);
+    round_stamp_ = 0;
+
+    // Slot-major (component, slot) pairs first, then a counting sort into
+    // the component-major CSR.
+    std::vector<component_id> closure;
+    std::vector<std::pair<component_id, std::uint32_t>> pairs;
+    component_id max_id = 0;
+    for (std::uint32_t slot = 0; slot < slots; ++slot) {
+        attachment_closure(oracle, forest, plan_->hosts[slot], closure);
+        for (const component_id id : closure) {
+            pairs.emplace_back(id, slot);
+            max_id = std::max(max_id, id);
+        }
+    }
+    detach_begin_.assign(static_cast<std::size_t>(max_id) + 2, 0);
+    for (const auto& [id, slot] : pairs) {
+        ++detach_begin_[id];
+    }
+    std::uint32_t total = 0;
+    for (std::uint32_t& begin : detach_begin_) {
+        total += begin;
+        begin = total;  // one past the end of the id's run, for now
+    }
+    detach_slots_.resize(total);
+    for (const auto& [id, slot] : pairs) {
+        detach_slots_[--detach_begin_[id]] = slot;  // leaves the run's start
+    }
+}
+
+bool requirement_evaluator::reliable_connected(reachability_oracle& oracle,
+                                               const round_state& rs) {
     const auto components = app_->components();
 
     // In a connected round an instance reaches another on a distinct host
@@ -113,18 +167,47 @@ bool requirement_evaluator::reliable_connected(reachability_oracle& oracle) {
     // the whole target, whose K check then fails (K >= 1). The greatest
     // fixpoint therefore holds iff every target keeps K attached instances
     // and every source has one.
-    for (app_component_id c = 0; c < components.size(); ++c) {
-        const std::uint32_t begin = offsets_[c];
-        const std::uint32_t end = begin + components[c].replicas;
-        std::uint32_t attached = 0;
-        for (std::uint32_t i = begin; i < end; ++i) {
-            attached += oracle.border_reachable(plan_->hosts[i]) ? 1 : 0;
+    //
+    // Only an instance whose attachment closure holds a raw-failed
+    // component can be detached, so the oracle is asked about those alone,
+    // each once.
+    std::fill(detached_.begin(), detached_.end(), 0);
+    const std::span<const component_id> failed = rs.raw_failed_list();
+    if (!failed.empty()) {
+        if (detach_begin_.empty() ||
+            index_links_ != oracle.consulted_links() ||
+            index_forest_ != rs.forest()) {
+            index_closures(oracle, rs.forest());
         }
-        attached_count_[c] = attached;
+        if (++round_stamp_ == 0) {
+            // uint32 wrap-around: a stamp from 2^32 rounds ago would alias.
+            std::fill(asked_.begin(), asked_.end(), 0);
+            round_stamp_ = 1;
+        }
+        const std::size_t indexed = detach_begin_.size() - 1;
+        for (const component_id id : failed) {
+            if (id >= indexed) {
+                continue;  // in no closure
+            }
+            for (std::uint32_t i = detach_begin_[id];
+                 i < detach_begin_[id + 1]; ++i) {
+                const std::uint32_t slot = detach_slots_[i];
+                if (asked_[slot] == round_stamp_) {
+                    continue;
+                }
+                asked_[slot] = round_stamp_;
+                if (!oracle.border_reachable(plan_->hosts[slot])) {
+                    ++detached_[component_of_[slot]];
+                }
+            }
+        }
     }
+    const auto attached = [&](app_component_id c) {
+        return components[c].replicas - detached_[c];
+    };
     for (const reachability_requirement& req : app_->requirements()) {
-        if (attached_count_[req.target] < req.min_reachable ||
-            (req.source && attached_count_[*req.source] == 0)) {
+        if (attached(req.target) < req.min_reachable ||
+            (req.source && attached(*req.source) == 0)) {
             return false;
         }
     }

@@ -7,15 +7,23 @@
 // Two paths compute them. An unclean round runs the pairwise fixpoint: up to
 // (source instances x target instances) host_to_host calls per internal
 // requirement per pass. A connected round (clean or semi; see
-// reachability_oracle::classify_round) runs in O(instances + requirements):
-// reachability there carries no pairwise information, so an instance is
-// functional iff its host is attached (border_reachable), and a requirement
-// whose source component has no functional instance strips every instance
-// of its target. A stripped target fails its own K check, so the round is
-// reliable iff every requirement's target has K attached instances and its
-// source at least one. Both paths agree because the application has no
-// self-requirement and the plan no duplicate host — so the two ends of any
-// host_to_host call are distinct hosts.
+// reachability_oracle::classify_round) runs in O(|raw failed| + candidates +
+// requirements): reachability there carries no pairwise information, so an
+// instance is functional iff its host is attached (border_reachable), and a
+// requirement whose source component has no functional instance strips
+// every instance of its target. A stripped target fails its own K check, so
+// the round is reliable iff every requirement's target has K attached
+// instances and its source at least one. Both paths agree because the
+// application has no self-requirement and the plan no duplicate host — so
+// the two ends of any host_to_host call are distinct hosts.
+//
+// The connected path counts detached instances, not attached ones. An
+// instance can be detached only when a raw-failed component lies in its
+// host's attachment closure (attachment_closure; the argument is in
+// reachability_oracle::append_attachment). A dense index from component id
+// to the plan slots whose closure holds it, built on the first connected
+// round of a binding, turns the round's raw failed list into the candidate
+// instances; border_reachable is asked once per candidate.
 #pragma once
 
 #include <cstdint>
@@ -23,9 +31,19 @@
 
 #include "app/application.hpp"
 #include "app/deployment.hpp"
+#include "faults/fault_tree.hpp"
 #include "routing/oracle.hpp"
 
 namespace recloud {
+
+/// Replaces `out` with the attachment closure of `host`: the host, the
+/// oracle's attachment of it (reachability_oracle::append_attachment), and
+/// the fault-tree leaves in `forest` (may be null) of all of these. Sorted,
+/// each component once. In a connected round the host is attached unless a
+/// raw-failed component lies in it.
+void attachment_closure(const reachability_oracle& oracle,
+                        const fault_tree_forest* forest, node_id host,
+                        std::vector<component_id>& out);
 
 class requirement_evaluator {
 public:
@@ -48,7 +66,12 @@ public:
     }
 
 private:
-    [[nodiscard]] bool reliable_connected(reachability_oracle& oracle);
+    [[nodiscard]] bool reliable_connected(reachability_oracle& oracle,
+                                          const round_state& rs);
+    /// (Re)builds the component -> slots index for the attachment closures
+    /// that `oracle` and `forest` define.
+    void index_closures(const reachability_oracle& oracle,
+                        const fault_tree_forest* forest);
 
     const application* app_;
     const deployment_plan* plan_;
@@ -58,8 +81,22 @@ private:
     std::vector<std::uint8_t> functional_;
     std::vector<std::uint32_t> offsets_;  ///< per component, into functional_
     std::vector<std::uint8_t> reached_;   ///< per-requirement scratch
-    /// Attached instances per component (connected path).
-    std::vector<std::uint32_t> attached_count_;
+
+    // ---- connected path ---------------------------------------------------
+    /// Detached instances per component in the current round.
+    std::vector<std::uint32_t> detached_;
+    /// Closure index, CSR over component ids: the plan slots whose closure
+    /// holds component c are detach_slots_[detach_begin_[c] ..
+    /// detach_begin_[c + 1]). Empty until the first connected round with a
+    /// failure; keyed by the links and forest it was built for.
+    std::vector<std::uint32_t> detach_begin_;
+    std::vector<std::uint32_t> detach_slots_;
+    const link_attachment* index_links_ = nullptr;
+    const fault_tree_forest* index_forest_ = nullptr;
+    std::vector<app_component_id> component_of_;  ///< per plan slot
+    /// Per plan slot: the round stamp of its last border_reachable ask.
+    std::vector<std::uint32_t> asked_;
+    std::uint32_t round_stamp_ = 0;
 };
 
 }  // namespace recloud

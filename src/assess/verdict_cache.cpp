@@ -115,30 +115,8 @@ verdict_support::verdict_support(const built_topology& topo,
             continue;
         }
         scratch.clear();
-        const std::span<const node_id> adjacent = topo.graph.neighbors(node);
-        const std::span<const std::uint32_t> edges =
-            topo.graph.incident_edges(node);
-        for (std::size_t i = 0; i < adjacent.size(); ++i) {
-            scratch.push_back(adjacent[i]);
-            if (links != nullptr) {
-                const component_id link = links->component_of_edge[edges[i]];
-                if (link != invalid_node) {
-                    scratch.push_back(link);
-                }
-            }
-        }
-        if (forest_ != nullptr) {
-            const std::size_t direct = scratch.size();
-            for (std::size_t i = 0; i < direct; ++i) {
-                for (const component_id dep :
-                     forest_->dependencies_of(scratch[i])) {
-                    scratch.push_back(dep);
-                }
-            }
-        }
-        std::sort(scratch.begin(), scratch.end());
-        scratch.erase(std::unique(scratch.begin(), scratch.end()),
-                      scratch.end());
+        append_host_attachment(topo.graph, links, node, scratch);
+        add_dependencies(forest_, scratch);
         attach_pool_.insert(attach_pool_.end(), scratch.begin(),
                             scratch.end());
     }

@@ -98,4 +98,18 @@ std::vector<component_id> fault_tree_forest::dependencies_of(
     return deps;
 }
 
+void add_dependencies(const fault_tree_forest* forest,
+                      std::vector<component_id>& ids) {
+    if (forest != nullptr) {
+        const std::size_t direct = ids.size();
+        for (std::size_t i = 0; i < direct; ++i) {
+            for (const component_id dep : forest->dependencies_of(ids[i])) {
+                ids.push_back(dep);
+            }
+        }
+    }
+    std::sort(ids.begin(), ids.end());
+    ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
+}
+
 }  // namespace recloud

@@ -219,4 +219,10 @@ private:
     std::vector<tree_node_id> roots_;     ///< per component; invalid if none
 };
 
+/// Adds to `ids` the fault-tree leaves of every component already in it
+/// (none when `forest` is null), then sorts `ids` and drops repeats. Leaves
+/// read raw dependency state, so one level closes the set over the forest.
+void add_dependencies(const fault_tree_forest* forest,
+                      std::vector<component_id>& ids);
+
 }  // namespace recloud

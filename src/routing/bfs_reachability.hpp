@@ -43,6 +43,13 @@ public:
     /// host aliveness.
     [[nodiscard]] round_class classify_round(
         std::span<const component_id> raw_failed) override;
+    /// Every neighbor and incident link component: in a clean round an
+    /// alive host sits in the external-connected region, so its attachment
+    /// closure over-approximates what can detach it.
+    void append_attachment(node_id host,
+                           std::vector<component_id>& out) const override {
+        append_host_attachment(topo_->graph, links_, host, out);
+    }
     [[nodiscard]] std::unique_ptr<reachability_oracle> clone() const override;
     [[nodiscard]] const link_attachment* consulted_links()
         const noexcept override {

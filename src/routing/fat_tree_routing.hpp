@@ -91,6 +91,12 @@ public:
     /// dependency leaves are not topology components.
     [[nodiscard]] round_class classify_round(
         std::span<const component_id> raw_failed) override;
+    /// The edge switch and, with links, the host's uplink: all attached()
+    /// reads besides the host.
+    void append_attachment(node_id host,
+                           std::vector<component_id>& out) const override {
+        append_host_attachment(tree_->graph(), links_, host, out);
+    }
     [[nodiscard]] std::unique_ptr<reachability_oracle> clone() const override;
     [[nodiscard]] const link_attachment* consulted_links()
         const noexcept override {

@@ -7,6 +7,8 @@
 #include <functional>
 #include <memory>
 #include <span>
+#include <stdexcept>
+#include <vector>
 
 #include "faults/round_state.hpp"
 #include "topology/graph.hpp"
@@ -94,10 +96,38 @@ public:
     /// Degrading any round to `unclean` is always safe — the default
     /// classifies nothing, so test doubles and exotic oracles simply forgo
     /// connected judging and cross-plan reuse, never corrupt them.
+    ///
+    /// An oracle that returns `clean` or `semi` MUST also name each host's
+    /// attachment (append_attachment).
     [[nodiscard]] virtual round_class classify_round(
         std::span<const component_id> raw_failed) {
         (void)raw_failed;
         return round_class::unclean;
+    }
+
+    /// Appends the attachment of `host` to `out`: the components besides the
+    /// host whose effective failure can make border_reachable(host) false in
+    /// a connected round — its adjacent routing nodes and the link
+    /// components of its incident edges, exactly append_host_attachment
+    /// (topology/links.hpp) over this oracle's graph and consulted_links().
+    ///
+    /// requirement_evaluator judges a connected round by its failures with
+    /// it. The host, its attachment and their fault-tree leaves form the
+    /// host's attachment closure. Fault trees are monotone (every gate has a
+    /// child, k >= 1), so a component that is not raw-failed and none of
+    /// whose leaves is raw-failed is effectively alive. A connected round
+    /// therefore detaches only hosts whose closure holds a raw-failed
+    /// component, and the evaluator asks border_reachable about those alone.
+    ///
+    /// The base class classifies nothing connected, so it is never asked and
+    /// names none; it throws.
+    virtual void append_attachment(node_id host,
+                                   std::vector<component_id>& out) const {
+        (void)host;
+        (void)out;
+        throw std::logic_error{
+            "reachability_oracle: an oracle that classifies connected rounds "
+            "must name host attachments"};
     }
 
     /// Creates an independent oracle over the same topology, with its own

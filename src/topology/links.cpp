@@ -24,4 +24,20 @@ link_attachment attach_link_components(const built_topology& topo,
     return attachment;
 }
 
+void append_host_attachment(const network_graph& graph,
+                            const link_attachment* links, node_id host,
+                            std::vector<component_id>& out) {
+    const std::span<const node_id> adjacent = graph.neighbors(host);
+    const std::span<const std::uint32_t> edges = graph.incident_edges(host);
+    for (std::size_t i = 0; i < adjacent.size(); ++i) {
+        out.push_back(adjacent[i]);
+        if (links != nullptr) {
+            const component_id link = links->component_of_edge[edges[i]];
+            if (link != invalid_node) {
+                out.push_back(link);
+            }
+        }
+    }
+}
+
 }  // namespace recloud

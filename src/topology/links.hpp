@@ -44,4 +44,15 @@ struct link_attachment {
     const built_topology& topo, component_registry& registry,
     const link_attachment_options& options = {});
 
+/// Appends a host's attachment to `out`: its adjacent nodes and, when
+/// `links` is given, the link components of its incident edges — every
+/// component besides the host itself whose failure cuts the host off from
+/// the rest of the graph. Adjacency order; a shared link component may
+/// appear twice. The one definition of attachment: the oracles name it
+/// (reachability_oracle::append_attachment) and verdict_support's
+/// host_attachment index is built from it.
+void append_host_attachment(const network_graph& graph,
+                            const link_attachment* links, node_id host,
+                            std::vector<component_id>& out);
+
 }  // namespace recloud

@@ -965,6 +965,10 @@ public:
         std::span<const component_id> raw_failed) override {
         return inner_->classify_round(raw_failed);
     }
+    void append_attachment(node_id host,
+                           std::vector<component_id>& out) const override {
+        inner_->append_attachment(host, out);
+    }
     std::unique_ptr<reachability_oracle> clone() const override {
         return std::make_unique<tripwire_oracle>(inner_->clone(), wire_);
     }
