@@ -5,10 +5,10 @@
 // stories (GitHub's power disruption, Azure's storage tier).
 #include <chrono>
 #include <cstdio>
+#include <memory>
 
 #include "assess/criticality.hpp"
 #include "core/recloud.hpp"
-#include "routing/fat_tree_routing.hpp"
 #include "sampling/extended_dagger.hpp"
 
 int main() {
@@ -38,9 +38,12 @@ int main() {
     }
 
     extended_dagger_sampler sampler{infra.registry().probabilities(), 99};
-    fat_tree_routing oracle{infra.tree()};
+    // The scenario's oracle is built over the forest the rounds carry, so it
+    // answers from its failure index instead of the per-slot fallback.
+    const std::unique_ptr<reachability_oracle> oracle =
+        system.snapshot()->make_oracle();
     const criticality_report report = analyze_criticality(
-        sampler, &infra.forest(), infra.registry().size(), oracle, app,
+        sampler, &infra.forest(), infra.registry().size(), *oracle, app,
         response.plan, candidates, {.rounds = 20000, .seed = 5});
 
     std::printf("%-28s %16s %10s\n", "component", "R | comp down", "impact");

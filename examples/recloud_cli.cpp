@@ -68,9 +68,8 @@ transport = loopback      # engine only: loopback | socket (real recloud_worker
 worker_binary =           # socket transport: worker executable; empty =
                           # $RECLOUD_WORKER_BIN, then next to this binary, then PATH
 max_respawns = 16         # socket transport: respawn budget per worker slot
-verdict_cache = true      # memoize round verdicts (bit-identical results)
-incremental = true        # cross-plan verdict reuse + CRN journal replay
-                          # (bit-identical results; needs verdict_cache)
+verdict_cache = true      # memoize round verdicts across plans and replay
+                          # CRN journals (bit-identical results)
 multi_objective = false
 symmetry = true
 seed = 1
@@ -253,7 +252,6 @@ recloud_options build_options(const config& cfg,
     options.engine_max_respawns =
         static_cast<std::size_t>(cfg.get_uint("search.max_respawns", 16));
     options.verdict_cache = cfg.get_bool("search.verdict_cache", true);
-    options.incremental = cfg.get_bool("search.incremental", true);
     options.multi_objective = cfg.get_bool("search.multi_objective", false);
     options.use_symmetry = cfg.get_bool("search.symmetry", true);
     options.seed = cfg.get_uint("search.seed", 1);

@@ -42,28 +42,15 @@ struct worker_state {
     std::optional<chaos_schedule> chaos;
     std::unique_ptr<verdict_support> support;
     verdict_cache_options cache_options;
+    /// Built by the first setup and rebound by every later one, so its
+    /// cache counters are the process's cumulative totals.
     std::unique_ptr<worker_context> context;
-    /// Verdict-cache counters of contexts already torn down: folded in
-    /// before every context drop so a telemetry harvest reports cumulative
-    /// process totals no matter when it runs relative to teardown.
-    verdict_cache_stats retired_cache;
 };
-
-/// Folds the live context's cache counters into the retired total (call
-/// before dropping or replacing the context).
-void retire_context_stats(worker_state& state) {
-    if (state.context != nullptr) {
-        if (const verdict_cache_stats* live = state.context->cache_stats()) {
-            state.retired_cache.accumulate(*live);
-        }
-    }
-}
 
 void handle_env(worker_state& state, const envelope& msg) {
     state.env.emplace(decode_worker_environment(msg.blob));
     worker_environment& env = *state.env;
     state.worker_id = env.worker_id;
-    retire_context_stats(state);
     state.context.reset();
     // Mirror the master's observability state so both sides of the wire
     // count and trace the same runs. Pure telemetry: no RNG, sampler or
@@ -92,7 +79,6 @@ void handle_env(worker_state& state, const envelope& msg) {
         state.cache_options.enabled = true;
         state.cache_options.max_entries = env.cache_max_entries;
         state.cache_options.support = state.support.get();
-        state.cache_options.cross_plan = env.cache_cross_plan;
     } else {
         state.support.reset();
     }
@@ -101,18 +87,18 @@ void handle_env(worker_state& state, const envelope& msg) {
     fd_write_all(state.fd, pack_envelope(worker_msg::hello, 0, 0, {}));
 }
 
-/// `setup` builds a fresh context. `rebind` (cross-plan incremental mode)
-/// swaps the next (app, plan) into the warm context; a respawned worker
-/// holds none, so there it degrades to a plain setup (bit-identical, just
-/// cold). A plan naming a node that is not a host of the shipped topology
-/// is rejected either way: routing would read it out of bounds.
+/// `setup` builds a context when the worker holds none (a fresh or
+/// respawned process) and otherwise rebinds it in place, so its verdict
+/// cache keeps the entries the plan swap cannot affect (bit-identical
+/// either way). A plan naming a node that is not a host of the shipped
+/// topology is rejected: routing would read it out of bounds.
 void handle_setup(worker_state& state, const envelope& msg) {
     if (!state.env) {
         throw transport_error{"setup before environment"};
     }
     const worker_environment& env = *state.env;
     const std::span<const std::byte> setup{msg.blob};
-    if (msg.kind == worker_msg::rebind && state.context) {
+    if (state.context) {
         state.context->rebind(setup);
     } else {
         const oracle_factory make_oracle = [&env] {
@@ -120,7 +106,6 @@ void handle_setup(worker_state& state, const envelope& msg) {
                 std::make_unique<bfs_reachability>(
                     env.topology, env.links ? &*env.links : nullptr)};
         };
-        retire_context_stats(state);
         state.context = std::make_unique<worker_context>(
             setup, env.sampler, env.component_count,
             env.forest ? &*env.forest : nullptr, make_oracle,
@@ -173,10 +158,9 @@ void handle_telemetry(worker_state& state, const envelope& msg) {
     worker_telemetry t;
     t.worker_id = state.worker_id;
     t.pid = static_cast<std::uint32_t>(::getpid());
-    t.cache = state.retired_cache;
     if (state.context != nullptr) {
         if (const verdict_cache_stats* live = state.context->cache_stats()) {
-            t.cache.accumulate(*live);
+            t.cache = *live;
         }
     }
     obs::metrics_registry& registry = obs::metrics_registry::global();
@@ -214,15 +198,10 @@ int run(int fd) {
                     handle_env(state, msg);
                     break;
                 case worker_msg::setup:
-                case worker_msg::rebind:
                     handle_setup(state, msg);
                     break;
                 case worker_msg::task:
                     handle_task(state, msg);
-                    break;
-                case worker_msg::teardown:
-                    retire_context_stats(state);
-                    state.context.reset();
                     break;
                 case worker_msg::telemetry:
                     handle_telemetry(state, msg);

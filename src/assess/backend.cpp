@@ -87,7 +87,7 @@ judge_context::judge_context(std::size_t component_count,
     }
     if (cache_options.enabled && cache_options.support != nullptr) {
         cache.emplace(*cache_options.support, cache_options.max_entries,
-                      cache_options.cross_plan);
+                      /*cross_plan=*/true);
     }
 }
 
@@ -166,8 +166,7 @@ result_accumulator parallel_backend::run_worker(std::size_t w,
     result_accumulator results;
     round_journal* journal = nullptr;
     try {
-        if (job.journal_seed.has_value() && cache != nullptr &&
-            cache->cross_plan()) {
+        if (job.journal_seed.has_value() && cache != nullptr) {
             std::size_t share = 0;
             for (std::size_t b = w; b < job.batches; b += workers) {
                 share += job.batch_size(b, batch_rounds);

@@ -67,7 +67,8 @@ struct judge_context {
     std::optional<verdict_cache> cache;
 
     /// Throws std::invalid_argument when `oracle` is nullptr. The cache is
-    /// engaged iff enabled with a support set.
+    /// engaged iff enabled with a support set, and always retains verdicts
+    /// across plans (verdict_cache::bind).
     judge_context(std::size_t component_count, const fault_tree_forest* forest,
                   std::unique_ptr<reachability_oracle> oracle,
                   const verdict_cache_options& cache_options);
@@ -167,7 +168,7 @@ struct parallel_backend_options {
 /// worker b mod W, which owns its route-and-check context (round_state,
 /// oracle from the factory, private verdict cache).
 ///
-/// After a reset_stream(seed), in cross-plan incremental mode, each worker
+/// After a reset_stream(seed), when the verdict cache is on, each worker
 /// keeps ONE CRN round journal of all its batches (DESIGN.md §11), keyed by
 /// (seed, epoch, the worker's total rounds, application shape): a later
 /// assessment of the same batches replays the journal through the worker's

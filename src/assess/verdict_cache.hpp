@@ -216,10 +216,6 @@ struct verdict_cache_options {
     bool enabled = false;
     std::size_t max_entries = 1 << 16;  ///< per worker, before a reset
     const verdict_support* support = nullptr;
-    /// Cross-plan incremental mode: rebinding to a different plan of the
-    /// same application keeps every CLEAN entry whose key is disjoint from
-    /// the swap delta instead of epoch-wiping the table (see bind()).
-    bool cross_plan = false;
 };
 
 class verdict_cache {

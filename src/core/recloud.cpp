@@ -1,8 +1,6 @@
 #include "core/recloud.hpp"
 
 #include <algorithm>
-#include <cstdlib>
-#include <cstring>
 #include <stdexcept>
 #include <thread>
 #include <utility>
@@ -62,30 +60,6 @@ std::unique_ptr<assessment_backend> make_backend(
                                                std::move(factory), sampler, eng);
 }
 
-/// CI/debug override: RECLOUD_VERDICT_CACHE forces the cache on or off
-/// regardless of recloud_options ("0"/"off"/"false" disable; any other
-/// value enables). Unset keeps the configured choice.
-bool verdict_cache_enabled(const recloud_options& options) {
-    const char* env = std::getenv("RECLOUD_VERDICT_CACHE");
-    if (env == nullptr || *env == '\0') {
-        return options.verdict_cache;
-    }
-    return std::strcmp(env, "0") != 0 && std::strcmp(env, "off") != 0 &&
-           std::strcmp(env, "false") != 0;
-}
-
-/// Same override pattern for cross-plan incremental assessment:
-/// RECLOUD_INCREMENTAL forces it on or off; unset keeps the configured
-/// choice. Incremental mode still requires the verdict cache itself.
-bool incremental_enabled(const recloud_options& options) {
-    const char* env = std::getenv("RECLOUD_INCREMENTAL");
-    if (env == nullptr || *env == '\0') {
-        return options.incremental;
-    }
-    return std::strcmp(env, "0") != 0 && std::strcmp(env, "off") != 0 &&
-           std::strcmp(env, "false") != 0;
-}
-
 }  // namespace
 
 re_cloud::re_cloud(scenario_ptr scenario, const recloud_options& options)
@@ -119,13 +93,11 @@ re_cloud::re_cloud(scenario_ptr scenario, const recloud_options& options)
     }
     sampler_ = make_sampler(options_.sampler, scenario_->registry().probabilities(),
                             options_.seed);
-    if (verdict_cache_enabled(options_)) {
+    if (options_.verdict_cache) {
         support_.emplace(scenario_->topology(), scenario_->registry().size(),
                          scenario_->forest(), scenario_->links());
         cache_options_.enabled = true;
-        cache_options_.max_entries = options_.verdict_cache_entries;
         cache_options_.support = &*support_;
-        cache_options_.cross_plan = incremental_enabled(options_);
     }
     backend_ = make_backend(scenario_, options_, *sampler_, cache_options_);
     if (options_.backend == assessment_backend_kind::engine) {

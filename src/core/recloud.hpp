@@ -96,24 +96,12 @@ struct recloud_options {
     std::size_t engine_max_respawns = 16;
     /// Round-verdict memoization (assess/verdict_cache.hpp): cache the
     /// verdict per support-filtered failed signature so repeated and
-    /// support-disjoint failure patterns skip route-and-check entirely.
-    /// Results are bit-identical with the cache on or off — this is purely
-    /// a speed knob. The environment variable RECLOUD_VERDICT_CACHE
-    /// overrides it ("0"/"off"/"false" disable, anything else enables).
+    /// support-disjoint failure patterns skip route-and-check entirely. On
+    /// every plan change the cache keeps the verdicts the swap delta cannot
+    /// affect, and the serial and parallel backends replay their CRN round
+    /// journals (DESIGN.md §11). Results are bit-identical with the cache on
+    /// or off — this is purely a speed knob.
     bool verdict_cache = true;
-    /// Bound on distinct cached signatures per cache (per worker for the
-    /// parallel/engine backends); the table resets wholesale when full.
-    std::size_t verdict_cache_entries = 1 << 16;
-    /// Cross-plan incremental assessment (assess/verdict_cache.hpp §bind,
-    /// DESIGN.md §11): on every plan change the cache keeps memoized
-    /// verdicts provably unaffected by the swap delta instead of wiping,
-    /// and the serial and parallel backends replay their CRN round journals
-    /// so the SA inner loop becomes sublinear in the plan change. Results are
-    /// bit-identical on or off — purely a speed knob. Requires (and is
-    /// gated on) verdict_cache. The environment variable
-    /// RECLOUD_INCREMENTAL overrides it ("0"/"off"/"false" disable,
-    /// anything else enables).
-    bool incremental = true;
     /// Step 3's network-transformation equivalence check.
     bool use_symmetry = true;
     /// §3.3.3: score plans by M = a*reliability + b*utility instead of

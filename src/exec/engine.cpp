@@ -218,8 +218,8 @@ result_accumulator assessment_engine::run_epoch(const application& app,
     std::vector<pending_batch> batches;
 
     // Results a deadline miss (or a lifecycle preempt) abandoned: the
-    // stalled task still runs and must be drained before the contexts it
-    // references are destroyed.
+    // stalled task still runs and must be drained before its descriptor
+    // dies and the next setup rebinds its context.
     std::vector<std::future<std::vector<std::byte>>> abandoned;
     const auto drain = [&] {
         for (pending_batch& b : batches) {
@@ -391,14 +391,10 @@ result_accumulator assessment_engine::run_epoch(const application& app,
         }
     } catch (...) {
         drain();
-        transport_->end_assessment();
         stats_.worker_respawns = transport_->respawns();
         throw;
     }
     drain();
-    // Worker contexts die inside end_assessment (the transport folds their
-    // cache counters); after drain no task still runs, so that is safe.
-    transport_->end_assessment();
     stats_.worker_respawns = transport_->respawns();
     if (local != nullptr) {
         if (const verdict_cache_stats* stats = local->cache_stats()) {

@@ -154,14 +154,15 @@ struct engine_stats {
 };
 
 /// The engine as an assessment backend: same epochs and substreams as
-/// parallel_backend, so the same stats, but setup serialization and context
-/// setup are paid per assessment (Figure 12's fixed costs).
+/// parallel_backend, so the same stats, but setup serialization and the
+/// context rebind are paid per assessment (Figure 12's fixed costs).
 class assessment_engine final : public assessment_backend {
 public:
-    /// `forest` may be nullptr. The factory is invoked once per worker per
-    /// assessment (context setup). LIFETIME CONTRACT: the engine keeps a
-    /// pointer to `sampler` and dereferences it on every assess() and
-    /// reset_stream() — the sampler must strictly outlive the engine.
+    /// `forest` may be nullptr. The factory is invoked once per in-process
+    /// worker context: at the worker's first assessment (later ones rebind
+    /// it) and for a degraded-local context. LIFETIME CONTRACT: the engine
+    /// keeps a pointer to `sampler` and dereferences it on every assess()
+    /// and reset_stream() — the sampler must strictly outlive the engine.
     /// re_cloud satisfies this by owning the sampler in a member declared
     /// before the backend (destroyed after it). Throws std::invalid_argument
     /// when `options.batch_rounds` is 0 or the sampler cannot fork.

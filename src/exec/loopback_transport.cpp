@@ -36,6 +36,7 @@ public:
             const std::string name = "recloud-node" + std::to_string(w);
             nodes_.push_back(std::make_unique<thread_pool>(1, name.c_str()));
         }
+        contexts_.resize(workers);
     }
 
     [[nodiscard]] const char* name() const noexcept override {
@@ -51,38 +52,19 @@ public:
         // from its own setup copy — what shipping the job to a remote node
         // would cost (Figure 12's fixed costs). Built there, a context's
         // memory also comes from its node's allocator arena instead of
-        // sitting next to a sibling's hot state.
-        if (env_.verdict_cache.cross_plan &&
-            contexts_.size() == nodes_.size()) {
-            // Cross-plan incremental mode: contexts persist across
-            // assessments so each worker's verdict cache can rebind
-            // in-place and keep the entries the plan swap cannot affect.
-            on_every_node([&](std::size_t w) {
+        // sitting next to a sibling's hot state. Contexts persist across
+        // assessments, so each worker's verdict cache rebinds in place and
+        // keeps the entries the plan swap cannot affect.
+        on_every_node([&](std::size_t w) {
+            if (contexts_[w] != nullptr) {
                 contexts_[w]->rebind(framed_setup);
-            });
-        } else {
-            contexts_.clear();
-            contexts_.resize(nodes_.size());
-            on_every_node([&](std::size_t w) {
+            } else {
                 contexts_[w] = std::make_unique<worker_context>(
                     framed_setup, *env_.sampler, env_.component_count,
                     env_.forest, env_.make_oracle, env_.verdict_cache);
-            });
-        }
-        return static_cast<std::uint64_t>(framed_setup.size()) * nodes_.size();
-    }
-
-    void end_assessment() override {
-        if (env_.verdict_cache.cross_plan) {
-            return;  // contexts persist; cache_stats() reads them live
-        }
-        for (const auto& context : contexts_) {
-            if (const verdict_cache_stats* stats = context->cache_stats()) {
-                cache_stats_.accumulate(*stats);
-                have_cache_stats_ = true;
             }
-        }
-        contexts_.clear();
+        });
+        return static_cast<std::uint64_t>(framed_setup.size()) * nodes_.size();
     }
 
     [[nodiscard]] std::future<std::vector<std::byte>> dispatch(
@@ -98,22 +80,20 @@ public:
         });
     }
 
+    /// Sums the live contexts' caches. Only read between assessments
+    /// (engine contract).
     [[nodiscard]] const verdict_cache_stats* cache_stats()
         const noexcept override {
-        if (contexts_.empty()) {
-            return have_cache_stats_ ? &cache_stats_ : nullptr;
-        }
-        // Persistent (cross-plan) contexts: retired-context totals plus the
-        // live caches. Only read between assessments (engine contract).
-        live_cache_stats_ = cache_stats_;
-        bool have = have_cache_stats_;
+        cache_stats_ = {};
+        bool have = false;
         for (const auto& context : contexts_) {
-            if (const verdict_cache_stats* stats = context->cache_stats()) {
-                live_cache_stats_.accumulate(*stats);
+            if (const verdict_cache_stats* stats =
+                    context != nullptr ? context->cache_stats() : nullptr) {
+                cache_stats_.accumulate(*stats);
                 have = true;
             }
         }
-        return have ? &live_cache_stats_ : nullptr;
+        return have ? &cache_stats_ : nullptr;
     }
 
 private:
@@ -135,10 +115,10 @@ private:
 
     transport_env env_;
     std::vector<std::unique_ptr<thread_pool>> nodes_;  ///< one thread each
+    /// One per node, built by the first assessment and rebound by later
+    /// ones (null until its node's first setup succeeds).
     std::vector<std::unique_ptr<worker_context>> contexts_;
-    verdict_cache_stats cache_stats_;
-    mutable verdict_cache_stats live_cache_stats_;
-    bool have_cache_stats_ = false;
+    mutable verdict_cache_stats cache_stats_;  ///< scratch for cache_stats()
 };
 
 }  // namespace

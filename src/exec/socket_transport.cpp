@@ -101,9 +101,7 @@ class socket_transport final : public engine_transport {
 public:
     socket_transport(std::size_t workers, const transport_env& env,
                      const socket_transport_options& options)
-        : options_(options),
-          cross_plan_(env.verdict_cache.enabled &&
-                      env.verdict_cache.cross_plan) {
+        : options_(options) {
         if (workers == 0) {
             throw std::invalid_argument{"socket transport needs >= 1 worker"};
         }
@@ -143,49 +141,21 @@ public:
 
     std::uint64_t begin_assessment(
         std::span<const std::byte> framed_setup) override {
+        // A worker holding a context from an earlier assessment rebinds it
+        // in place, so its verdict cache keeps the entries the plan swap
+        // cannot affect; a respawned worker builds a fresh one from the
+        // same message, which the slot keeps for replay.
         const std::vector<std::byte> msg = pack_envelope(
             worker_msg::setup, 0, 0, framed_setup);
-        // Cross-plan incremental mode: a worker already holding a context
-        // (from the previous assessment — teardown is skipped) gets a
-        // `rebind` instead of `setup`, so its verdict cache keeps the
-        // entries the plan swap cannot affect. The slot's replay copy is
-        // ALWAYS the full setup: a respawned worker has no context and must
-        // rebuild from scratch.
-        const std::vector<std::byte> rebind_msg =
-            cross_plan_ ? pack_envelope(worker_msg::rebind, 0, 0, framed_setup)
-                        : std::vector<std::byte>{};
         for (const auto& s : slots_) {
             const std::lock_guard lock{s->mu};
-            const bool use_rebind = cross_plan_ && s->context_live;
             s->setup = msg;  // respawns replay it
-            if (!s->dead) {
-                s->outgoing.push_back(use_rebind ? rebind_msg : msg);
-                s->context_live = true;
-                poke(*s);
-            }
-        }
-        return static_cast<std::uint64_t>(framed_setup.size()) * slots_.size();
-    }
-
-    void end_assessment() override {
-        if (cross_plan_) {
-            // Contexts (and their warm caches) persist on the workers; the
-            // next begin_assessment rebinds them in place. s->setup keeps
-            // the last full setup so a death between assessments still
-            // respawns into a working context.
-            return;
-        }
-        const std::vector<std::byte> msg =
-            pack_envelope(worker_msg::teardown, 0, 0, {});
-        for (const auto& s : slots_) {
-            const std::lock_guard lock{s->mu};
-            s->setup.clear();
-            s->context_live = false;
             if (!s->dead) {
                 s->outgoing.push_back(msg);
                 poke(*s);
             }
         }
+        return static_cast<std::uint64_t>(framed_setup.size()) * slots_.size();
     }
 
     [[nodiscard]] std::future<std::vector<std::byte>> dispatch(
@@ -344,9 +314,6 @@ private:
         frame_assembler assembler;
         std::size_t respawns_used = 0;
         bool dead = false;
-        /// Worker currently holds a route-and-check context (cross-plan
-        /// mode only): the next begin_assessment may send `rebind`.
-        bool context_live = false;
     };
 
     /// Wakes a slot's poll() (write end is nonblocking; a full pipe already
@@ -694,12 +661,10 @@ private:
             if (!s.setup.empty()) {
                 // Front, not back: a task dispatched while the respawn was
                 // in flight is already queued and must not reach the fresh
-                // worker before its setup. This is always the FULL setup —
-                // a respawned worker rebuilds its context (and a cold
-                // cache) from scratch; only the warm state is lost.
+                // worker before its setup. A respawned worker rebuilds its
+                // context (and a cold cache) from it; only the warm state
+                // is lost.
                 s.outgoing.push_front(s.setup);
-            } else {
-                s.context_live = false;  // fresh worker, no context to rebind
             }
             return;
         }
@@ -737,7 +702,7 @@ private:
         // last on-demand pull (or the whole run, if none happened) would
         // otherwise die with the processes. Skipped when observability was
         // off at fleet start — nothing to pull, and chaos-heavy tests must
-        // not pay a per-teardown round-trip.
+        // not pay a per-shutdown round-trip.
         if (started_ && harvest_at_shutdown_ &&
             !stop_.load(std::memory_order_acquire)) {
             try {
@@ -868,8 +833,6 @@ private:
     static constexpr std::chrono::seconds harvest_timeout{5};
 
     socket_transport_options options_;
-    /// Cross-plan incremental caches: skip teardown, rebind on begin.
-    bool cross_plan_ = false;
     std::vector<std::unique_ptr<slot>> slots_;
     std::atomic<bool> stop_{false};
     std::atomic<std::uint64_t> respawns_{0};

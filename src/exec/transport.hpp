@@ -91,8 +91,8 @@ struct transport_env {
 /// Per-worker observability totals accumulated across telemetry harvests
 /// (socket transport; loopback workers write into the process registry
 /// directly, so their fleet view is empty). Cache counters are cumulative
-/// over the worker process's whole life, including torn-down contexts;
-/// trace_dropped counts worker-side ring overflows.
+/// over the worker process's whole life; trace_dropped counts worker-side
+/// ring overflows.
 struct worker_fleet_telemetry {
     struct worker_entry {
         std::uint64_t worker_id = 0;
@@ -106,10 +106,11 @@ struct worker_fleet_telemetry {
 
 /// One assessment fleet: a fixed set of worker endpoints the engine
 /// dispatches framed batches to. Lifecycle per assessment:
-/// begin_assessment(setup) -> dispatch()* -> (all futures settled) ->
-/// end_assessment(). The framed task span passed to dispatch() must stay
-/// valid until its future is ready — the engine guarantees this by keeping
-/// every batch's descriptor until the assessment drains.
+/// begin_assessment(setup) -> dispatch()* -> (all futures settled). Worker
+/// contexts persist across assessments: the next setup rebinds them in
+/// place. The framed task span passed to dispatch() must stay valid until
+/// its future is ready — the engine guarantees this by keeping every
+/// batch's descriptor until the assessment drains.
 class engine_transport {
 public:
     virtual ~engine_transport() = default;
@@ -118,15 +119,11 @@ public:
     [[nodiscard]] virtual std::size_t workers() const noexcept = 0;
 
     /// Ships the framed setup message (application, plan, base seed,
-    /// epoch) to every worker; returns the setup bytes charged to the wire
-    /// (engine accounting).
+    /// epoch) to every worker, which builds its context or rebinds the one
+    /// it holds; returns the setup bytes charged to the wire (engine
+    /// accounting).
     virtual std::uint64_t begin_assessment(
         std::span<const std::byte> framed_setup) = 0;
-
-    /// Releases per-assessment worker state and folds worker verdict-cache
-    /// counters into cache_stats(). Only called once every dispatch future
-    /// of the assessment has been waited on.
-    virtual void end_assessment() = 0;
 
     /// Sends a framed task to `worker`. The future yields the framed result
     /// bytes — possibly mangled (the engine validates) — or throws:

@@ -1,7 +1,8 @@
-// A worker node's per-assessment route-and-check context: the deserialized
-// setup, the sampler description its batches fork from, and a
-// judge_context. Setting this up is the context setup the paper identifies
-// as the per-assessment fixed cost (§3.2.1 / Figure 12).
+// A worker node's route-and-check context: the deserialized setup, the
+// sampler description its batches fork from, and a judge_context. Built at
+// a worker's first assessment and rebound by every later one; decoding and
+// binding the setup is the per-assessment fixed cost the paper identifies
+// (§3.2.1 / Figure 12).
 //
 // The same type backs every place the engine judges a batch: the loopback
 // transport's in-process workers, the master's degraded-local fallback, and
@@ -48,12 +49,11 @@ public:
         std::span<const std::byte> framed_task, const chaos_schedule* chaos,
         std::uint64_t attempt, std::uint64_t worker_id);
 
-    /// Cross-plan rebind: swaps in the next assessment's setup while
-    /// KEEPING the round_state, oracle, and verdict cache — the cache's
-    /// bind() then retains the verdicts the swap delta provably cannot
-    /// affect. Behaviourally equivalent to destroying this context and
-    /// constructing a fresh one from the same blob (bit-identical results
-    /// either way); only the warm state differs.
+    /// Swaps in the next assessment's setup while KEEPING the round_state,
+    /// oracle, and verdict cache — the cache's bind() then retains the
+    /// verdicts the swap delta provably cannot affect. Behaviourally
+    /// equivalent to constructing a fresh context from the same blob
+    /// (bit-identical results either way); only the warm state differs.
     void rebind(std::span<const std::byte> framed_setup);
 
     [[nodiscard]] const application& app() const noexcept { return app_; }

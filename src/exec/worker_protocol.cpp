@@ -38,12 +38,19 @@ envelope unpack_envelope(std::span<const std::byte> framed) {
     const std::span<const std::byte> payload = unframe_message(framed);
     byte_reader reader{payload};
     envelope msg;
-    const std::uint8_t kind = reader.read_u8();
-    if (kind < static_cast<std::uint8_t>(worker_msg::hello) ||
-        kind > static_cast<std::uint8_t>(worker_msg::telemetry)) {
-        throw serialize_error{"envelope: unknown message kind"};
+    msg.kind = static_cast<worker_msg>(reader.read_u8());
+    switch (msg.kind) {
+        case worker_msg::hello:
+        case worker_msg::env:
+        case worker_msg::setup:
+        case worker_msg::task:
+        case worker_msg::result:
+        case worker_msg::shutdown:
+        case worker_msg::telemetry:
+            break;
+        default:
+            throw serialize_error{"envelope: unknown message kind"};
     }
-    msg.kind = static_cast<worker_msg>(kind);
     msg.batch = reader.read_u64();
     msg.attempt = reader.read_u64();
     msg.trace_id = reader.read_u64();
@@ -230,7 +237,6 @@ std::vector<std::byte> encode_worker_environment(const transport_env& env,
     out.write_bool(env.verdict_cache.enabled);
     if (env.verdict_cache.enabled) {
         out.write_varint(env.verdict_cache.max_entries);
-        out.write_bool(env.verdict_cache.cross_plan);
     }
     // Observability enablement is sampled from the process-wide registry /
     // tracer at encode time (the blob is built once per fleet and reused
@@ -271,7 +277,6 @@ worker_environment decode_worker_environment(std::span<const std::byte> blob) {
     env.cache_enabled = in.read_bool();
     if (env.cache_enabled) {
         env.cache_max_entries = static_cast<std::size_t>(in.read_varint());
-        env.cache_cross_plan = in.read_bool();
     }
     env.metrics_enabled = in.read_bool();
     env.trace_enabled = in.read_bool();

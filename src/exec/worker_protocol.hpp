@@ -37,16 +37,13 @@ namespace recloud {
 enum class worker_msg : std::uint8_t {
     hello = 1,     ///< worker -> master: environment accepted, ready
     env = 2,       ///< master -> worker: serialized worker_environment
-    setup = 3,     ///< master -> worker: framed setup (app, plan, seed, epoch)
+    setup = 3,     ///< master -> worker: framed setup (app, plan, seed,
+                   ///< epoch); builds the worker's context or rebinds the
+                   ///< one it holds
     task = 4,      ///< master -> worker: framed batch descriptor
     result = 5,    ///< worker -> master: framed batch result (batch, attempt)
-    teardown = 6,  ///< master -> worker: drop the per-assessment context
+    // 6 and 8 are retired kinds; unpack_envelope rejects them.
     shutdown = 7,  ///< master -> worker: exit cleanly
-    rebind = 8,    ///< master -> worker: framed setup for
-                   ///< an EXISTING context — rebinds the verdict cache
-                   ///< in-place (cross-plan retention) instead of rebuilding
-                   ///< the route-and-check state. Equivalent to setup when
-                   ///< the worker holds no context (respawned workers).
     telemetry = 9,  ///< master -> worker: empty-blob harvest request;
                     ///< worker -> master: encoded worker_telemetry reply
                     ///< (registry delta + cumulative cache stats + drained
@@ -74,7 +71,8 @@ struct envelope {
     std::uint64_t span_id = 0);
 
 /// Parses a complete outer frame (as popped from a frame_assembler).
-/// Throws serialize_error on a malformed envelope.
+/// Throws serialize_error on a malformed envelope, including one whose kind
+/// is not a worker_msg enumerator.
 [[nodiscard]] envelope unpack_envelope(std::span<const std::byte> framed);
 
 /// The structural environment a worker process rebuilds its route-and-check
@@ -93,7 +91,6 @@ struct worker_environment {
     chaos_options chaos{};
     bool cache_enabled = false;
     std::size_t cache_max_entries = 0;
-    bool cache_cross_plan = false;
     /// Observability enablement mirrored from the master's process-wide
     /// registry/tracer state at encode time, so workers count and trace
     /// exactly when the master does. Respawned workers receive the same
@@ -114,13 +111,13 @@ struct worker_environment {
 /// One worker process's observability payload for a telemetry harvest
 /// round-trip. Metrics are the registry DELTA since the previous harvest
 /// (the worker snapshots then resets its registry); cache stats are
-/// CUMULATIVE across every context the process ran, surviving teardown and
-/// respawn-independent on the master side; the trace capture is MOVED out
+/// CUMULATIVE over the process's life, respawn-independent on the master
+/// side; the trace capture is MOVED out
 /// of the worker's rings (spans ship exactly once).
 struct worker_telemetry {
     std::uint64_t worker_id = 0;
     std::uint32_t pid = 0;
-    verdict_cache_stats cache;             ///< cumulative, incl. torn-down contexts
+    verdict_cache_stats cache;             ///< cumulative over the process's life
     std::vector<obs::metric_entry> metrics;  ///< registry delta since last harvest
     obs::process_capture trace;            ///< drained spans + ring-overflow drops
 };

@@ -142,7 +142,6 @@ TEST(AdaptiveAssess, EveryBackendStopsAtTheSameStats) {
     verdict_cache_options cache;
     cache.enabled = true;
     cache.support = &support;
-    cache.cross_plan = true;
     constexpr std::size_t batch_rounds = 100;
     const deployment_plan first{.hosts = {f.topo.hosts[1], f.topo.hosts[4]}};
     const adaptive_assess_options options{

@@ -500,14 +500,13 @@ TEST(BackendContract, EveryBackendSamplesTheSameBatches) {
                 }
             }
             for (const backend_spec& spec : specs) {
-                for (const bool incremental : {false, true}) {
+                for (const bool cached : {false, true}) {
                     SCOPED_TRACE(std::string{app_name} + " " + sampler_name +
                                  " " + spec.label +
-                                 (incremental ? " incremental" : " cold"));
+                                 (cached ? " cached" : " uncached"));
                     verdict_cache_options cache;
-                    cache.enabled = true;
+                    cache.enabled = cached;
                     cache.support = &support;
-                    cache.cross_plan = incremental;
                     const auto sampler = make_sampler(1);
                     const auto backend = spec.make(*sampler, cache);
                     const std::vector<assessment_stats> got =

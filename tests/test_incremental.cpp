@@ -1,10 +1,11 @@
 // Cross-plan incremental assessment (DESIGN.md §11): the swap-delta
 // retention rule in verdict_cache::bind, the oracle cleanliness classifiers
 // it rests on, the CRN round journal of every worker of the batched backend,
-// and — the load-bearing property — bit-identical
-// assessment_stats and search trajectories with incremental mode on or off,
-// across samplers, backends, worker counts and transports (CI re-runs the
-// equivalence suites under ASan with RECLOUD_INCREMENTAL forced on).
+// and — the load-bearing property — bit-identical assessment_stats and
+// search trajectories with the verdict cache (cross-plan retention plus
+// journal replay) on or off, across samplers, backends, worker counts and
+// transports. The uncached judge is route-and-check itself, so it is the
+// reference every equivalence check compares against.
 #include "assess/verdict_cache.hpp"
 
 #include <gtest/gtest.h>
@@ -12,7 +13,6 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <cstdlib>
 #include <limits>
 #include <memory>
 #include <optional>
@@ -23,45 +23,24 @@
 #include "core/recloud.hpp"
 #include "core/scenario.hpp"
 #include "exec/engine.hpp"
+#include "faults/probability_model.hpp"
 #include "obs/metrics.hpp"
+#include "property_seed.hpp"
 #include "report/report.hpp"
 #include "routing/bfs_reachability.hpp"
 #include "routing/fat_tree_routing.hpp"
 #include "sampling/extended_dagger.hpp"
 #include "sampling/monte_carlo.hpp"
 #include "search/neighbor.hpp"
+#include "topology/bcube.hpp"
 #include "topology/fat_tree.hpp"
 #include "topology/leaf_spine.hpp"
+#include "topology/links.hpp"
+#include "topology/power.hpp"
 #include "util/rng.hpp"
 
 namespace recloud {
 namespace {
-
-/// Restores one environment variable on scope exit; the facade tests must
-/// control RECLOUD_VERDICT_CACHE / RECLOUD_INCREMENTAL explicitly (CI
-/// force-sets both).
-class env_guard {
-public:
-    env_guard(const char* name, const char* value) : name_(name) {
-        const char* old = std::getenv(name_);
-        if (old != nullptr) {
-            saved_ = old;
-        }
-        apply(value);
-    }
-    ~env_guard() { apply(saved_ ? saved_->c_str() : nullptr); }
-
-private:
-    void apply(const char* value) {
-        if (value == nullptr) {
-            ::unsetenv(name_);
-        } else {
-            ::setenv(name_, value, 1);
-        }
-    }
-    const char* name_;
-    std::optional<std::string> saved_;
-};
 
 struct incr_fixture {
     built_topology topo = build_leaf_spine(
@@ -560,7 +539,7 @@ TEST(WarmRebind, PathologicalChurnFallsBackToEpochWipe) {
     EXPECT_EQ(cache.stats().cold_rebinds, 2u);
 }
 
-// ---- equivalence: incremental on == off, bit for bit ---------------------
+// ---- equivalence: cached == uncached, bit for bit ------------------------
 
 /// The CRN shape of the annealing inner loop: reset to a pinned seed, assess
 /// a plan, move to the next plan. Includes a same-plan re-assessment WITHOUT
@@ -601,16 +580,15 @@ TEST(IncrementalEquivalence, SerialMultiPlanAcrossSamplers) {
                     f.registry.probabilities(), 57);
         }
     };
-    // mode 0: no cache at all (ground truth); 1: cache, incremental off;
-    // 2: cache + cross-plan retention + journal replay.
+    // Uncached (ground truth), then cached: cross-plan retention plus
+    // journal replay.
     for (int kind = 0; kind < 2; ++kind) {
         std::optional<std::vector<assessment_stats>> reference;
-        for (int mode = 0; mode < 3; ++mode) {
+        for (const bool cached : {false, true}) {
             auto sampler = make(kind);
             verdict_cache_options options;
-            options.enabled = mode > 0;
+            options.enabled = cached;
             options.support = &support;
-            options.cross_plan = mode == 2;
             parallel_backend backend{
                 f.registry.size(), &f.forest, f.factory(), *sampler,
                 {.threads = 1, .verdict_cache = options}};
@@ -621,12 +599,12 @@ TEST(IncrementalEquivalence, SerialMultiPlanAcrossSamplers) {
                 ASSERT_EQ(stats.size(), reference->size());
                 for (std::size_t i = 0; i < stats.size(); ++i) {
                     SCOPED_TRACE("sampler " + std::to_string(kind) +
-                                 " mode " + std::to_string(mode) + " step " +
-                                 std::to_string(i));
+                                 " cached " + std::to_string(cached) +
+                                 " step " + std::to_string(i));
                     expect_identical(stats[i], (*reference)[i]);
                 }
             }
-            if (mode == 2) {
+            if (cached) {
                 ASSERT_NE(backend.cache_stats(), nullptr);
                 EXPECT_GT(backend.cache_stats()->warm_rebinds, 0u);
                 EXPECT_GT(backend.cache_stats()->retained_entries, 0u);
@@ -645,13 +623,12 @@ TEST(IncrementalEquivalence, ParallelAcrossWorkerCounts) {
     const verdict_support support = f.support();
     std::optional<std::vector<assessment_stats>> reference;
     for (const std::size_t workers : {1u, 2u, 8u}) {
-        for (const bool incremental : {false, true}) {
+        for (const bool cached : {false, true}) {
             extended_dagger_sampler sampler{f.registry.probabilities(), 33};
             parallel_backend_options options{.threads = workers,
                                              .batch_rounds = 250};
-            options.verdict_cache.enabled = true;
+            options.verdict_cache.enabled = cached;
             options.verdict_cache.support = &support;
-            options.verdict_cache.cross_plan = incremental;
             parallel_backend backend{f.registry.size(), &f.forest, f.factory(),
                                      sampler, options};
             const auto stats = run_crn_sequence(backend, app, plans, 2000);
@@ -661,12 +638,12 @@ TEST(IncrementalEquivalence, ParallelAcrossWorkerCounts) {
                 ASSERT_EQ(stats.size(), reference->size());
                 for (std::size_t i = 0; i < stats.size(); ++i) {
                     SCOPED_TRACE("workers " + std::to_string(workers) +
-                                 " incremental " + std::to_string(incremental) +
+                                 " cached " + std::to_string(cached) +
                                  " step " + std::to_string(i));
                     expect_identical(stats[i], (*reference)[i]);
                 }
             }
-            if (incremental) {
+            if (cached) {
                 ASSERT_NE(backend.cache_stats(), nullptr);
                 EXPECT_GT(backend.cache_stats()->warm_rebinds, 0u);
             }
@@ -683,12 +660,11 @@ TEST(IncrementalEquivalence, EngineAcrossTransports) {
     const verdict_support support = f.support();
     std::optional<std::vector<assessment_stats>> reference;
     for (const bool socket : {false, true}) {
-        for (const bool incremental : {false, true}) {
+        for (const bool cached : {false, true}) {
             extended_dagger_sampler sampler{f.registry.probabilities(), 19};
             engine_options options{.workers = 2, .batch_rounds = 200};
-            options.verdict_cache.enabled = true;
+            options.verdict_cache.enabled = cached;
             options.verdict_cache.support = &support;
-            options.verdict_cache.cross_plan = incremental;
             if (socket) {
                 options.transport = transport_kind::socket;
                 options.socket.worker_binary = RECLOUD_WORKER_BIN;
@@ -704,7 +680,7 @@ TEST(IncrementalEquivalence, EngineAcrossTransports) {
                 for (std::size_t i = 0; i < stats.size(); ++i) {
                     SCOPED_TRACE(std::string("transport ") +
                                  (socket ? "socket" : "loopback") +
-                                 " incremental " + std::to_string(incremental) +
+                                 " cached " + std::to_string(cached) +
                                  " step " + std::to_string(i));
                     expect_identical(stats[i], (*reference)[i]);
                 }
@@ -712,7 +688,7 @@ TEST(IncrementalEquivalence, EngineAcrossTransports) {
             // Counter visibility: loopback sums its live worker caches;
             // socket worker counters live in the worker processes and are
             // not shipped back (bit-identity above is the real property).
-            if (incremental && !socket) {
+            if (cached && !socket) {
                 ASSERT_NE(backend.cache_stats(), nullptr);
                 EXPECT_GT(backend.cache_stats()->warm_rebinds, 0u);
             }
@@ -740,10 +716,10 @@ void expect_same_search(const deployment_response& on,
 }
 
 TEST(IncrementalTrajectory, PinnedSearchAcrossBackends) {
-    // The flagship facade property, now for the incremental switch: a full
-    // annealing search — CRN resets, rejected candidates, winner
-    // re-assessment — lands on the identical plan, stats and counters with
-    // RECLOUD_INCREMENTAL forced on or off, for every backend. Two
+    // The flagship facade property: a full annealing search — CRN resets,
+    // rejected candidates, winner re-assessment — lands on the identical
+    // plan, stats and counters with the verdict cache (cross-plan retention
+    // plus journal replay) on or off, for every backend. Two
     // probability regimes: the paper's default (about 1% per component,
     // near-unique failure signatures) and a realistic one (5e-4 per
     // component), where signatures repeat, most rounds are clean and the
@@ -771,29 +747,27 @@ TEST(IncrementalTrajectory, PinnedSearchAcrossBackends) {
              {assessment_backend_kind::serial,
               assessment_backend_kind::parallel,
               assessment_backend_kind::engine}) {
-            const auto run = [&](bool incremental) {
-                env_guard cache_env{"RECLOUD_VERDICT_CACHE", "1"};
-                env_guard incr_env{"RECLOUD_INCREMENTAL",
-                                   incremental ? "1" : "0"};
+            const auto run = [&](bool cached) {
                 recloud_options options;
                 options.assessment_rounds = regime.rounds;
                 options.max_iterations = 25;
                 options.seed = 9;
                 options.backend = kind;
                 options.assessment_threads = 2;
+                options.verdict_cache = cached;
                 re_cloud system{infra, options};
                 deployment_request request{regime.app, 1.0,
                                            std::chrono::seconds{20}};
                 deployment_response response =
                     system.find_deployment(request);
                 const verdict_cache_stats* cache = system.cache_stats();
-                EXPECT_NE(cache, nullptr);
-                if (cache != nullptr) {
-                    if (incremental) {
+                if (cached) {
+                    EXPECT_NE(cache, nullptr);
+                    if (cache != nullptr) {
                         EXPECT_GT(cache->warm_rebinds, 0u);
-                    } else {
-                        EXPECT_EQ(cache->warm_rebinds, 0u);
                     }
+                } else {
+                    EXPECT_EQ(cache, nullptr);
                 }
                 return response;
             };
@@ -804,31 +778,6 @@ TEST(IncrementalTrajectory, PinnedSearchAcrossBackends) {
             expect_same_search(on, off);
         }
     }
-}
-
-TEST(IncrementalTrajectory, EnvVarOverridesOptions) {
-    auto infra = fat_tree_infrastructure::build(data_center_scale::tiny);
-    const auto warm_rebinds_after_search = [&](bool option_value,
-                                               const char* env_value) {
-        env_guard cache_env{"RECLOUD_VERDICT_CACHE", "1"};
-        env_guard incr_env{"RECLOUD_INCREMENTAL", env_value};
-        recloud_options options;
-        options.assessment_rounds = 200;
-        options.max_iterations = 6;
-        options.seed = 11;
-        options.incremental = option_value;
-        re_cloud system{infra, options};
-        deployment_request request{application::k_of_n(2, 3), 1.0,
-                                   std::chrono::seconds{10}};
-        (void)system.find_deployment(request);
-        const verdict_cache_stats* cache = system.cache_stats();
-        EXPECT_NE(cache, nullptr);
-        return cache != nullptr ? cache->warm_rebinds : 0;
-    };
-    EXPECT_EQ(warm_rebinds_after_search(true, "0"), 0u);   // env wins: off
-    EXPECT_GT(warm_rebinds_after_search(false, "1"), 0u);  // env wins: on
-    EXPECT_EQ(warm_rebinds_after_search(false, nullptr), 0u);
-    EXPECT_GT(warm_rebinds_after_search(true, nullptr), 0u);
 }
 
 /// The journal_replays registry counter, or 0 while the registry is off.
@@ -842,7 +791,7 @@ TEST(IncrementalEquivalence, ParallelBatchJournalsReplayOnlyTheirOwnStream) {
     // (reset seed, epoch, the worker's total rounds, app shape). The
     // sequence below makes each key component differ from the held journal
     // once; those steps must re-sample, the rest may replay, and every step
-    // must equal incremental-off bit for bit.
+    // must equal the uncached judge bit for bit.
     incr_fixture f;
     const application app = application::k_of_n(2, 3);
     const application other_app = application::k_of_n(1, 3);
@@ -897,13 +846,12 @@ TEST(IncrementalEquivalence, ParallelBatchJournalsReplayOnlyTheirOwnStream) {
     obs::metrics_registry::global().set_enabled(true);
     std::optional<std::vector<assessment_stats>> reference;
     for (const std::size_t workers : {1u, 2u, 8u}) {
-        for (const bool incremental : {false, true}) {
+        for (const bool cached : {false, true}) {
             extended_dagger_sampler sampler{f.registry.probabilities(), 41};
             parallel_backend_options options{.threads = workers,
                                              .batch_rounds = batch_rounds};
-            options.verdict_cache.enabled = true;
+            options.verdict_cache.enabled = cached;
             options.verdict_cache.support = &support;
-            options.verdict_cache.cross_plan = incremental;
             parallel_backend backend{f.registry.size(), &f.forest, f.factory(),
                                      sampler, options};
             const auto [stats, replays] = run(backend);
@@ -914,15 +862,15 @@ TEST(IncrementalEquivalence, ParallelBatchJournalsReplayOnlyTheirOwnStream) {
             std::uint64_t total_replays = 0;
             for (std::size_t i = 0; i < steps.size(); ++i) {
                 SCOPED_TRACE("workers " + std::to_string(workers) +
-                             " incremental " + std::to_string(incremental) +
+                             " cached " + std::to_string(cached) +
                              " step " + steps[i].name);
                 expect_identical(stats[i], (*reference)[i]);
-                if (!incremental || !steps[i].may_replay) {
+                if (!cached || !steps[i].may_replay) {
                     EXPECT_EQ(replays[i], 0u);
                 }
                 total_replays += replays[i];
             }
-            if (incremental) {
+            if (cached) {
                 EXPECT_GT(total_replays, 0u) << "workers " << workers;
             }
         }
@@ -1013,7 +961,6 @@ TEST(RunBudget, PreemptedParallelAssessmentKeepsOnlyFinishedJournals) {
                                              .batch_rounds = 250};
             options.verdict_cache.enabled = true;
             options.verdict_cache.support = &support;
-            options.verdict_cache.cross_plan = true;
             return std::make_unique<parallel_backend>(
                 f.registry.size(), &f.forest,
                 [&f, wire] {
@@ -1083,8 +1030,6 @@ TEST(RunBudget, PreemptedParallelSearchLeavesNoStaleJournal) {
     // interrupted search's winner re-assessment re-records every journal on
     // its own stream, so the backend-level case above is the one that pins
     // which journals an interruption leaves valid.)
-    env_guard cache_env{"RECLOUD_VERDICT_CACHE", "1"};
-    env_guard incr_env{"RECLOUD_INCREMENTAL", "1"};
     const scenario_ptr base = make_fat_tree_scenario(4);
     const auto wire = std::make_shared<tripwire_oracle::wire>();
     const tripwire_oracle prototype{base->make_oracle(), wire};
@@ -1167,8 +1112,8 @@ TEST(RunBudget, PreemptedParallelSearchLeavesNoStaleJournal) {
 
 // ---- journal replay: re-judging by swap delta ----------------------------
 
-/// A fat-tree with fallible links and the power forest, judged through
-/// either its closed-form oracle or the flood.
+/// A scenario with fallible links and a power forest, judged through its
+/// closed-form oracle or the flood.
 struct replay_family {
     std::string name;
     scenario_ptr scenario;
@@ -1189,12 +1134,40 @@ struct replay_family {
     }
 };
 
+/// BCube(4, 1) with fallible links and power supplies, on the flood. Its
+/// hosts are multi-homed: they relay traffic, so they sit in the static
+/// support, and each depends on the supplies of both its switches.
+scenario_ptr make_bcube_scenario() {
+    struct parts {
+        built_topology topo = build_bcube({.ports = 4, .levels = 1});
+        component_registry registry{topo.graph};
+        fault_tree_forest forest{topo.graph.node_count()};
+        link_attachment links;
+        std::optional<bfs_reachability> oracle;
+    };
+    auto p = std::make_shared<parts>();
+    (void)attach_power_supplies(p->topo, p->registry, p->forest);
+    p->links = attach_link_components(p->topo, p->registry);
+    rng random{42};
+    assign_paper_probabilities(p->registry, random);
+    p->oracle.emplace(p->topo, &p->links);
+    scenario_builder builder;
+    builder.topology(p->topo)
+        .registry(p->registry)
+        .forest(p->forest)
+        .links(p->links)
+        .oracle(*p->oracle)
+        .keep_alive(p);
+    return builder.freeze();
+}
+
 std::vector<replay_family> replay_families() {
     infrastructure_options options;
     options.model_link_failures = true;
     const scenario_ptr fat_tree = make_fat_tree_scenario(4, options);
     return {{"fat_tree_routing", fat_tree, false},
-            {"bfs_reachability", fat_tree, true}};
+            {"bfs_reachability", fat_tree, true},
+            {"bcube bfs_reachability", make_bcube_scenario(), true}};
 }
 
 bool shares_dependency(const fault_tree_forest& forest, node_id a, node_id b) {
@@ -1281,11 +1254,12 @@ TEST(IncrementalReplay, RandomizedSwapWalksMatchFullPasses) {
     // Every candidate of a walk is assessed on the same reset stream, as
     // under CRN search: the journals record the first and replay the rest,
     // keeping the group verdicts a swap cannot change. Each step must equal
-    // incremental-off bit for bit, for both oracles, two application
+    // the uncached judge bit for bit, for every family, two application
     // shapes, 1 or 4 workers and 6 or 24 batches (the second puts V on the
     // batch replicates, so each replay must rebuild the full pass's
     // per-batch tallies); after the first single swap only part of the
-    // groups is judged again.
+    // groups is judged again. The walks and the failure stream draw from
+    // property_seed(), so a rotating RECLOUD_PROPERTY_SEED varies them.
     obs::metrics_registry::global().set_enabled(true);
     for (const replay_family& family : replay_families()) {
         const verdict_support support = family.support();
@@ -1294,22 +1268,23 @@ TEST(IncrementalReplay, RandomizedSwapWalksMatchFullPasses) {
         for (std::size_t a = 0; a < apps.size(); ++a) {
             const application& app = apps[a];
             const std::vector<deployment_plan> walk =
-                swap_walk(*family.scenario, app.total_instances(), 24, 71 + a);
+                swap_walk(*family.scenario, app.total_instances(), 24,
+                          property_seed(71 + a));
             for (const std::size_t batch_rounds : {500u, 125u}) {
                 std::optional<std::vector<assessment_stats>> reference;
                 for (const std::size_t workers : {1u, 4u}) {
-                    for (const bool incremental : {false, true}) {
+                    for (const bool cached : {false, true}) {
                         SCOPED_TRACE(family.name + " app " + std::to_string(a) +
                                      " workers " + std::to_string(workers) +
                                      " batch " + std::to_string(batch_rounds) +
-                                     " incremental " + std::to_string(incremental));
+                                     " cached " + std::to_string(cached));
                         extended_dagger_sampler sampler{
-                            family.scenario->registry().probabilities(), 29};
+                            family.scenario->registry().probabilities(),
+                            property_seed(29)};
                         parallel_backend_options options{
                             .threads = workers, .batch_rounds = batch_rounds};
-                        options.verdict_cache.enabled = true;
+                        options.verdict_cache.enabled = cached;
                         options.verdict_cache.support = &support;
-                        options.verdict_cache.cross_plan = incremental;
                         parallel_backend backend{
                             family.scenario->registry().size(),
                             family.scenario->forest(), family.factory(), sampler,
@@ -1342,14 +1317,14 @@ TEST(IncrementalReplay, RandomizedSwapWalksMatchFullPasses) {
                                       batch_rounds == 125 ? 24u : 0u);
                         }
                         const verdict_cache_stats* cache = backend.cache_stats();
-                        ASSERT_NE(cache, nullptr);
-                        if (incremental) {
+                        if (cached) {
+                            ASSERT_NE(cache, nullptr);
                             EXPECT_GT(groups, 0u);
                             EXPECT_LT(rejudged, groups);
                             EXPECT_GT(cache->replay_groups, cache->replay_rejudged);
                         } else {
                             EXPECT_EQ(groups, 0u);
-                            EXPECT_EQ(cache->replay_groups, 0u);
+                            EXPECT_EQ(cache, nullptr);
                         }
                     }
                 }
@@ -1379,11 +1354,10 @@ TEST(IncrementalReplay, PreemptMidRejudgeLeavesVerdictsToRejudge) {
 
     const auto wire = std::make_shared<tripwire_oracle::wire>();
     const auto make_backend = [&](extended_dagger_sampler& sampler,
-                                  bool incremental) {
+                                  bool cached) {
         parallel_backend_options options{.threads = 1, .batch_rounds = 1000};
-        options.verdict_cache.enabled = true;
+        options.verdict_cache.enabled = cached;
         options.verdict_cache.support = &support;
-        options.verdict_cache.cross_plan = incremental;
         return std::make_unique<parallel_backend>(
             family.scenario->registry().size(), family.scenario->forest(),
             [factory = family.factory(), wire] {
@@ -1393,7 +1367,7 @@ TEST(IncrementalReplay, PreemptMidRejudgeLeavesVerdictsToRejudge) {
     };
     const auto probabilities = family.scenario->registry().probabilities();
 
-    // Full passes (incremental off) for the answers.
+    // Full passes (the uncached judge) for the answers.
     extended_dagger_sampler full_sampler{probabilities, 61};
     const auto full = make_backend(full_sampler, false);
     const auto full_pass = [&](const deployment_plan& plan) {

@@ -12,12 +12,10 @@
 // closure's edges.
 //
 // The random checks are exact equalities, so they must hold for every seed:
-// RECLOUD_PROPERTY_SEED, when set, reseeds them (CI rotates it per run);
-// unset, the fixed seeds below keep them reproducible.
+// property_seed() reseeds them from RECLOUD_PROPERTY_SEED (property_seed.hpp).
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdlib>
 #include <functional>
 #include <memory>
 #include <string>
@@ -31,6 +29,7 @@
 #include "faults/component_registry.hpp"
 #include "faults/fault_tree.hpp"
 #include "faults/round_state.hpp"
+#include "property_seed.hpp"
 #include "routing/bfs_reachability.hpp"
 #include "routing/fat_tree_routing.hpp"
 #include "sampling/monte_carlo.hpp"
@@ -45,17 +44,6 @@
 
 namespace recloud {
 namespace {
-
-/// The seed of one random check: `fixed`, or `fixed` mixed with
-/// RECLOUD_PROPERTY_SEED when that is set.
-std::uint64_t property_seed(std::uint64_t fixed) {
-    const char* env = std::getenv("RECLOUD_PROPERTY_SEED");
-    if (env == nullptr || env[0] == '\0') {
-        return fixed;
-    }
-    std::uint64_t state = fixed ^ std::strtoull(env, nullptr, 0);
-    return splitmix64_next(state);
-}
 
 struct topology_case {
     std::string label;

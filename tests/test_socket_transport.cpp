@@ -135,6 +135,18 @@ TEST(WorkerProtocol, EnvelopeRejectsUnknownKind) {
     EXPECT_THROW((void)unpack_envelope(framed), serialize_error);
 }
 
+TEST(WorkerProtocol, EnvelopeRejectsRetiredKinds) {
+    // 6 and 8 (the retired teardown and rebind) and 10 (past the last kind)
+    // arrive in well-formed frames with valid checksums; only the kind
+    // check can reject them, before a worker's switch silently skips one.
+    for (const std::uint8_t kind : {6, 8, 10}) {
+        SCOPED_TRACE(static_cast<int>(kind));
+        const std::vector<std::byte> framed =
+            pack_envelope(static_cast<worker_msg>(kind), 0, 0, {});
+        EXPECT_THROW((void)unpack_envelope(framed), serialize_error);
+    }
+}
+
 TEST(WorkerProtocol, EnvironmentRoundTripsBitExactly) {
     socket_fixture f;
     // A forest with every gate kind, plus link components, so the codec's
@@ -176,7 +188,6 @@ TEST(WorkerProtocol, EnvironmentRoundTripsBitExactly) {
     env.chaos = &chaos;
     env.verdict_cache.enabled = true;
     env.verdict_cache.max_entries = 4096;
-    env.verdict_cache.cross_plan = true;
 
     const std::vector<std::byte> blob = encode_worker_environment(env, 5);
     const worker_environment decoded = decode_worker_environment(blob);
@@ -196,7 +207,6 @@ TEST(WorkerProtocol, EnvironmentRoundTripsBitExactly) {
     EXPECT_EQ(decoded.chaos.seed, 99u);
     EXPECT_TRUE(decoded.cache_enabled);
     EXPECT_EQ(decoded.cache_max_entries, 4096u);
-    EXPECT_TRUE(decoded.cache_cross_plan);
 
     // Re-encoding the decoded environment reproduces the exact bytes: the
     // rebuild is an identity, including every tree node id.
@@ -210,7 +220,6 @@ TEST(WorkerProtocol, EnvironmentRoundTripsBitExactly) {
     env2.chaos = &chaos2;
     env2.verdict_cache.enabled = true;
     env2.verdict_cache.max_entries = decoded.cache_max_entries;
-    env2.verdict_cache.cross_plan = decoded.cache_cross_plan;
     EXPECT_EQ(encode_worker_environment(env2, 5), blob);
 }
 
@@ -463,8 +472,8 @@ TEST(SocketTransport, NoZombieWorkersAfterDestruction) {
 
 TEST(SocketTransport, DestructionIsIdempotentUnderRepeatedUse) {
     socket_fixture f;
-    // Two assessments through one engine, then destruction: teardown/setup
-    // sequencing and the final shutdown must all be clean.
+    // Two assessments through one engine, then destruction: the setup and
+    // in-place rebind sequencing and the final shutdown must all be clean.
     engine_options options = f.socket_options(2);
     extended_dagger_sampler sampler{f.registry.probabilities(), k_seed};
     assessment_engine engine{f.registry.size(), &f.forest, f.factory(),

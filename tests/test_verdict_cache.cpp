@@ -2,13 +2,11 @@
 // construction, the signature table's exact-key semantics, and — the load-
 // bearing property — bit-identical assessment_stats with the cache on or
 // off, across samplers, backends, worker counts, fault trees, and a full
-// pinned annealing trajectory (the CacheEquivalence suite; CI re-runs it
-// under ASan with RECLOUD_VERDICT_CACHE forced on).
+// pinned annealing trajectory (the CacheEquivalence suite).
 #include "assess/verdict_cache.hpp"
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <optional>
 #include <string>
 #include <vector>
@@ -24,30 +22,6 @@
 
 namespace recloud {
 namespace {
-
-/// Restores RECLOUD_VERDICT_CACHE on scope exit; tests that depend on the
-/// facade's cache switch must control it explicitly (CI force-enables it).
-class env_guard {
-public:
-    explicit env_guard(const char* value) {
-        const char* old = std::getenv("RECLOUD_VERDICT_CACHE");
-        if (old != nullptr) {
-            saved_ = old;
-        }
-        apply(value);
-    }
-    ~env_guard() { apply(saved_ ? saved_->c_str() : nullptr); }
-
-private:
-    static void apply(const char* value) {
-        if (value == nullptr) {
-            ::unsetenv("RECLOUD_VERDICT_CACHE");
-        } else {
-            ::setenv("RECLOUD_VERDICT_CACHE", value, 1);
-        }
-    }
-    std::optional<std::string> saved_;
-};
 
 struct cache_fixture {
     built_topology topo = build_leaf_spine(
@@ -474,7 +448,6 @@ TEST(CacheEquivalence, SearchTrajectoryPinnedWithForest) {
     // support set includes tree dependencies here.
     auto infra = fat_tree_infrastructure::build(data_center_scale::tiny);
     const auto run = [&](bool cached) {
-        env_guard env{cached ? "1" : "0"};
         re_cloud system{infra, pinned_search_options(cached)};
         deployment_request request{application::k_of_n(2, 3), 1.0,
                                    std::chrono::seconds{20}};
@@ -501,7 +474,6 @@ TEST(CacheEquivalence, SearchTrajectoryPinnedWithoutForest) {
                                       .workloads(workloads)
                                       .freeze();
     const auto run = [&](bool cached) {
-        env_guard env{cached ? "1" : "0"};
         re_cloud system{snapshot, pinned_search_options(cached)};
         deployment_request request{application::k_of_n(2, 3), 1.0,
                                    std::chrono::seconds{20}};
@@ -510,29 +482,6 @@ TEST(CacheEquivalence, SearchTrajectoryPinnedWithoutForest) {
     const deployment_response off = run(false);
     const deployment_response on = run(true);
     expect_same_search(on, off);
-}
-
-TEST(CacheEquivalence, EnvVarOverridesOptions) {
-    auto infra = fat_tree_infrastructure::build(data_center_scale::tiny);
-    recloud_options on_options;
-    on_options.verdict_cache = true;
-    recloud_options off_options;
-    off_options.verdict_cache = false;
-    {
-        env_guard env{"0"};
-        re_cloud system{infra, on_options};
-        EXPECT_EQ(system.cache_stats(), nullptr);
-    }
-    {
-        env_guard env{"1"};
-        re_cloud system{infra, off_options};
-        EXPECT_NE(system.cache_stats(), nullptr);
-    }
-    {
-        env_guard env{nullptr};
-        re_cloud system{infra, off_options};
-        EXPECT_EQ(system.cache_stats(), nullptr);
-    }
 }
 
 TEST(VerdictCacheStats, ObservabilityCountersAddUp) {
