@@ -533,9 +533,11 @@ int run_fat_tree(const config& cfg, const application& app,
     re_cloud system{snapshot, options};
     std::printf("assessment:       %s backend\n", system.backend().name());
     const deployment_response response = system.find_deployment(request);
+    // Harvest first: socket workers ship their cache counters back only then.
+    const obs::telemetry_snapshot telemetry = system.telemetry();
     report(response, infra.topology(), system.execution_stats(),
            system.cache_stats(), options.search_chains);
-    write_outputs(cfg, response, infra.registry(), system.telemetry());
+    write_outputs(cfg, response, infra.registry(), telemetry);
     return response.fulfilled ? 0 : 2;
 }
 
@@ -575,9 +577,10 @@ int run_generic(const config& cfg, const application& app, built_topology topo,
     re_cloud system{snapshot, options};
     std::printf("assessment:       %s backend\n", system.backend().name());
     const deployment_response response = system.find_deployment(request);
+    const obs::telemetry_snapshot telemetry = system.telemetry();  // harvests
     report(response, topo, system.execution_stats(), system.cache_stats(),
            options.search_chains);
-    write_outputs(cfg, response, registry, system.telemetry());
+    write_outputs(cfg, response, registry, telemetry);
     return response.fulfilled ? 0 : 2;
 }
 

@@ -17,17 +17,31 @@ void attachment_closure(const reachability_oracle& oracle,
 requirement_evaluator::requirement_evaluator(const application& app,
                                              const deployment_plan& plan)
     : app_(&app), plan_(&plan) {
-    offsets_.reserve(app.components().size());
-    std::uint32_t offset = 0;
-    for (const app_component& c : app.components()) {
-        offsets_.push_back(offset);
-        offset += c.replicas;
+    const auto components = app.components();
+    offsets_.reserve(components.size());
+    for (app_component_id c = 0; c < components.size(); ++c) {
+        offsets_.push_back(static_cast<std::uint32_t>(component_of_.size()));
+        component_of_.insert(component_of_.end(), components[c].replicas, c);
     }
-    functional_.resize(offset, 0);
-    detached_.resize(app.components().size(), 0);
+    functional_.resize(component_of_.size(), 0);
+    live_.resize(components.size(), 0);
+    need_.resize(components.size(), 0);
     for (const reachability_requirement& req : app.requirements()) {
         has_internal_ = has_internal_ || req.source.has_value();
+        need_[req.target] = std::max(need_[req.target], req.min_reachable);
+        if (req.source) {
+            need_[*req.source] = std::max(need_[*req.source], 1u);
+        }
     }
+}
+
+bool requirement_evaluator::replicas_suffice() const {
+    for (app_component_id c = 0; c < live_.size(); ++c) {
+        if (live_[c] < need_[c]) {
+            return false;
+        }
+    }
+    return true;
 }
 
 bool requirement_evaluator::reliable_in_round(reachability_oracle& oracle,
@@ -43,9 +57,22 @@ bool requirement_evaluator::reliable_in_round(reachability_oracle& oracle,
     };
 
     // Base functional state: the instance's host is effectively alive.
+    std::fill(live_.begin(), live_.end(), 0);
     for (std::uint32_t i = 0; i < functional_.size(); ++i) {
         functional_[i] = rs.failed(host_of(i)) ? 0 : 1;
+        live_[component_of_[i]] += functional_[i];
     }
+    // The bound: every later step only strips instances, and the K checks
+    // read a subset of what is functional, so the round is unreliable as
+    // soon as a component holds fewer functional instances than it needs.
+    // Each strip re-checks the one count it lowers.
+    if (!replicas_suffice()) {
+        return false;
+    }
+    const auto strip = [&](std::uint32_t i, app_component_id c) {
+        functional_[i] = 0;
+        return --live_[c] >= need_[c];
+    };
 
     // External requirements refine exactly once: border reachability of a
     // host does not depend on other instances' functional state.
@@ -56,8 +83,9 @@ bool requirement_evaluator::reliable_in_round(reachability_oracle& oracle,
         const std::uint32_t begin = offsets_[req.target];
         const std::uint32_t end = begin + components[req.target].replicas;
         for (std::uint32_t i = begin; i < end; ++i) {
-            if (functional_[i] != 0 && !oracle.border_reachable(host_of(i))) {
-                functional_[i] = 0;
+            if (functional_[i] != 0 && !oracle.border_reachable(host_of(i)) &&
+                !strip(i, req.target)) {
+                return false;
             }
         }
     }
@@ -93,25 +121,16 @@ bool requirement_evaluator::reliable_in_round(reachability_oracle& oracle,
             }
             for (std::uint32_t i = t_begin; i < t_end; ++i) {
                 if (functional_[i] != 0 && reached_[i - t_begin] == 0) {
-                    functional_[i] = 0;
                     changed = true;
+                    if (!strip(i, req.target)) {
+                        return false;
+                    }
                 }
             }
         }
     }
-
-    // Every requirement's target must keep >= K functional instances.
-    for (const reachability_requirement& req : requirements) {
-        const std::uint32_t begin = offsets_[req.target];
-        const std::uint32_t end = begin + components[req.target].replicas;
-        std::uint32_t functional_count = 0;
-        for (std::uint32_t i = begin; i < end; ++i) {
-            functional_count += functional_[i];
-        }
-        if (functional_count < req.min_reachable) {
-            return false;
-        }
-    }
+    // Every count still meets its need, so every requirement's target keeps
+    // >= K functional instances.
     return true;
 }
 
@@ -120,12 +139,6 @@ void requirement_evaluator::index_closures(const reachability_oracle& oracle,
     index_links_ = oracle.consulted_links();
     index_forest_ = forest;
     const std::size_t slots = plan_->hosts.size();
-    component_of_.resize(slots);
-    for (app_component_id c = 0; c < offsets_.size(); ++c) {
-        const std::uint32_t end = offsets_[c] + app_->components()[c].replicas;
-        std::fill(component_of_.begin() + offsets_[c],
-                  component_of_.begin() + end, c);
-    }
     asked_.assign(slots, 0);
     round_stamp_ = 0;
 
@@ -166,12 +179,14 @@ bool requirement_evaluator::reliable_connected(reachability_oracle& oracle,
     // its component has a source with no attached instance: that strips
     // the whole target, whose K check then fails (K >= 1). The greatest
     // fixpoint therefore holds iff every target keeps K attached instances
-    // and every source has one.
+    // and every source has one: iff every component meets its need_.
     //
     // Only an instance whose attachment closure holds a raw-failed
     // component can be detached, so the oracle is asked about those alone,
     // each once.
-    std::fill(detached_.begin(), detached_.end(), 0);
+    for (app_component_id c = 0; c < live_.size(); ++c) {
+        live_[c] = components[c].replicas;
+    }
     const std::span<const component_id> failed = rs.raw_failed_list();
     if (!failed.empty()) {
         if (detach_begin_.empty() ||
@@ -197,21 +212,12 @@ bool requirement_evaluator::reliable_connected(reachability_oracle& oracle,
                 }
                 asked_[slot] = round_stamp_;
                 if (!oracle.border_reachable(plan_->hosts[slot])) {
-                    ++detached_[component_of_[slot]];
+                    --live_[component_of_[slot]];
                 }
             }
         }
     }
-    const auto attached = [&](app_component_id c) {
-        return components[c].replicas - detached_[c];
-    };
-    for (const reachability_requirement& req : app_->requirements()) {
-        if (attached(req.target) < req.min_reachable ||
-            (req.source && attached(*req.source) == 0)) {
-            return false;
-        }
-    }
-    return true;
+    return replicas_suffice();
 }
 
 }  // namespace recloud

@@ -4,11 +4,23 @@
 // Semantics (documented in application.hpp): greatest-fixpoint functional
 // sets, then per-requirement K checks.
 //
-// Two paths compute them. An unclean round runs the pairwise fixpoint: up to
-// (source instances x target instances) host_to_host calls per internal
-// requirement per pass. A connected round (clean or semi; see
+// Both paths judge by one count per component. A component's need is the
+// largest K of the requirements that target it, and at least 1 if it is an
+// internal requirement's source. The round is reliable iff every component
+// keeps as many functional instances as it needs: a source with none strips
+// its whole target, which then fails K (validate() guarantees K >= 1).
+//
+// Two paths compute the counts. An unclean round runs the pairwise
+// fixpoint: up to (source instances x target instances) host_to_host calls
+// per internal requirement per pass. It is bounded by the counts. The
+// fixpoint only ever strips instances, so once a count falls below its need
+// the round is unreliable whatever the oracle would answer next. The bound is
+// checked on the base state (hosts effectively alive) before any oracle call,
+// then again on every strip, by the external step or by the fixpoint. A
+// power supply that takes out several replicas of one component thus decides
+// the round with no routing query. A connected round (clean or semi; see
 // reachability_oracle::classify_round) runs in O(|raw failed| + candidates +
-// requirements): reachability there carries no pairwise information, so an
+// components): reachability there carries no pairwise information, so an
 // instance is functional iff its host is attached (border_reachable), and a
 // requirement whose source component has no functional instance strips
 // every instance of its target. A stripped target fails its own K check, so
@@ -17,7 +29,7 @@
 // application has no self-requirement and the plan no duplicate host — so
 // the two ends of any host_to_host call are distinct hosts.
 //
-// The connected path counts detached instances, not attached ones. An
+// The connected path asks only about the instances a failure can detach. An
 // instance can be detached only when a raw-failed component lies in its
 // host's attachment closure (attachment_closure; the argument is in
 // reachability_oracle::append_attachment). A dense index from component id
@@ -66,6 +78,8 @@ public:
     }
 
 private:
+    /// Whether every component has at least need_ functional instances.
+    [[nodiscard]] bool replicas_suffice() const;
     [[nodiscard]] bool reliable_connected(reachability_oracle& oracle,
                                           const round_state& rs);
     /// (Re)builds the component -> slots index for the attachment closures
@@ -80,11 +94,14 @@ private:
     /// functional_[instance] flags, flattened component-major like the plan.
     std::vector<std::uint8_t> functional_;
     std::vector<std::uint32_t> offsets_;  ///< per component, into functional_
+    std::vector<app_component_id> component_of_;  ///< per plan slot
     std::vector<std::uint8_t> reached_;   ///< per-requirement scratch
+    /// Per component: functional (unclean) or attached (connected)
+    /// instances in the current round, and the fewest it needs.
+    std::vector<std::uint32_t> live_;
+    std::vector<std::uint32_t> need_;
 
     // ---- connected path ---------------------------------------------------
-    /// Detached instances per component in the current round.
-    std::vector<std::uint32_t> detached_;
     /// Closure index, CSR over component ids: the plan slots whose closure
     /// holds component c are detach_slots_[detach_begin_[c] ..
     /// detach_begin_[c + 1]). Empty until the first connected round with a
@@ -93,7 +110,6 @@ private:
     std::vector<std::uint32_t> detach_slots_;
     const link_attachment* index_links_ = nullptr;
     const fault_tree_forest* index_forest_ = nullptr;
-    std::vector<app_component_id> component_of_;  ///< per plan slot
     /// Per plan slot: the round stamp of its last border_reachable ask.
     std::vector<std::uint32_t> asked_;
     std::uint32_t round_stamp_ = 0;

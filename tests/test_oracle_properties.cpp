@@ -11,6 +11,11 @@
 // closure the failure-driven path indexes, and the single failures at the
 // closure's edges.
 //
+// BoundedUncleanMatchesUnboundedFixpoint checks the unclean path's replica
+// bound the same way: on random apps, plans and rounds (sampled, one supply
+// down, switch cuts with every host alive) its verdict equals a fixpoint
+// with no bound, from no more oracle queries.
+//
 // The random checks are exact equalities, so they must hold for every seed:
 // property_seed() reseeds them from RECLOUD_PROPERTY_SEED (property_seed.hpp).
 #include <gtest/gtest.h>
@@ -18,6 +23,7 @@
 #include <algorithm>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -39,6 +45,7 @@
 #include "topology/jellyfish.hpp"
 #include "topology/leaf_spine.hpp"
 #include "topology/links.hpp"
+#include "topology/power.hpp"
 #include "topology/vl2.hpp"
 #include "util/rng.hpp"
 
@@ -163,6 +170,7 @@ TEST_P(OracleProperty, ConnectivityIsTransitiveThroughBorderSide) {
 
 /// Forwards every query to `inner` but keeps the base classify_round, which
 /// classifies nothing: a round judged through it takes the pairwise path.
+/// Counts the queries it forwards.
 class pairwise_only final : public reachability_oracle {
 public:
     explicit pairwise_only(reachability_oracle& inner) : inner_(&inner) {}
@@ -173,11 +181,15 @@ public:
         inner_->begin_round(rs, query_hosts);
     }
     bool border_reachable(node_id host) override {
+        ++queries;
         return inner_->border_reachable(host);
     }
     bool host_to_host(node_id a, node_id b) override {
+        ++queries;
         return inner_->host_to_host(a, b);
     }
+
+    std::size_t queries = 0;
 
 private:
     reachability_oracle* inner_;
@@ -601,6 +613,185 @@ TEST_P(OracleProperty, ConnectedJudgingMatchesPairwise) {
                         connected_rounds);
         EXPECT_GT(connected_rounds, 0u) << tc.label;
     }
+}
+
+// ---- the replica bound == the unbounded fixpoint ---------------------------
+
+/// The semantics of application.hpp with no bound: base functional state,
+/// one external pass, internal strips until stable, then the K checks.
+bool unbounded_fixpoint(const application& app, const deployment_plan& plan,
+                        reachability_oracle& oracle, round_state& rs) {
+    std::vector<std::uint8_t> functional(plan.hosts.size());
+    for (std::size_t i = 0; i < plan.hosts.size(); ++i) {
+        functional[i] = rs.failed(plan.hosts[i]) ? 0 : 1;
+    }
+    const auto instances = [&](app_component_id c) {
+        const std::uint32_t begin = app.instance_offset(c);
+        return std::pair{begin, begin + app.components()[c].replicas};
+    };
+    for (const reachability_requirement& req : app.requirements()) {
+        const auto [begin, end] = instances(req.target);
+        for (std::uint32_t i = begin; i < end && !req.source; ++i) {
+            if (functional[i] != 0 && !oracle.border_reachable(plan.hosts[i])) {
+                functional[i] = 0;
+            }
+        }
+    }
+    for (bool changed = true; changed;) {
+        changed = false;
+        for (const reachability_requirement& req : app.requirements()) {
+            if (!req.source) {
+                continue;
+            }
+            const auto [t_begin, t_end] = instances(req.target);
+            const auto [s_begin, s_end] = instances(*req.source);
+            for (std::uint32_t i = t_begin; i < t_end; ++i) {
+                bool reached = false;
+                for (std::uint32_t j = s_begin; j < s_end && !reached; ++j) {
+                    reached = functional[j] != 0 && functional[i] != 0 &&
+                              oracle.host_to_host(plan.hosts[j], plan.hosts[i]);
+                }
+                if (functional[i] != 0 && !reached) {
+                    functional[i] = 0;
+                    changed = true;
+                }
+            }
+        }
+    }
+    for (const reachability_requirement& req : app.requirements()) {
+        const auto [begin, end] = instances(req.target);
+        if (std::count(functional.begin() + begin, functional.begin() + end,
+                       std::uint8_t{1}) < req.min_reachable) {
+            return false;
+        }
+    }
+    return true;
+}
+
+struct bound_tally {
+    std::size_t reliable = 0;
+    std::size_t unreliable = 0;
+    std::size_t fewer_queries = 0;  ///< verdicts the bound reached sooner
+};
+
+/// Judges `apps` on the unclean path in each of `rounds` through each of
+/// `oracles`: every verdict must equal unbounded_fixpoint's, from no more
+/// oracle queries.
+void judge_bounded(const std::vector<std::vector<component_id>>& rounds,
+                   const std::vector<reachability_oracle*>& oracles,
+                   round_state& rs, std::vector<judged_app>& apps,
+                   const std::string& label, bound_tally& tally) {
+    for (std::size_t r = 0; r < rounds.size(); ++r) {
+        rs.begin_round(rounds[r]);
+        for (reachability_oracle* oracle : oracles) {
+            oracle->begin_round(rs);
+            pairwise_only counted{*oracle};
+            for (judged_app& j : apps) {
+                counted.queries = 0;
+                const bool bounded = j.evaluator->reliable_in_round(
+                    counted, rs, round_class::unclean);
+                const std::size_t bounded_queries = counted.queries;
+                counted.queries = 0;
+                ASSERT_EQ(bounded, unbounded_fixpoint(j.app, j.plan, counted, rs))
+                    << label << " round " << r;
+                ASSERT_LE(bounded_queries, counted.queries)
+                    << label << " round " << r;
+                ++(bounded ? tally.reliable : tally.unreliable);
+                tally.fewer_queries += bounded_queries < counted.queries ? 1 : 0;
+            }
+        }
+    }
+}
+
+/// Sampled rounds (every fallible component at two rates), each supply down
+/// alone, and switch cuts that leave every host alive.
+std::vector<std::vector<component_id>> bound_rounds(
+    rng& random, const built_topology& topo, std::size_t component_count,
+    const std::vector<component_id>& supplies) {
+    std::vector<std::vector<component_id>> rounds;
+    for (const double rate : {0.01, 0.05}) {
+        std::vector<double> probs(component_count, rate);
+        probs[topo.external] = 0.0;
+        monte_carlo_sampler sampler{probs, random()};
+        for (int round = 0; round < 60; ++round) {
+            sampler.next_round(rounds.emplace_back());
+        }
+    }
+    for (const component_id supply : supplies) {
+        rounds.push_back({supply});
+    }
+    for (int round = 0; round < 30; ++round) {
+        std::vector<component_id>& cut = rounds.emplace_back();
+        for (node_id n = 0; n < topo.graph.node_count(); ++n) {
+            if (is_switch(topo.graph.kind(n)) && random.uniform() < 0.3) {
+                cut.push_back(n);
+            }
+        }
+    }
+    return rounds;
+}
+
+TEST(RequirementEval, BoundedUncleanMatchesUnboundedFixpoint) {
+    rng random{property_seed(2306)};
+    bound_tally tally;
+    // Every family with power supplies, with and without fallible links.
+    for (const topology_case& tc : all_topologies()) {
+        for (const bool with_links : {false, true}) {
+            const built_topology topo = tc.build();
+            component_registry registry{topo.graph};
+            fault_tree_forest forest{topo.graph.node_count()};
+            const power_assignment power = attach_power_supplies(
+                topo, registry, forest, {.supply_count = 3});
+            std::optional<link_attachment> links;
+            if (with_links) {
+                links = attach_link_components(topo, registry);
+            }
+            bfs_reachability oracle{topo, links ? &*links : nullptr};
+            round_state rs{registry.size(), &forest};
+            std::vector<judged_app> apps = random_apps(random, topo, 8);
+            judge_bounded(
+                bound_rounds(random, topo, registry.size(), power.supplies),
+                {&oracle}, rs, apps, tc.label + (with_links ? " links" : ""),
+                tally);
+            if (HasFatalFailure()) {
+                return;
+            }
+        }
+    }
+
+    // The k=8 fat-tree with links and forest through both oracles, plus
+    // rounds that cut whole core groups.
+    infrastructure_options options;
+    options.model_link_failures = true;
+    const auto infra = fat_tree_infrastructure::build(8, options);
+    const built_topology& topo = infra.topology();
+    fat_tree_routing fat_tree_oracle{infra.tree(), infra.links(),
+                                     &infra.forest()};
+    bfs_reachability bfs_oracle{topo, infra.links()};
+    round_state rs{infra.registry().size(), &infra.forest()};
+    std::vector<judged_app> apps = random_apps(random, topo, 12);
+    std::vector<std::vector<component_id>> rounds = bound_rounds(
+        random, topo, infra.registry().size(), infra.power().supplies);
+    const int groups = infra.tree().group_width();
+    for (int round = 0; round < 20; ++round) {
+        std::vector<component_id>& cut = rounds.emplace_back();
+        for (int group = 0; group < groups; ++group) {
+            if (random.uniform() < 0.5) {
+                for (int i = 0; i < groups; ++i) {
+                    cut.push_back(infra.tree().core(group, i));
+                }
+            }
+        }
+    }
+    judge_bounded(rounds, {&fat_tree_oracle, &bfs_oracle}, rs, apps,
+                  "fat_tree k=8", tally);
+    if (HasFatalFailure()) {
+        return;
+    }
+    // The inputs reach both verdicts, and the bound decides some of them.
+    EXPECT_GT(tally.reliable, 0u);
+    EXPECT_GT(tally.unreliable, 0u);
+    EXPECT_GT(tally.fewer_queries, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllTopologies, OracleProperty,

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <utility>
+
+#include "faults/component_registry.hpp"
+#include "faults/fault_tree.hpp"
 #include "faults/round_state.hpp"
 #include "routing/fat_tree_routing.hpp"
 #include "topology/fat_tree.hpp"
@@ -157,6 +162,142 @@ TEST(RequirementEval, FixpointStripsCascades) {
     // unreachable from any functional l1 even though l1<->l2 still works.
     EXPECT_FALSE(
         f.judge(app, plan, {f.ft.aggregation(1, 0), f.ft.aggregation(1, 1)}));
+}
+
+// ---- the replica bound ------------------------------------------------------
+//
+// Each test pins one exit of the bound on the unclean path: it must decide an
+// unreliable round before the oracle calls that the unbounded fixpoint would
+// make, and a round that keeps exactly K must still pass.
+
+/// Forwards to `inner` and records what the evaluator asks in a round.
+class recording_oracle final : public reachability_oracle {
+public:
+    explicit recording_oracle(reachability_oracle& inner) : inner_(&inner) {}
+
+    void begin_round(round_state& rs) override {
+        inner_->begin_round(rs);
+        border_asks = 0;
+        pairs.clear();
+    }
+    bool border_reachable(node_id host) override {
+        ++border_asks;
+        return inner_->border_reachable(host);
+    }
+    bool host_to_host(node_id a, node_id b) override {
+        pairs.emplace_back(a, b);
+        return inner_->host_to_host(a, b);
+    }
+
+    std::size_t border_asks = 0;
+    std::vector<std::pair<node_id, node_id>> pairs;
+
+private:
+    reachability_oracle* inner_;
+};
+
+/// A k=4 fat-tree whose hosts may share power supplies, judged through a
+/// recording oracle on the unclean path.
+struct bound_fixture {
+    fat_tree ft = fat_tree::build(4);
+    component_registry registry{ft.graph()};
+    component_id supply = registry.add(component_kind::power_supply, "supply");
+    fault_tree_forest forest{registry.size()};
+    round_state rs{registry.size(), &forest};
+    /// What the last judge() asked.
+    std::size_t border_asks = 0;
+    std::vector<std::pair<node_id, node_id>> pairs;
+
+    bool judge(const application& app, const deployment_plan& plan,
+               std::vector<component_id> failed) {
+        fat_tree_routing routing{ft, nullptr, &forest};  // the forest as wired
+        recording_oracle oracle{routing};
+        requirement_evaluator evaluator{app, plan};
+        rs.begin_round(failed);
+        oracle.begin_round(rs);
+        const bool reliable =
+            evaluator.reliable_in_round(oracle, rs, round_class::unclean);
+        border_asks = oracle.border_asks;
+        pairs = std::move(oracle.pairs);
+        return reliable;
+    }
+};
+
+TEST(RequirementEval, BoundDecidesAtTheBaseStep) {
+    // Two of three DB replicas share a supply. DB needs 2 reachable from the
+    // frontends, so losing the supply leaves 1 < K on alive hosts.
+    bound_fixture f;
+    const application app = application::layered(2, 2, 3);
+    const node_id db1 = f.ft.host(2, 0, 0);
+    const node_id db2 = f.ft.host(2, 1, 0);
+    deployment_plan plan;
+    plan.hosts = {f.ft.host(0, 0, 0), f.ft.host(0, 1, 0), f.ft.host(1, 0, 0),
+                  db1, db2, f.ft.host(1, 1, 0)};
+    f.forest.attach(db1, f.forest.add_leaf(f.supply));
+    f.forest.attach(db2, f.forest.add_leaf(f.supply));
+
+    EXPECT_FALSE(f.judge(app, plan, {f.supply}));
+    EXPECT_EQ(f.border_asks, 0u);
+    EXPECT_TRUE(f.pairs.empty());
+    // One DB host down keeps exactly K: the fixpoint runs and holds.
+    EXPECT_TRUE(f.judge(app, plan, {db1}));
+    EXPECT_GT(f.border_asks, 0u);
+    EXPECT_FALSE(f.pairs.empty());
+}
+
+TEST(RequirementEval, BoundDecidesInsideTheFixpoint) {
+    // layer0 -> layer1 -> layer2, 2-of-2 each, every host alive. A failed
+    // edge switch cuts one layer1 replica off from layer0: the fixpoint
+    // strips it, layer1 falls below K, and layer2 is never asked about.
+    bound_fixture f;
+    const application app = application::layered(3, 2, 2);
+    const node_id cut = f.ft.host(1, 1, 0);
+    const std::vector<node_id> layer2{f.ft.host(2, 0, 0), f.ft.host(2, 1, 0)};
+    deployment_plan plan;
+    plan.hosts = {f.ft.host(0, 0, 0), f.ft.host(0, 1, 0),
+                  f.ft.host(1, 0, 0), cut, layer2[0], layer2[1]};
+
+    EXPECT_FALSE(f.judge(app, plan, {f.ft.edge_of_host(cut)}));
+    EXPECT_EQ(f.border_asks, 2u);  // the base step passed
+    ASSERT_FALSE(f.pairs.empty());
+    for (const auto& [source, target] : f.pairs) {
+        EXPECT_EQ(std::count(layer2.begin(), layer2.end(), target), 0)
+            << "asked about layer2 host " << target;
+    }
+    // No failure: every layer keeps exactly K.
+    EXPECT_TRUE(f.judge(app, plan, {}));
+    EXPECT_TRUE(std::any_of(f.pairs.begin(), f.pairs.end(),
+                            [&](const auto& pair) {
+                                return pair.second == layer2[0];
+                            }));
+    // 1-of-2 layers: the same strip leaves layer1 at exactly K, and the
+    // fixpoint goes on to layer2.
+    EXPECT_TRUE(f.judge(application::layered(3, 1, 2), plan,
+                        {f.ft.edge_of_host(cut)}));
+}
+
+TEST(RequirementEval, BoundDecidesOnASourceWithNoLiveInstance) {
+    // "api" must be border-reachable and reachable from "cache". No
+    // requirement targets cache, so only its need as a source bounds it:
+    // with both cache hosts down, no border_reachable call is made.
+    bound_fixture f;
+    application app;
+    const app_component_id cache = app.add_component("cache", 2);
+    const app_component_id api = app.add_component("api", 2);
+    app.require_external(api, 1);
+    app.require_reachable(api, cache, 1);
+    app.validate();
+    const node_id cache1 = f.ft.host(0, 0, 0);
+    const node_id cache2 = f.ft.host(1, 0, 0);
+    deployment_plan plan;
+    plan.hosts = {cache1, cache2, f.ft.host(2, 0, 0), f.ft.host(2, 1, 0)};
+
+    EXPECT_FALSE(f.judge(app, plan, {cache1, cache2}));
+    EXPECT_EQ(f.border_asks, 0u);
+    EXPECT_TRUE(f.pairs.empty());
+    // One cache host left meets the source's need of one.
+    EXPECT_TRUE(f.judge(app, plan, {cache1}));
+    EXPECT_EQ(f.border_asks, 2u);
 }
 
 }  // namespace
