@@ -40,7 +40,8 @@ int main() {
             : std::vector<std::size_t>{1000, 10000, 50000};
 
     const oracle_factory factory = [&infra] {
-        return std::make_unique<fat_tree_routing>(infra.tree());
+        return std::make_unique<fat_tree_routing>(infra.tree(), nullptr,
+                                                  &infra.forest());
     };
 
     // Two application weights. The paper's Java route-and-check was the

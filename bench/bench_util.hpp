@@ -52,7 +52,10 @@ inline parallel_backend make_serial_backend(
     const fat_tree_infrastructure& infra, failure_sampler& sampler) {
     return parallel_backend{
         infra.registry().size(), &infra.forest(),
-        [&infra] { return std::make_unique<fat_tree_routing>(infra.tree()); },
+        [&infra] {
+            return std::make_unique<fat_tree_routing>(infra.tree(), nullptr,
+                                                      &infra.forest());
+        },
         sampler, {.threads = 1}};
 }
 

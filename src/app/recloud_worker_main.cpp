@@ -45,6 +45,8 @@ struct worker_state {
     /// Built by the first setup and rebound by every later one, so its
     /// cache counters are the process's cumulative totals.
     std::unique_ptr<worker_context> context;
+    /// The context's cache counters as of the last harvest reply.
+    verdict_cache_stats harvested_cache;
 };
 
 void handle_env(worker_state& state, const envelope& msg) {
@@ -52,6 +54,7 @@ void handle_env(worker_state& state, const envelope& msg) {
     worker_environment& env = *state.env;
     state.worker_id = env.worker_id;
     state.context.reset();
+    state.harvested_cache = {};
     // Mirror the master's observability state so both sides of the wire
     // count and trace the same runs. Pure telemetry: no RNG, sampler or
     // verdict state is touched (§6 contract).
@@ -151,16 +154,17 @@ void handle_task(worker_state& state, const envelope& msg) {
 }
 
 /// Telemetry harvest: ship the registry delta (snapshot-then-reset), the
-/// cumulative verdict-cache counters and the drained trace capture. Runs
-/// between envelopes on the only span-recording thread, so the drain's
-/// quiescence requirement holds by construction.
+/// verdict-cache counters' growth since the previous harvest and the
+/// drained trace capture. Runs between envelopes on the only span-recording
+/// thread, so the drain's quiescence requirement holds by construction.
 void handle_telemetry(worker_state& state, const envelope& msg) {
     worker_telemetry t;
     t.worker_id = state.worker_id;
     t.pid = static_cast<std::uint32_t>(::getpid());
     if (state.context != nullptr) {
         if (const verdict_cache_stats* live = state.context->cache_stats()) {
-            t.cache = *live;
+            t.cache = live->growth_since(state.harvested_cache);
+            state.harvested_cache = *live;
         }
     }
     obs::metrics_registry& registry = obs::metrics_registry::global();

@@ -181,6 +181,28 @@ struct verdict_cache_stats {
     std::uint64_t replay_groups = 0;
     std::uint64_t replay_rejudged = 0;
 
+    /// The field list: calls fn(name, member) for every counter above, in
+    /// declaration order. Sums, growths, the cache.stats.* gauges, the
+    /// worker.N.* entries and the worker wire all iterate it, so a field
+    /// added here reaches every surface.
+    template <typename Fn>
+    static constexpr void for_each_counter(Fn&& fn) {
+        fn("rounds", &verdict_cache_stats::rounds);
+        fn("empty_hits", &verdict_cache_stats::empty_hits);
+        fn("hits", &verdict_cache_stats::hits);
+        fn("misses", &verdict_cache_stats::misses);
+        fn("insertions", &verdict_cache_stats::insertions);
+        fn("evictions", &verdict_cache_stats::evictions);
+        fn("rebinds", &verdict_cache_stats::rebinds);
+        fn("warm_rebinds", &verdict_cache_stats::warm_rebinds);
+        fn("cold_rebinds", &verdict_cache_stats::cold_rebinds);
+        fn("cross_plan_hits", &verdict_cache_stats::cross_plan_hits);
+        fn("retained_entries", &verdict_cache_stats::retained_entries);
+        fn("support_size", &verdict_cache_stats::support_size);
+        fn("replay_groups", &verdict_cache_stats::replay_groups);
+        fn("replay_rejudged", &verdict_cache_stats::replay_rejudged);
+    }
+
     /// Rounds answered without route-and-check.
     [[nodiscard]] std::uint64_t saved_rounds() const noexcept {
         return empty_hits + hits;
@@ -193,20 +215,24 @@ struct verdict_cache_stats {
 
     /// Sums counters; support_size is carried over (workers share a plan).
     void accumulate(const verdict_cache_stats& other) noexcept {
-        rounds += other.rounds;
-        empty_hits += other.empty_hits;
-        hits += other.hits;
-        misses += other.misses;
-        insertions += other.insertions;
-        evictions += other.evictions;
-        rebinds += other.rebinds;
-        warm_rebinds += other.warm_rebinds;
-        cold_rebinds += other.cold_rebinds;
-        cross_plan_hits += other.cross_plan_hits;
-        retained_entries += other.retained_entries;
-        support_size = other.support_size;
-        replay_groups += other.replay_groups;
-        replay_rejudged += other.replay_rejudged;
+        for_each_counter([&](const char*, auto field) {
+            this->*field = field == &verdict_cache_stats::support_size
+                               ? other.*field
+                               : this->*field + other.*field;
+        });
+    }
+
+    /// The inverse of accumulate: every counter's growth since `before`,
+    /// and the current support_size.
+    [[nodiscard]] verdict_cache_stats growth_since(
+        const verdict_cache_stats& before) const noexcept {
+        verdict_cache_stats growth = *this;
+        for_each_counter([&](const char*, auto field) {
+            if (field != &verdict_cache_stats::support_size) {
+                growth.*field -= before.*field;
+            }
+        });
+        return growth;
     }
 };
 

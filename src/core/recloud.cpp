@@ -300,25 +300,8 @@ const engine_stats* re_cloud::execution_stats() const {
     engine_stats& total = *aggregated_engine_stats_;
     total = engine_view_->stats();
     for (const chain_stack& chain : chains_) {
-        const engine_stats& s =
-            static_cast<const assessment_engine*>(chain.backend.get())->stats();
-        total.batches += s.batches;
-        total.dispatches += s.dispatches;
-        total.retries += s.retries;
-        total.redispatches += s.redispatches;
-        total.degraded += s.degraded;
-        total.worker_crashes += s.worker_crashes;
-        total.worker_respawns += s.worker_respawns;
-        total.deadline_misses += s.deadline_misses;
-        total.invalid_frames += s.invalid_frames;
-        total.bytes_sent += s.bytes_sent;
-        total.bytes_received += s.bytes_received;
-        if (total.worker_failures.size() < s.worker_failures.size()) {
-            total.worker_failures.resize(s.worker_failures.size(), 0);
-        }
-        for (std::size_t w = 0; w < s.worker_failures.size(); ++w) {
-            total.worker_failures[w] += s.worker_failures[w];
-        }
+        total.accumulate(
+            static_cast<const assessment_engine*>(chain.backend.get())->stats());
     }
     return &total;
 }
@@ -360,46 +343,16 @@ obs::telemetry_snapshot re_cloud::telemetry() const {
     // one export surface. The "engine.stats."/"cache.stats." prefixes keep
     // them clear of the live "engine."/"cache." counters.
     if (const engine_stats* engine = execution_stats()) {
-        registry.set(registry.gauge("engine.stats.batches"), engine->batches);
-        registry.set(registry.gauge("engine.stats.dispatches"),
-                     engine->dispatches);
-        registry.set(registry.gauge("engine.stats.retries"), engine->retries);
-        registry.set(registry.gauge("engine.stats.redispatches"),
-                     engine->redispatches);
-        registry.set(registry.gauge("engine.stats.degraded"), engine->degraded);
-        registry.set(registry.gauge("engine.stats.worker_crashes"),
-                     engine->worker_crashes);
-        registry.set(registry.gauge("engine.stats.worker_respawns"),
-                     engine->worker_respawns);
-        registry.set(registry.gauge("engine.stats.deadline_misses"),
-                     engine->deadline_misses);
-        registry.set(registry.gauge("engine.stats.invalid_frames"),
-                     engine->invalid_frames);
-        registry.set(registry.gauge("engine.stats.bytes_sent"),
-                     engine->bytes_sent);
-        registry.set(registry.gauge("engine.stats.bytes_received"),
-                     engine->bytes_received);
+        engine_stats::for_each_counter([&](const char* name, auto field) {
+            registry.set(registry.gauge(std::string{"engine.stats."} + name),
+                         engine->*field);
+        });
     }
     if (const verdict_cache_stats* cache = cache_stats()) {
-        registry.set(registry.gauge("cache.stats.rounds"), cache->rounds);
-        registry.set(registry.gauge("cache.stats.empty_hits"),
-                     cache->empty_hits);
-        registry.set(registry.gauge("cache.stats.hits"), cache->hits);
-        registry.set(registry.gauge("cache.stats.misses"), cache->misses);
-        registry.set(registry.gauge("cache.stats.insertions"),
-                     cache->insertions);
-        registry.set(registry.gauge("cache.stats.evictions"), cache->evictions);
-        registry.set(registry.gauge("cache.stats.rebinds"), cache->rebinds);
-        registry.set(registry.gauge("cache.stats.warm_rebinds"),
-                     cache->warm_rebinds);
-        registry.set(registry.gauge("cache.stats.cold_rebinds"),
-                     cache->cold_rebinds);
-        registry.set(registry.gauge("cache.stats.cross_plan_hits"),
-                     cache->cross_plan_hits);
-        registry.set(registry.gauge("cache.stats.retained_entries"),
-                     cache->retained_entries);
-        registry.set(registry.gauge("cache.stats.support_size"),
-                     cache->support_size);
+        verdict_cache_stats::for_each_counter([&](const char* name, auto field) {
+            registry.set(registry.gauge(std::string{"cache.stats."} + name),
+                         cache->*field);
+        });
         registry.set(registry.gauge("cache.stats.saved_rounds"),
                      cache->saved_rounds());
     }
@@ -425,19 +378,11 @@ obs::telemetry_snapshot re_cloud::telemetry() const {
             add(prefix + "pid", w.pid);
             add(prefix + "harvests", w.harvests);
             add(prefix + "trace.dropped", w.trace_dropped);
-            const verdict_cache_stats& c = w.cache;
-            add(prefix + "cache.stats.rounds", c.rounds);
-            add(prefix + "cache.stats.empty_hits", c.empty_hits);
-            add(prefix + "cache.stats.hits", c.hits);
-            add(prefix + "cache.stats.misses", c.misses);
-            add(prefix + "cache.stats.insertions", c.insertions);
-            add(prefix + "cache.stats.evictions", c.evictions);
-            add(prefix + "cache.stats.rebinds", c.rebinds);
-            add(prefix + "cache.stats.warm_rebinds", c.warm_rebinds);
-            add(prefix + "cache.stats.cold_rebinds", c.cold_rebinds);
-            add(prefix + "cache.stats.cross_plan_hits", c.cross_plan_hits);
-            add(prefix + "cache.stats.retained_entries", c.retained_entries);
-            add(prefix + "cache.stats.saved_rounds", c.saved_rounds());
+            verdict_cache_stats::for_each_counter(
+                [&](const char* name, auto field) {
+                    add(prefix + "cache.stats." + name, w.cache.*field);
+                });
+            add(prefix + "cache.stats.saved_rounds", w.cache.saved_rounds());
         }
         if (!fleet.workers.empty()) {
             std::sort(snap.metrics.begin(), snap.metrics.end(),

@@ -148,8 +148,39 @@ struct engine_stats {
     std::uint64_t worker_respawns = 0;
     std::vector<std::uint64_t> worker_failures;  ///< failed attempts per worker
 
+    /// The field list: calls fn(name, member) for every scalar counter
+    /// above, in declaration order. The chain sum and the engine.stats.*
+    /// gauges iterate it.
+    template <typename Fn>
+    static constexpr void for_each_counter(Fn&& fn) {
+        fn("batches", &engine_stats::batches);
+        fn("dispatches", &engine_stats::dispatches);
+        fn("retries", &engine_stats::retries);
+        fn("redispatches", &engine_stats::redispatches);
+        fn("degraded", &engine_stats::degraded);
+        fn("worker_crashes", &engine_stats::worker_crashes);
+        fn("deadline_misses", &engine_stats::deadline_misses);
+        fn("invalid_frames", &engine_stats::invalid_frames);
+        fn("bytes_sent", &engine_stats::bytes_sent);
+        fn("bytes_received", &engine_stats::bytes_received);
+        fn("worker_respawns", &engine_stats::worker_respawns);
+    }
+
     [[nodiscard]] std::uint64_t failures() const noexcept {
         return worker_crashes + deadline_misses + invalid_frames;
+    }
+
+    /// Sums every counter; worker_failures element-wise.
+    void accumulate(const engine_stats& other) {
+        for_each_counter([&](const char*, auto field) {
+            this->*field += other.*field;
+        });
+        if (worker_failures.size() < other.worker_failures.size()) {
+            worker_failures.resize(other.worker_failures.size(), 0);
+        }
+        for (std::size_t w = 0; w < other.worker_failures.size(); ++w) {
+            worker_failures[w] += other.worker_failures[w];
+        }
     }
 };
 
@@ -195,8 +226,8 @@ public:
     /// Recovery counters, cumulative since construction.
     [[nodiscard]] const engine_stats& stats() const noexcept { return stats_; }
 
-    /// Pulls worker-process telemetry (registry deltas, cumulative cache
-    /// counters, trace spans) into this process. No-op on loopback. Pure
+    /// Pulls worker-process telemetry (registry deltas, cache-counter
+    /// growths, trace spans) into this process. No-op on loopback. Pure
     /// observability — never perturbs assessment state (§6).
     void harvest_telemetry() { transport_->harvest_telemetry(); }
 

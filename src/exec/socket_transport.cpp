@@ -235,19 +235,7 @@ public:
 
     [[nodiscard]] worker_fleet_telemetry fleet_telemetry() const override {
         const std::lock_guard lock{fleet_mu_};
-        worker_fleet_telemetry fleet;
-        fleet.workers.reserve(fleet_.size());
-        for (const fleet_slot_totals& t : fleet_) {
-            worker_fleet_telemetry::worker_entry e;
-            e.worker_id = t.worker_id;
-            e.pid = t.pid;
-            e.cache = t.cache_base;
-            e.cache.accumulate(t.cache_live);
-            e.trace_dropped = t.trace_dropped;
-            e.harvests = t.harvests;
-            fleet.workers.push_back(e);
-        }
-        return fleet;
+        return {fleet_};
     }
 
     [[nodiscard]] const verdict_cache_stats* cache_stats()
@@ -256,12 +244,7 @@ public:
         if (!have_harvest_) {
             return nullptr;  // nothing pulled back from the fleet yet
         }
-        cache_scratch_ = {};
-        for (const fleet_slot_totals& t : fleet_) {
-            cache_scratch_.accumulate(t.cache_base);
-            cache_scratch_.accumulate(t.cache_live);
-        }
-        return &cache_scratch_;
+        return &fleet_cache_;
     }
 
     [[nodiscard]] std::uint64_t respawns() const noexcept override {
@@ -773,9 +756,9 @@ private:
 
     /// Folds one worker's harvest into this process: metric DELTAS into the
     /// global registry (the worker reset its own), trace spans into the
-    /// tracer (moved, shipped exactly once), and the CUMULATIVE cache
-    /// counters into the per-worker store — replacing the previous pull
-    /// from the same process, accumulating across respawned processes.
+    /// tracer (moved, shipped exactly once), and the cache counters' growth
+    /// since that worker's previous harvest into its slot's running sum and
+    /// the fleet's. Growths from a respawned process just keep adding.
     void fold_harvest(worker_telemetry t) {
         obs::telemetry_snapshot delta;
         delta.metrics = std::move(t.metrics);
@@ -787,48 +770,25 @@ private:
             tracer.add_remote_capture(std::move(t.trace));
         }
         const std::lock_guard lock{fleet_mu_};
-        auto it = std::find_if(fleet_.begin(), fleet_.end(),
-                               [&t](const fleet_slot_totals& e) {
-                                   return e.worker_id == t.worker_id;
-                               });
-        if (it == fleet_.end()) {
-            fleet_slot_totals totals;
-            totals.worker_id = t.worker_id;
-            fleet_.push_back(totals);
-            it = std::prev(fleet_.end());
-            std::sort(fleet_.begin(), fleet_.end(),
-                      [](const fleet_slot_totals& a,
-                         const fleet_slot_totals& b) {
-                          return a.worker_id < b.worker_id;
-                      });
-            it = std::find_if(fleet_.begin(), fleet_.end(),
-                              [&t](const fleet_slot_totals& e) {
-                                  return e.worker_id == t.worker_id;
-                              });
-        }
-        if (it->pid != 0 && it->pid != t.pid) {
-            // Respawned slot: the dead process's last-harvested totals move
-            // into the base so the fresh process's counters don't regress
-            // the fleet view.
-            it->cache_base.accumulate(it->cache_live);
-            it->cache_live = {};
+        auto it = std::lower_bound(
+            fleet_.begin(), fleet_.end(), t.worker_id,
+            [](const worker_entry& e, std::uint64_t id) {
+                return e.worker_id < id;
+            });
+        if (it == fleet_.end() || it->worker_id != t.worker_id) {
+            worker_entry entry;
+            entry.worker_id = t.worker_id;
+            it = fleet_.insert(it, entry);
         }
         it->pid = t.pid;
-        it->cache_live = t.cache;
+        it->cache.accumulate(t.cache);
+        fleet_cache_.accumulate(t.cache);
         it->trace_dropped += trace_dropped;
         it->harvests += 1;
         have_harvest_ = true;
     }
 
-    /// Per-worker cumulative totals across harvests (fleet_mu_).
-    struct fleet_slot_totals {
-        std::uint64_t worker_id = 0;
-        std::uint32_t pid = 0;
-        verdict_cache_stats cache_base;  ///< processes that died, summed
-        verdict_cache_stats cache_live;  ///< current process, last harvest
-        std::uint64_t trace_dropped = 0;
-        std::uint64_t harvests = 0;
-    };
+    using worker_entry = worker_fleet_telemetry::worker_entry;
 
     static constexpr std::chrono::seconds harvest_timeout{5};
 
@@ -840,10 +800,10 @@ private:
     bool harvest_at_shutdown_ = false;
     std::mutex harvest_mu_;  ///< serializes fleet harvest passes
     std::uint64_t harvest_seq_ = 0;  ///< under harvest_mu_
-    mutable std::mutex fleet_mu_;  ///< guards fleet_ / have_harvest_ / scratch
-    std::vector<fleet_slot_totals> fleet_;
+    mutable std::mutex fleet_mu_;  ///< guards the three members below
+    std::vector<worker_entry> fleet_;  ///< sorted by worker_id
     bool have_harvest_ = false;
-    mutable verdict_cache_stats cache_scratch_;
+    verdict_cache_stats fleet_cache_;  ///< every slot's cache sum
 };
 
 }  // namespace

@@ -90,9 +90,9 @@ struct transport_env {
 
 /// Per-worker observability totals accumulated across telemetry harvests
 /// (socket transport; loopback workers write into the process registry
-/// directly, so their fleet view is empty). Cache counters are cumulative
-/// over the worker process's whole life; trace_dropped counts worker-side
-/// ring overflows.
+/// directly, so their fleet view is empty). Cache counters sum the growths
+/// every harvest shipped from the slot, across respawned processes;
+/// trace_dropped counts worker-side ring overflows.
 struct worker_fleet_telemetry {
     struct worker_entry {
         std::uint64_t worker_id = 0;
@@ -142,7 +142,7 @@ public:
     }
 
     /// Pulls telemetry from every live worker process — registry deltas,
-    /// cumulative verdict-cache counters, drained trace spans — and folds
+    /// verdict-cache counter growths, drained trace spans — and folds
     /// it into this process's registry/tracer, so loopback and socket runs
     /// report equivalent counters. No-op for in-process transports (their
     /// writes land in the shared registry directly). Pure observability:

@@ -289,34 +289,14 @@ worker_environment decode_worker_environment(std::span<const std::byte> blob) {
 namespace {
 
 void encode_cache_stats(byte_writer& out, const verdict_cache_stats& s) {
-    out.write_u64(s.rounds);
-    out.write_u64(s.empty_hits);
-    out.write_u64(s.hits);
-    out.write_u64(s.misses);
-    out.write_u64(s.insertions);
-    out.write_u64(s.evictions);
-    out.write_u64(s.rebinds);
-    out.write_u64(s.warm_rebinds);
-    out.write_u64(s.cold_rebinds);
-    out.write_u64(s.cross_plan_hits);
-    out.write_u64(s.retained_entries);
-    out.write_u64(s.support_size);
+    verdict_cache_stats::for_each_counter(
+        [&](const char*, auto field) { out.write_u64(s.*field); });
 }
 
 verdict_cache_stats decode_cache_stats(byte_reader& in) {
     verdict_cache_stats s;
-    s.rounds = in.read_u64();
-    s.empty_hits = in.read_u64();
-    s.hits = in.read_u64();
-    s.misses = in.read_u64();
-    s.insertions = in.read_u64();
-    s.evictions = in.read_u64();
-    s.rebinds = in.read_u64();
-    s.warm_rebinds = in.read_u64();
-    s.cold_rebinds = in.read_u64();
-    s.cross_plan_hits = in.read_u64();
-    s.retained_entries = in.read_u64();
-    s.support_size = in.read_u64();
+    verdict_cache_stats::for_each_counter(
+        [&](const char*, auto field) { s.*field = in.read_u64(); });
     return s;
 }
 

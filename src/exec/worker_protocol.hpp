@@ -46,7 +46,7 @@ enum class worker_msg : std::uint8_t {
     shutdown = 7,  ///< master -> worker: exit cleanly
     telemetry = 9,  ///< master -> worker: empty-blob harvest request;
                     ///< worker -> master: encoded worker_telemetry reply
-                    ///< (registry delta + cumulative cache stats + drained
+                    ///< (registry delta + cache-counter growth + drained
                     ///< trace spans). Pure observability: touches no RNG,
                     ///< sampler or verdict state (§6 contract).
 };
@@ -110,14 +110,13 @@ struct worker_environment {
 
 /// One worker process's observability payload for a telemetry harvest
 /// round-trip. Metrics are the registry DELTA since the previous harvest
-/// (the worker snapshots then resets its registry); cache stats are
-/// CUMULATIVE over the process's life, respawn-independent on the master
-/// side; the trace capture is MOVED out
-/// of the worker's rings (spans ship exactly once).
+/// (the worker snapshots then resets its registry), and so are the cache
+/// counters (verdict_cache_stats::growth_since); the trace capture is MOVED
+/// out of the worker's rings (spans ship exactly once).
 struct worker_telemetry {
     std::uint64_t worker_id = 0;
     std::uint32_t pid = 0;
-    verdict_cache_stats cache;             ///< cumulative over the process's life
+    verdict_cache_stats cache;             ///< growth since last harvest
     std::vector<obs::metric_entry> metrics;  ///< registry delta since last harvest
     obs::process_capture trace;            ///< drained spans + ring-overflow drops
 };

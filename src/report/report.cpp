@@ -4,7 +4,6 @@
 #include <cstdio>
 #include <sstream>
 
-#include "exec/engine.hpp"
 #include "obs/build_info.hpp"
 
 namespace recloud {
@@ -59,30 +58,6 @@ std::string to_json(const assessment_stats& stats) {
     return out.str();
 }
 
-std::string to_json(const engine_stats& stats) {
-    std::ostringstream out;
-    out << "{\"batches\":" << stats.batches
-        << ",\"dispatches\":" << stats.dispatches
-        << ",\"retries\":" << stats.retries
-        << ",\"redispatches\":" << stats.redispatches
-        << ",\"degraded\":" << stats.degraded
-        << ",\"worker_crashes\":" << stats.worker_crashes
-        << ",\"worker_respawns\":" << stats.worker_respawns
-        << ",\"deadline_misses\":" << stats.deadline_misses
-        << ",\"invalid_frames\":" << stats.invalid_frames
-        << ",\"bytes_sent\":" << stats.bytes_sent
-        << ",\"bytes_received\":" << stats.bytes_received
-        << ",\"worker_failures\":[";
-    for (std::size_t w = 0; w < stats.worker_failures.size(); ++w) {
-        if (w > 0) {
-            out << ",";
-        }
-        out << stats.worker_failures[w];
-    }
-    out << "]}";
-    return out.str();
-}
-
 std::string to_json(const service_stats& stats) {
     std::ostringstream out;
     out << "{\"submitted\":" << stats.submitted
@@ -111,24 +86,6 @@ std::string to_json(const service_stats& stats) {
         out << stats.shard_queue_peak[s];
     }
     out << "]}";
-    return out.str();
-}
-
-std::string to_json(const verdict_cache_stats& stats) {
-    std::ostringstream out;
-    out << "{\"rounds\":" << stats.rounds
-        << ",\"empty_hits\":" << stats.empty_hits << ",\"hits\":" << stats.hits
-        << ",\"misses\":" << stats.misses
-        << ",\"insertions\":" << stats.insertions
-        << ",\"evictions\":" << stats.evictions
-        << ",\"rebinds\":" << stats.rebinds
-        << ",\"warm_rebinds\":" << stats.warm_rebinds
-        << ",\"cold_rebinds\":" << stats.cold_rebinds
-        << ",\"cross_plan_hits\":" << stats.cross_plan_hits
-        << ",\"retained_entries\":" << stats.retained_entries
-        << ",\"support_size\":" << stats.support_size
-        << ",\"saved_rounds\":" << stats.saved_rounds()
-        << ",\"hit_rate\":" << number(stats.hit_rate()) << "}";
     return out.str();
 }
 

@@ -25,30 +25,17 @@ namespace recloud {
 /// search telemetry. `registry` (optional) adds component names to hosts;
 /// `telemetry` (optional, from re_cloud::telemetry()) appends the unified
 /// metrics snapshot — engine and verdict-cache gauges included — as a
-/// "telemetry" object, replacing the old per-struct engine/cache parameters.
+/// "telemetry" object.
 [[nodiscard]] std::string to_json(
     const deployment_response& response,
     const component_registry* registry = nullptr,
     const obs::telemetry_snapshot* telemetry = nullptr);
-
-/// Engine recovery/observability counters (exec/engine.hpp):
-/// {"batches":..,"dispatches":..,"retries":..,"redispatches":..,
-///  "degraded":..,"worker_crashes":..,"deadline_misses":..,
-///  "invalid_frames":..,"bytes_sent":..,"bytes_received":..,
-///  "worker_failures":[..]}
-[[nodiscard]] std::string to_json(const engine_stats& stats);
 
 /// Deployment-service admission counters (service/deployment_service.hpp):
 /// {"submitted":..,"rejected":..,"completed":..,"failed":..,
 ///  "shed_queue_full":..,"shed_quota":..,"peak_queue_depth":..,
 ///  "shard_queue_depth":[..],"shard_queue_peak":[..]}
 [[nodiscard]] std::string to_json(const service_stats& stats);
-
-/// Verdict-cache counters (assess/verdict_cache.hpp):
-/// {"rounds":..,"empty_hits":..,"hits":..,"misses":..,"insertions":..,
-///  "evictions":..,"rebinds":..,"support_size":..,"saved_rounds":..,
-///  "hit_rate":..}
-[[nodiscard]] std::string to_json(const verdict_cache_stats& stats);
 
 /// Unified metrics snapshot (obs/metrics.hpp): {"build":{..},"metrics":{..}}
 /// with one key per metric, sorted by name. Counters and gauges export their

@@ -14,12 +14,6 @@ fat_tree_routing::fat_tree_routing(const fat_tree& tree,
     }
     const auto g = static_cast<std::size_t>(tree.group_width());
     const auto pods = static_cast<std::size_t>(tree.pod_count());
-    uplink_cache_.assign(pods * g, 0);
-    uplink_epoch_.assign(pods * g, 0);
-    transit_cache_.assign(pods * g, 0);
-    transit_epoch_.assign(pods * g, 0);
-    external_cache_.assign(g, 0);
-    external_epoch_.assign(g, 0);
     pod_agg_clear_.assign(pods, 0);
     pod_agg_gen_.assign(pods, 0);
     core_clear_.assign(g, 0);
@@ -111,19 +105,19 @@ fat_tree_routing::fat_tree_routing(const fat_tree& tree,
     // are pure array lookups.
     const network_graph& graph = tree.graph();
     host_uplink_.assign(graph.node_count(), 0);
-    edge_agg_link_.assign(pods * g * g, 0);
-    agg_core_link_.assign(pods * g * g, 0);
-    core_border_link_.assign(g * g, 0);
-    border_external_link_.assign(g, 0);
+    std::vector<std::uint32_t> edge_agg_link(pods * g * g, 0);
+    std::vector<std::uint32_t> agg_core_link(pods * g * g, 0);
+    std::vector<std::uint32_t> core_border_link(g * g, 0);
+    std::vector<std::uint32_t> border_external_link(g, 0);
     for (int p = 0; p < tree.pod_count(); ++p) {
         for (int j = 0; j < tree.group_width(); ++j) {
             const node_id agg = tree.aggregation(p, j);
             for (int e = 0; e < tree.group_width(); ++e) {
-                edge_agg_link_[(static_cast<std::size_t>(p) * g + e) * g + j] =
+                edge_agg_link[(static_cast<std::size_t>(p) * g + e) * g + j] =
                     graph.edge_id(tree.edge(p, e), agg);
             }
             for (int i = 0; i < tree.group_width(); ++i) {
-                agg_core_link_[(static_cast<std::size_t>(p) * g + j) * g + i] =
+                agg_core_link[(static_cast<std::size_t>(p) * g + j) * g + i] =
                     graph.edge_id(agg, tree.core(j, i));
             }
         }
@@ -138,10 +132,10 @@ fat_tree_routing::fat_tree_routing(const fat_tree& tree,
     for (int j = 0; j < tree.group_width(); ++j) {
         const node_id border = tree.border(j);
         for (int i = 0; i < tree.group_width(); ++i) {
-            core_border_link_[static_cast<std::size_t>(j) * g + i] =
+            core_border_link[static_cast<std::size_t>(j) * g + i] =
                 graph.edge_id(tree.core(j, i), border);
         }
-        border_external_link_[j] = graph.edge_id(border, tree.external());
+        border_external_link[j] = graph.edge_id(border, tree.external());
     }
 
     // Link-component roles. A component carrying edges of different groups
@@ -155,13 +149,13 @@ fat_tree_routing::fat_tree_routing(const fat_tree& tree,
             for (int e = 0; e < tree.group_width(); ++e) {
                 assign_link_role(
                     link_component(
-                        edge_agg_link_[(static_cast<std::size_t>(p) * g + e) * g + j]),
+                        edge_agg_link[(static_cast<std::size_t>(p) * g + e) * g + j]),
                     role);
             }
             for (int i = 0; i < tree.group_width(); ++i) {
                 assign_link_role(
                     link_component(
-                        agg_core_link_[(static_cast<std::size_t>(p) * g + j) * g + i]),
+                        agg_core_link[(static_cast<std::size_t>(p) * g + j) * g + i]),
                     role);
             }
         }
@@ -176,10 +170,10 @@ fat_tree_routing::fat_tree_routing(const fat_tree& tree,
         const auto role = static_cast<std::uint8_t>(j);
         for (int i = 0; i < tree.group_width(); ++i) {
             assign_link_role(
-                link_component(core_border_link_[static_cast<std::size_t>(j) * g + i]),
+                link_component(core_border_link[static_cast<std::size_t>(j) * g + i]),
                 role);
         }
-        assign_link_role(link_component(border_external_link_[j]), role);
+        assign_link_role(link_component(border_external_link[j]), role);
     }
 
     // Link components' mask bits. Host uplinks are mask-irrelevant (checked
@@ -189,14 +183,14 @@ fat_tree_routing::fat_tree_routing(const fat_tree& tree,
         for (int j = 0; j < tree.group_width(); ++j) {
             for (int e = 0; e < tree.group_width(); ++e) {
                 const std::size_t slot = static_cast<std::size_t>(p) * g + e;
-                add_touch(link_component(edge_agg_link_[slot * g + j]),
+                add_touch(link_component(edge_agg_link[slot * g + j]),
                           {patch_kind::uplink_exc,
                            static_cast<std::uint32_t>(slot),
                            static_cast<std::uint32_t>(j)});
             }
             const std::size_t slot = static_cast<std::size_t>(p) * g + j;
             for (int i = 0; i < tree.group_width(); ++i) {
-                add_touch(link_component(agg_core_link_[slot * g + i]),
+                add_touch(link_component(agg_core_link[slot * g + i]),
                           {patch_kind::transit_exc,
                            static_cast<std::uint32_t>(slot),
                            static_cast<std::uint32_t>(i)});
@@ -206,11 +200,11 @@ fat_tree_routing::fat_tree_routing(const fat_tree& tree,
     for (int j = 0; j < tree.group_width(); ++j) {
         for (int i = 0; i < tree.group_width(); ++i) {
             add_touch(
-                link_component(core_border_link_[static_cast<std::size_t>(j) * g + i]),
+                link_component(core_border_link[static_cast<std::size_t>(j) * g + i]),
                 {patch_kind::ext_exc, static_cast<std::uint32_t>(j),
                  static_cast<std::uint32_t>(i)});
         }
-        add_touch(link_component(border_external_link_[j]),
+        add_touch(link_component(border_external_link[j]),
                   {patch_kind::ext_zero, static_cast<std::uint32_t>(j), 0});
     }
     finish_touch_index();
@@ -278,6 +272,13 @@ round_class fat_tree_routing::classify(
 }
 
 void fat_tree_routing::begin_round(round_state& rs) {
+    // The reverse index sees only the effective failures of the forest it
+    // was built from.
+    if (rs.forest() != forest_) {
+        throw std::logic_error{
+            "fat_tree_routing: the round's fault-tree forest is not the "
+            "oracle's"};
+    }
     rs_ = &rs;
     class_ = classify(rs.raw_failed_list());
 }
@@ -328,13 +329,6 @@ void fat_tree_routing::prepare_round() {
     }
     prep_rs_ = rs_;
     prep_epoch_ = rs_->epoch();
-    // The reverse index only sees effective failures the round's own forest
-    // produces; a mismatched forest means unknown failure semantics, so the
-    // legacy per-slot path answers instead.
-    fast_round_ = rs_->forest() == forest_;
-    if (!fast_round_) {
-        return;
-    }
     ++prep_gen_;
     uplink_exc_.clear();
     transit_exc_.clear();
@@ -355,33 +349,15 @@ std::uint64_t fat_tree_routing::uplink_mask(int pod, int edge_index) {
     const auto g = static_cast<std::size_t>(tree_->group_width());
     const std::size_t slot = static_cast<std::size_t>(pod) * g + edge_index;
     prepare_round();
-    if (fast_round_) {
-        std::uint64_t mask = full_group_mask_;
-        if (pod_agg_gen_[pod] == prep_gen_) {
-            mask &= ~pod_agg_clear_[pod];
-        }
-        for (const auto& [exc_slot, bits] : uplink_exc_) {
-            if (exc_slot == slot) {
-                mask &= ~bits;
-            }
-        }
-        return mask;
+    std::uint64_t mask = full_group_mask_;
+    if (pod_agg_gen_[pod] == prep_gen_) {
+        mask &= ~pod_agg_clear_[pod];
     }
-    if (uplink_epoch_[slot] == rs_->epoch()) {
-        return uplink_cache_[slot];
-    }
-    std::uint64_t mask = 0;
-    for (int j = 0; j < tree_->group_width(); ++j) {
-        if (!node_ok(tree_->aggregation(pod, j))) {
-            continue;
+    for (const auto& [exc_slot, bits] : uplink_exc_) {
+        if (exc_slot == slot) {
+            mask &= ~bits;
         }
-        if (links_ != nullptr && !link_ok(edge_agg_link_[slot * g + j])) {
-            continue;
-        }
-        mask |= std::uint64_t{1} << j;
     }
-    uplink_cache_[slot] = mask;
-    uplink_epoch_[slot] = rs_->epoch();
     return mask;
 }
 
@@ -389,82 +365,36 @@ std::uint64_t fat_tree_routing::transit_mask(int pod, int group) {
     const auto g = static_cast<std::size_t>(tree_->group_width());
     const std::size_t slot = static_cast<std::size_t>(pod) * g + group;
     prepare_round();
-    if (fast_round_) {
-        if (pod_agg_gen_[pod] == prep_gen_ &&
-            (pod_agg_clear_[pod] >> group & 1) != 0) {
-            return 0;  // the pod's aggregation switch of this group is down
-        }
-        std::uint64_t mask = full_group_mask_;
-        if (core_gen_[group] == prep_gen_) {
-            mask &= ~core_clear_[group];
-        }
-        for (const auto& [exc_slot, bits] : transit_exc_) {
-            if (exc_slot == slot) {
-                mask &= ~bits;
-            }
-        }
-        return mask;
+    if (pod_agg_gen_[pod] == prep_gen_ &&
+        (pod_agg_clear_[pod] >> group & 1) != 0) {
+        return 0;  // the pod's aggregation switch of this group is down
     }
-    if (transit_epoch_[slot] == rs_->epoch()) {
-        return transit_cache_[slot];
+    std::uint64_t mask = full_group_mask_;
+    if (core_gen_[group] == prep_gen_) {
+        mask &= ~core_clear_[group];
     }
-    std::uint64_t mask = 0;
-    if (node_ok(tree_->aggregation(pod, group))) {
-        for (int i = 0; i < tree_->group_width(); ++i) {
-            if (!node_ok(tree_->core(group, i))) {
-                continue;
-            }
-            if (links_ != nullptr && !link_ok(agg_core_link_[slot * g + i])) {
-                continue;
-            }
-            mask |= std::uint64_t{1} << i;
+    for (const auto& [exc_slot, bits] : transit_exc_) {
+        if (exc_slot == slot) {
+            mask &= ~bits;
         }
     }
-    transit_cache_[slot] = mask;
-    transit_epoch_[slot] = rs_->epoch();
     return mask;
 }
 
 std::uint64_t fat_tree_routing::external_group_mask(int group) {
     prepare_round();
-    if (fast_round_) {
-        if (ext_zero_gen_[group] == prep_gen_) {
-            return 0;  // border switch or its external peering link is down
-        }
-        std::uint64_t mask = full_group_mask_;
-        if (core_gen_[group] == prep_gen_) {
-            mask &= ~core_clear_[group];
-        }
-        for (const auto& [exc_group, bits] : ext_exc_) {
-            if (exc_group == static_cast<std::uint32_t>(group)) {
-                mask &= ~bits;
-            }
-        }
-        return mask;
+    if (ext_zero_gen_[group] == prep_gen_) {
+        return 0;  // border switch or its external peering link is down
     }
-    if (external_epoch_[group] == rs_->epoch()) {
-        return external_cache_[group];
+    std::uint64_t mask = full_group_mask_;
+    if (core_gen_[group] == prep_gen_) {
+        mask &= ~core_clear_[group];
     }
-    const auto g = static_cast<std::size_t>(tree_->group_width());
-    std::uint64_t mask = 0;
-    const node_id border = tree_->border(group);
-    const bool border_up =
-        node_ok(border) &&
-        (links_ == nullptr || link_ok(border_external_link_[group]));
-    if (border_up) {
-        for (int i = 0; i < tree_->group_width(); ++i) {
-            if (!node_ok(tree_->core(group, i))) {
-                continue;
-            }
-            if (links_ != nullptr &&
-                !link_ok(core_border_link_[static_cast<std::size_t>(group) * g + i])) {
-                continue;
-            }
-            mask |= std::uint64_t{1} << i;
+    for (const auto& [exc_group, bits] : ext_exc_) {
+        if (exc_group == static_cast<std::uint32_t>(group)) {
+            mask &= ~bits;
         }
     }
-    external_cache_[group] = mask;
-    external_epoch_[group] = rs_->epoch();
     return mask;
 }
 

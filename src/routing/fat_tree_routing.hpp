@@ -34,11 +34,11 @@
 // component id to its mask bits is precomputed once, so preparing a round
 // costs O(|raw failed| + |affected deps|), and a mask read costs O(1) plus
 // a scan of the round's exception lists (failed edge<->agg, agg<->core and
-// core<->border links) — short, since each entry is one failed link. When
-// the oracle was constructed without the fault-tree forest the assessed
-// rounds use, it falls back to the legacy lazy per-slot computation (O(g)
-// per cold slot). Without a link attachment, links are treated as
-// infallible and the math degenerates to the node-only closed form.
+// core<->border links) — short, since each entry is one failed link. The
+// reverse index follows dependency failures through the oracle's own
+// fault-tree forest, so every round must carry that forest. Without a link
+// attachment, links are treated as infallible and the math degenerates to
+// the node-only closed form.
 // std::uint64_t masks support k up to 128.
 #pragma once
 
@@ -55,14 +55,15 @@ namespace recloud {
 class fat_tree_routing final : public reachability_oracle {
 public:
     /// `links` and `forest` are optional and must outlive the oracle when
-    /// given. Pass the same forest the assessed rounds carry: it lets the
-    /// oracle see which mask-relevant switches a raw dependency failure can
-    /// flip, enabling the O(1) patched-mask path. With a different (or no)
-    /// forest the oracle stays correct via the legacy per-slot path.
+    /// given. `forest` must be the one the assessed rounds carry (nullptr
+    /// for rounds without one): it tells the oracle which mask-relevant
+    /// switches a raw dependency failure can flip.
     explicit fat_tree_routing(const fat_tree& tree,
                               const link_attachment* links = nullptr,
                               const fault_tree_forest* forest = nullptr);
 
+    /// Throws std::logic_error when `rs` carries another forest than the
+    /// oracle's.
     void begin_round(round_state& rs) override;
     /// The closed-form oracle has no flood to cut short; the base overload
     /// that takes (and ignores) the query-target hint stays visible here.
@@ -157,8 +158,7 @@ private:
         std::uint32_t b;
     };
     void add_touch(component_id component, patch_op op);
-    /// Ensures the per-round patch state matches rs_'s current round; falls
-    /// back to the legacy path when the round's forest is not forest_.
+    /// Ensures the per-round patch state matches rs_'s current round.
     void prepare_round();
     void apply_candidate(component_id candidate);
 
@@ -168,7 +168,6 @@ private:
     std::vector<std::vector<component_id>> rev_dep_;
 
     // Per-round patch state, stamped with prep_gen_.
-    bool fast_round_ = false;
     const round_state* prep_rs_ = nullptr;
     std::uint32_t prep_epoch_ = 0;
     std::uint64_t prep_gen_ = 0;
@@ -182,12 +181,8 @@ private:
     std::vector<std::pair<std::uint32_t, std::uint64_t>> transit_exc_;
     std::vector<std::pair<std::uint32_t, std::uint64_t>> ext_exc_;
 
-    // Pre-resolved link edge ids (empty when links_ == nullptr).
-    std::vector<std::uint32_t> host_uplink_;          ///< by host id (dense)
-    std::vector<std::uint32_t> edge_agg_link_;        ///< (pod*g + e)*g + j
-    std::vector<std::uint32_t> agg_core_link_;        ///< (pod*g + j)*g + i
-    std::vector<std::uint32_t> core_border_link_;     ///< j*g + i
-    std::vector<std::uint32_t> border_external_link_; ///< j
+    /// Host uplink edge ids by host id (empty when links_ == nullptr).
+    std::vector<std::uint32_t> host_uplink_;
 
     // Role table for classify_round: per component id, either the
     // core-group index it belongs to (0..g-1), or a sentinel. Hosts are
@@ -202,14 +197,6 @@ private:
     void assign_link_role(component_id component, std::uint8_t role);
     std::vector<std::uint8_t> role_;
     std::uint64_t full_group_mask_ = 0;
-
-    // Per-round caches (epoch-stamped).
-    std::vector<std::uint64_t> uplink_cache_;
-    std::vector<std::uint32_t> uplink_epoch_;
-    std::vector<std::uint64_t> transit_cache_;
-    std::vector<std::uint32_t> transit_epoch_;
-    std::vector<std::uint64_t> external_cache_;
-    std::vector<std::uint32_t> external_epoch_;
 };
 
 }  // namespace recloud

@@ -6,6 +6,7 @@
 #include <stdexcept>
 #include <utility>
 
+#include "exec/engine.hpp"
 #include "obs/admin_server.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -289,7 +290,8 @@ void deployment_service::worker_loop(shard& sh) {
                                  options_.deadline_headroom);
         }
 
-        service_response response = run(pending, budget);
+        std::uint64_t worker_respawns = 0;
+        service_response response = run(pending, budget, worker_respawns);
         const monotonic_clock::time_point finished_at = monotonic_clock::now();
         response.queue_wait_ns = queue_wait;
         response.search_ns =
@@ -308,6 +310,7 @@ void deployment_service::worker_loop(shard& sh) {
             response.result.outcome == search_outcome::deadline_exceeded;
         {
             const std::lock_guard<std::mutex> lock{mutex_};
+            stats_.worker_respawns += worker_respawns;
             if (response.status == request_status::completed) {
                 ++stats_.completed;
                 RECLOUD_COUNTER_INC("service.completed");
@@ -338,7 +341,8 @@ void deployment_service::worker_loop(shard& sh) {
 }
 
 service_response deployment_service::run(pending_request& pending,
-                                         const run_budget_ptr& budget) const {
+                                         const run_budget_ptr& budget,
+                                         std::uint64_t& worker_respawns) const {
     RECLOUD_SPAN("service.request");
     service_response response;
     response.request_id = pending.id;
@@ -374,6 +378,9 @@ service_response deployment_service::run(pending_request& pending,
         request.budget = budget;
         response.result = instance.find_deployment(request);
         response.status = request_status::completed;
+        if (const engine_stats* engine = instance.execution_stats()) {
+            worker_respawns = engine->worker_respawns;
+        }
     } catch (const std::exception& error) {
         response.status = request_status::failed;
         response.error = error.what();
@@ -472,14 +479,9 @@ std::string deployment_service::status_json() const {
         }
     }
     out += "}";
-    // Fleet liveness as last published into the registry (re_cloud's
-    // telemetry() harvest updates these; 0 until then).
-    const obs::telemetry_snapshot metrics =
-        obs::metrics_registry::global().snapshot();
     out += ",\"fleet\":{\"worker_respawns\":" +
-           std::to_string(metrics.value("engine.stats.worker_respawns")) +
-           ",\"trace_dropped\":" + std::to_string(metrics.value("trace.dropped")) +
-           "}";
+           std::to_string(snapshot.worker_respawns) + ",\"trace_dropped\":" +
+           std::to_string(obs::tracer::global().dropped()) + "}";
     out += "}\n";
     return out;
 }

@@ -197,6 +197,9 @@ struct service_stats {
     /// Orthogonal to met/missed: a preempted search usually still meets its
     /// deadline (that is the point).
     std::uint64_t preempted = 0;
+    /// Worker-process respawns summed over finished requests
+    /// (re_cloud::execution_stats; 0 unless requests run engine workers).
+    std::uint64_t worker_respawns = 0;
     /// Deepest any single shard queue ever got.
     std::size_t peak_queue_depth = 0;
     /// Live queue depth per shard (index = shard id) at the stats() call.
@@ -239,9 +242,8 @@ public:
     /// Health/status JSON served at the admin endpoint's /status route:
     /// admission configuration, cumulative stats() (per-shard queue depth
     /// and high-water mark included), per-tenant in-flight counts, and the
-    /// fleet gauges last published to the metrics registry
-    /// (engine.stats.worker_respawns, trace.dropped). Callable without an
-    /// admin endpoint.
+    /// fleet's liveness: stats().worker_respawns and the process tracer's
+    /// dropped spans. Callable without an admin endpoint.
     [[nodiscard]] std::string status_json() const;
     /// Pending requests across all shards.
     [[nodiscard]] std::size_t queue_depth() const;
@@ -287,8 +289,11 @@ private:
                                          const pending_request& b) noexcept;
 
     void worker_loop(shard& sh);
+    /// Runs one request and reports its engine's worker respawns in
+    /// `worker_respawns` (left untouched without an engine).
     [[nodiscard]] service_response run(pending_request& pending,
-                                       const run_budget_ptr& budget) const;
+                                       const run_budget_ptr& budget,
+                                       std::uint64_t& worker_respawns) const;
 
     service_options options_;
     /// Registry + stats + tenant bookkeeping; never held while a shard

@@ -111,26 +111,48 @@ fat_tree fat_tree::build(int k) {
     return ft;
 }
 
-node_id fat_tree::core(int group, int index) const noexcept {
+namespace {
+
+void check_coordinate(const char* name, int value, int limit) {
+    if (value < 0 || value >= limit) {
+        throw std::out_of_range{"fat_tree: " + std::string{name} + " " +
+                                std::to_string(value) + " is outside [0, " +
+                                std::to_string(limit) + ")"};
+    }
+}
+
+}  // namespace
+
+node_id fat_tree::core(int group, int index) const {
+    check_coordinate("group", group, g_);
+    check_coordinate("core index", index, g_);
     return static_cast<node_id>(group * g_ + index);
 }
 
-node_id fat_tree::aggregation(int pod, int group) const noexcept {
+node_id fat_tree::aggregation(int pod, int group) const {
+    check_coordinate("pod", pod, pod_count());
+    check_coordinate("group", group, g_);
     return core_count_ + static_cast<node_id>(pod) * pod_stride_ +
            static_cast<node_id>(group);
 }
 
-node_id fat_tree::edge(int pod, int edge_index) const noexcept {
+node_id fat_tree::edge(int pod, int edge_index) const {
+    check_coordinate("pod", pod, pod_count());
+    check_coordinate("edge index", edge_index, g_);
     return core_count_ + static_cast<node_id>(pod) * pod_stride_ +
            static_cast<node_id>(g_ + edge_index);
 }
 
-node_id fat_tree::host(int pod, int edge_index, int slot) const noexcept {
+node_id fat_tree::host(int pod, int edge_index, int slot) const {
+    check_coordinate("pod", pod, pod_count());
+    check_coordinate("edge index", edge_index, g_);
+    check_coordinate("host slot", slot, hosts_per_edge());
     return core_count_ + static_cast<node_id>(pod) * pod_stride_ +
            static_cast<node_id>(2 * g_ + edge_index * g_ + slot);
 }
 
-node_id fat_tree::border(int group) const noexcept {
+node_id fat_tree::border(int group) const {
+    check_coordinate("group", group, g_);
     return border_base_ + static_cast<node_id>(group);
 }
 
@@ -152,7 +174,9 @@ int fat_tree::edge_index_of_host(node_id id) const noexcept {
 }
 
 node_id fat_tree::edge_of_host(node_id id) const noexcept {
-    return edge(pod_of_host(id), edge_index_of_host(id));
+    // Unchecked: a host's own coordinates are in range by construction.
+    return core_count_ + static_cast<node_id>(pod_of_host(id)) * pod_stride_ +
+           static_cast<node_id>(g_ + edge_index_of_host(id));
 }
 
 }  // namespace recloud

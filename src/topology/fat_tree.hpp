@@ -56,11 +56,13 @@ public:
     [[nodiscard]] int hosts_per_edge() const noexcept { return g_; }
 
     // -- arithmetic node addressing ------------------------------------
-    [[nodiscard]] node_id core(int group, int index) const noexcept;
-    [[nodiscard]] node_id aggregation(int pod, int group) const noexcept;
-    [[nodiscard]] node_id edge(int pod, int edge_index) const noexcept;
-    [[nodiscard]] node_id host(int pod, int edge_index, int slot) const noexcept;
-    [[nodiscard]] node_id border(int group) const noexcept;
+    // Each throws std::out_of_range for a coordinate outside
+    // [0, pod_count()), [0, group_width()) or [0, hosts_per_edge()).
+    [[nodiscard]] node_id core(int group, int index) const;
+    [[nodiscard]] node_id aggregation(int pod, int group) const;
+    [[nodiscard]] node_id edge(int pod, int edge_index) const;
+    [[nodiscard]] node_id host(int pod, int edge_index, int slot) const;
+    [[nodiscard]] node_id border(int group) const;
     [[nodiscard]] node_id external() const noexcept { return topo_.external; }
 
     // -- reverse lookups (only valid for ids of the matching kind) ------

@@ -19,6 +19,7 @@
 
 #include "core/scenario.hpp"
 #include "obs/timeline.hpp"
+#include "obs/trace.hpp"
 
 namespace recloud {
 namespace {
@@ -696,6 +697,38 @@ TEST(Service, OverBudgetSearchIsPreemptedWithAnytimeResult) {
 TEST(Service, SchedulingPolicyToString) {
     EXPECT_STREQ(to_string(scheduling_policy::fifo), "fifo");
     EXPECT_STREQ(to_string(scheduling_policy::edf), "edf");
+}
+
+TEST(Service, StatusFleetReportsTheTracersDroppedSpans) {
+    // Overflow a small trace ring, as Tracer.FullRingDropsNewestAndCountsIt
+    // does: /status must report the tracer's own count.
+    obs::tracer& tracer = obs::tracer::global();
+    tracer.reset();
+    tracer.set_ring_capacity(4);
+    tracer.start();
+    std::thread{[&tracer] {
+        for (int i = 0; i < 10; ++i) {
+            tracer.record("tiny", 0, 1);
+        }
+    }}.join();
+    tracer.stop();
+    ASSERT_GT(tracer.dropped(), 0u);
+
+    service_options options;
+    options.workers = 1;
+    options.defaults = small_search_defaults();
+    deployment_service service{options};
+    service.add_scenario("dc", make_fat_tree_scenario(4));
+    EXPECT_EQ(service.submit(request_for("dc", 3)).get().status,
+              request_status::completed);
+    const std::string status = service.status_json();
+    EXPECT_NE(status.find("\"fleet\":{\"worker_respawns\":0,"
+                          "\"trace_dropped\":" +
+                          std::to_string(tracer.dropped()) + "}"),
+              std::string::npos)
+        << status;
+    tracer.set_ring_capacity(std::size_t{1} << 15);
+    tracer.reset();
 }
 
 // ---- child worker processes (socket transport) -----------------------------

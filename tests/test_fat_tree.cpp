@@ -4,6 +4,7 @@
 
 #include <cstdint>
 #include <set>
+#include <stdexcept>
 #include <tuple>
 
 #include "topology/stats.hpp"
@@ -166,6 +167,25 @@ TEST(FatTree, HostsPerPodAndEdge) {
     EXPECT_EQ(ft.pod_count(), 7);
     EXPECT_EQ(ft.hosts_per_pod(), 16);
     EXPECT_EQ(ft.hosts_per_edge(), 4);
+}
+
+TEST(FatTree, CoordinatesOutsideTheTreeThrow) {
+    // k = 4: pods 0..2 (the fourth pod position holds the border switches),
+    // 2 groups, 2 edges per pod, 2 hosts per edge.
+    const fat_tree ft = fat_tree::build(4);
+    EXPECT_THROW((void)ft.host(3, 0, 0), std::out_of_range);
+    EXPECT_THROW((void)ft.host(0, 2, 0), std::out_of_range);
+    EXPECT_THROW((void)ft.host(0, 0, 2), std::out_of_range);
+    EXPECT_THROW((void)ft.host(-1, 0, 0), std::out_of_range);
+    EXPECT_THROW((void)ft.edge(3, 0), std::out_of_range);
+    EXPECT_THROW((void)ft.aggregation(0, 2), std::out_of_range);
+    EXPECT_THROW((void)ft.core(2, 0), std::out_of_range);
+    EXPECT_THROW((void)ft.core(0, 2), std::out_of_range);
+    EXPECT_THROW((void)ft.border(2), std::out_of_range);
+    // The last valid coordinates stay inside the graph.
+    EXPECT_LT(ft.host(2, 1, 1), ft.graph().node_count());
+    EXPECT_LT(ft.border(1), ft.graph().node_count());
+    EXPECT_EQ(ft.edge_of_host(ft.host(2, 1, 1)), ft.edge(2, 1));
 }
 
 }  // namespace

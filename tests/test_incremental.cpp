@@ -26,7 +26,6 @@
 #include "faults/probability_model.hpp"
 #include "obs/metrics.hpp"
 #include "property_seed.hpp"
-#include "report/report.hpp"
 #include "routing/bfs_reachability.hpp"
 #include "routing/fat_tree_routing.hpp"
 #include "sampling/extended_dagger.hpp"
@@ -1417,22 +1416,6 @@ TEST(IncrementalReplay, PreemptMidRejudgeLeavesVerdictsToRejudge) {
     EXPECT_EQ(after->replay_rejudged - before.replay_rejudged, groups);
     backend->reset_stream(5);
     expect_identical(backend->assess(app, plan_b, rounds), expected_b);
-}
-
-// ---- reporting -----------------------------------------------------------
-
-TEST(IncrementalReport, CacheStatsJsonCarriesCrossPlanCounters) {
-    verdict_cache_stats stats;
-    stats.rounds = 10;
-    stats.warm_rebinds = 3;
-    stats.cold_rebinds = 2;
-    stats.cross_plan_hits = 7;
-    stats.retained_entries = 5;
-    const std::string json = to_json(stats);
-    EXPECT_NE(json.find("\"warm_rebinds\":3"), std::string::npos) << json;
-    EXPECT_NE(json.find("\"cold_rebinds\":2"), std::string::npos) << json;
-    EXPECT_NE(json.find("\"cross_plan_hits\":7"), std::string::npos) << json;
-    EXPECT_NE(json.find("\"retained_entries\":5"), std::string::npos) << json;
 }
 
 }  // namespace

@@ -2,8 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <chrono>
 #include <limits>
+#include <string>
 
+#include "core/scenario.hpp"
+#include "exec/engine.hpp"
+#include "obs/admin_server.hpp"
 #include "obs/metrics.hpp"
 
 namespace recloud {
@@ -125,6 +131,116 @@ TEST(Report, EmptyTraceIsHeaderOnly) {
     const annealing_result result;
     EXPECT_EQ(trace_to_csv(result),
               "elapsed_seconds,best_score,best_reliability,plans_evaluated\n");
+}
+
+// ---- one field list, every surface ----------------------------------------
+
+/// The Prometheus sample line of an unlabelled scalar metric.
+std::string prometheus_line(const std::string& name, std::uint64_t value) {
+    std::string family = "recloud_" + name;
+    std::replace(family.begin(), family.end(), '.', '_');
+    return "\n" + family + " " + std::to_string(value) + "\n";
+}
+
+/// True when the JSON holds "name":value as a whole member.
+bool json_has(const std::string& json, const std::string& name,
+              std::uint64_t value) {
+    const std::string member = "\"" + name + "\":" + std::to_string(value);
+    for (std::size_t at = json.find(member); at != std::string::npos;
+         at = json.find(member, at + 1)) {
+        const char next = json[at + member.size()];
+        if (next == ',' || next == '}') {
+            return true;
+        }
+    }
+    return false;
+}
+
+/// Renders one run's telemetry through every export surface and expects
+/// each listed counter of both structs to read the struct accessor's value
+/// on all of them.
+obs::telemetry_snapshot expect_surfaces_agree(
+    const re_cloud& system, const deployment_response& response) {
+    const obs::telemetry_snapshot snap = system.telemetry();
+    const std::string prometheus = obs::prometheus_exposition(snap);
+    const std::string json = to_json(response, nullptr, &snap);
+    const auto expect_everywhere = [&](const std::string& name,
+                                       std::uint64_t want) {
+        SCOPED_TRACE(name);
+        EXPECT_NE(snap.find(name), nullptr);
+        EXPECT_EQ(snap.value(name), want);
+        EXPECT_NE(prometheus.find(prometheus_line(name, want)),
+                  std::string::npos);
+        EXPECT_TRUE(json_has(json, name, want));
+    };
+    const verdict_cache_stats* cache = system.cache_stats();
+    EXPECT_NE(cache, nullptr);
+    if (cache != nullptr) {
+        EXPECT_GT(cache->rounds, 0u);
+        verdict_cache_stats::for_each_counter([&](const char* name, auto field) {
+            expect_everywhere(std::string{"cache.stats."} + name, cache->*field);
+        });
+        expect_everywhere("cache.stats.saved_rounds", cache->saved_rounds());
+    }
+    if (const engine_stats* engine = system.execution_stats()) {
+        EXPECT_GT(engine->dispatches, 0u);
+        engine_stats::for_each_counter([&](const char* name, auto field) {
+            expect_everywhere(std::string{"engine.stats."} + name,
+                              engine->*field);
+        });
+    }
+    return snap;
+}
+
+TEST(Report, CountersAgreeOnEverySurface) {
+    const scenario_ptr snapshot = make_fat_tree_scenario(4);
+    deployment_request request;
+    request.app = application::k_of_n(2, 3);
+    request.desired_reliability = 2.0;  // unreachable: the whole budget runs
+    request.max_search_time = std::chrono::seconds{30};
+    recloud_options options;
+    options.assessment_rounds = 400;
+    options.assessment_batch_rounds = 64;
+    options.assessment_threads = 2;
+    options.max_iterations = 10;
+    options.deterministic_schedule = true;
+    {
+        SCOPED_TRACE("cached parallel search");
+        recloud_options parallel = options;
+        parallel.backend = assessment_backend_kind::parallel;
+        re_cloud system{snapshot, parallel};
+        const deployment_response response = system.find_deployment(request);
+        (void)expect_surfaces_agree(system, response);
+        // The CRN round journal replays in front of the cache.
+        ASSERT_NE(system.cache_stats(), nullptr);
+        EXPECT_GT(system.cache_stats()->replay_groups, 0u);
+    }
+    {
+        SCOPED_TRACE("engine search over sockets");
+        recloud_options engine = options;
+        engine.backend = assessment_backend_kind::engine;
+        engine.engine_transport = engine_transport_kind::socket;
+        engine.engine_worker_binary = RECLOUD_WORKER_BIN;
+        re_cloud system{snapshot, engine};
+        const deployment_response response = system.find_deployment(request);
+        const obs::telemetry_snapshot snap =
+            expect_surfaces_agree(system, response);
+        ASSERT_NE(system.execution_stats(), nullptr);
+        EXPECT_EQ(system.execution_stats()->degraded, 0u);
+        EXPECT_NE(snap.find("worker.1.pid"), nullptr);
+        // No batch ran master-local, so the per-worker entries sum to the
+        // fleet's (support_size is a level, carried rather than summed).
+        verdict_cache_stats::for_each_counter([&](const char* name, auto field) {
+            if (field == &verdict_cache_stats::support_size) {
+                return;
+            }
+            const std::string suffix = std::string{".cache.stats."} + name;
+            EXPECT_EQ(snap.value("worker.0" + suffix) +
+                          snap.value("worker.1" + suffix),
+                      snap.value(suffix.substr(1)))
+                << name;
+        });
+    }
 }
 
 }  // namespace

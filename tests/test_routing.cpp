@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <stdexcept>
 #include <vector>
 
 #include "faults/round_state.hpp"
@@ -236,11 +237,33 @@ TEST(FatTreeRouting, UsesEffectiveFailuresFromFaultTrees) {
     forest.attach(ft.edge(0, 0), forest.add_leaf(supply));
 
     round_state rs{registry.size(), &forest};
-    fat_tree_routing oracle{ft};
+    fat_tree_routing oracle{ft, nullptr, &forest};
     rs.begin_round(std::vector<component_id>{supply});
     oracle.begin_round(rs);
     EXPECT_FALSE(oracle.border_reachable(ft.host(0, 0, 0)));
     EXPECT_TRUE(oracle.border_reachable(ft.host(0, 1, 0)));
+}
+
+TEST(FatTreeRouting, RejectsARoundOfAnotherForest) {
+    // The patched masks follow dependency failures through the oracle's own
+    // forest; a round built on another forest (or none) must not be judged.
+    fat_tree ft = fat_tree::build(4);
+    component_registry registry{ft.graph()};
+    fault_tree_forest forest{ft.graph().node_count()};
+    forest.attach(ft.edge(0, 0), forest.add_leaf(registry.add(
+                                      component_kind::power_supply, "ps0")));
+
+    round_state with_forest{registry.size(), &forest};
+    with_forest.begin_round(std::vector<component_id>{});
+    fat_tree_routing without{ft};
+    EXPECT_THROW(without.begin_round(with_forest), std::logic_error);
+
+    round_state without_forest{registry.size(), nullptr};
+    without_forest.begin_round(std::vector<component_id>{});
+    fat_tree_routing wired{ft, nullptr, &forest};
+    EXPECT_THROW(wired.begin_round(without_forest), std::logic_error);
+    wired.begin_round(with_forest);
+    EXPECT_TRUE(wired.border_reachable(ft.host(0, 0, 0)));
 }
 
 // ---- generic BFS oracle ---------------------------------------------------

@@ -723,6 +723,44 @@ TEST(TelemetryHarvest, CacheCountersOverSocketsMatchLoopbackPrivateCaches) {
     }
 }
 
+TEST(TelemetryHarvest, CacheCountersSurviveARespawn) {
+    // Each harvest ships the growth since the worker's previous one, so a
+    // killed worker's harvested rounds stay in the fleet sum and its
+    // replacement's rounds add to them.
+    socket_fixture f;
+    engine_options options = f.socket_options(2);
+    options.max_attempts = 6;
+    options.verdict_cache.enabled = true;
+    extended_dagger_sampler sampler{f.registry.probabilities(), k_seed};
+    assessment_engine engine{f.registry.size(), &f.forest, f.factory(),
+                             sampler, options};
+    (void)engine.assess(f.app, f.plan, k_rounds);
+    engine.harvest_telemetry();
+    ASSERT_NE(engine.cache_stats(), nullptr);
+    EXPECT_EQ(engine.cache_stats()->rounds, k_rounds);
+
+    const std::vector<int> pids = engine.transport().worker_pids();
+    ASSERT_EQ(pids.size(), 2u);
+    ASSERT_EQ(::kill(pids[0], SIGKILL), 0);
+    (void)engine.assess(f.app, f.plan, k_rounds);
+    EXPECT_GE(engine.stats().worker_respawns, 1u);
+    EXPECT_EQ(engine.stats().degraded, 0u);  // the workers judged every round
+    // The replacement may still be starting; wait until it can answer.
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (engine.transport().live_worker_processes() < 2 &&
+           std::chrono::steady_clock::now() < deadline) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    }
+    engine.harvest_telemetry();
+    EXPECT_EQ(engine.cache_stats()->rounds, 2 * k_rounds);
+    std::uint64_t slot_sum = 0;
+    for (const auto& w : engine.fleet_telemetry().workers) {
+        slot_sum += w.cache.rounds;
+    }
+    EXPECT_EQ(slot_sum, 2 * k_rounds);
+}
+
 TEST(TelemetryHarvest, HarvestBetweenAssessmentsIsPureObservability) {
     // §6: interleaving a harvest (and full obs) between assessments must
     // not move a single bit of either assessment's result.
