@@ -2,6 +2,7 @@
 
 #include <vector>
 
+#include "assess/round_journal.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 

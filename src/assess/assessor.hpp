@@ -10,7 +10,6 @@
 #include "app/application.hpp"
 #include "app/deployment.hpp"
 #include "app/requirement_eval.hpp"
-#include "assess/round_journal.hpp"
 #include "assess/verdict_cache.hpp"
 #include "core/run_budget.hpp"
 #include "faults/round_state.hpp"
@@ -19,6 +18,14 @@
 #include "sampling/sampler.hpp"
 
 namespace recloud {
+
+class round_journal;
+
+/// Rounds (or journal groups) between run_budget polls in the assessment
+/// inner loops: frequent enough to bound preemption latency to a sliver of
+/// route-and-check work, sparse enough that the clock read vanishes in the
+/// noise. An un-armed poll (budget == nullptr) is a single pointer test.
+inline constexpr std::size_t budget_poll_stride = 256;
 
 /// Everything that judges one round of one (application, plan): the scratch
 /// round_state, the routing oracle, the plan's requirement evaluator and an
@@ -35,8 +42,9 @@ struct round_judge {
 /// judges each through cached_reliable_in_round and adds the verdict to
 /// `results` as a loose round (a caller that judges a batch merges the
 /// batch's tally as one replicate). When `journal` is given (it needs
-/// `judge.cache`), each round is recorded after the ones before it, so one
-/// journal can span several calls. `budget` (nullable) is polled every
+/// `judge.cache`), each round is recorded into it as it is judged: the
+/// journal of a batch (judge_batch, assess/backend.hpp) is one call's
+/// rounds. `budget` (nullable) is polled every
 /// budget_poll_stride rounds; when it fires search_preempted propagates.
 void judge_rounds(failure_sampler& sampler, std::size_t rounds,
                   const round_judge& judge, result_accumulator& results,

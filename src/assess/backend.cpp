@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <exception>
 #include <future>
 #include <stdexcept>
 #include <thread>
@@ -94,33 +95,30 @@ judge_context::judge_context(std::size_t component_count,
 void judge_batch(const sampler_description& sampler, std::uint64_t epoch,
                  std::uint64_t batch, std::size_t rounds,
                  const round_judge& judge, result_accumulator& results,
-                 round_journal* journal, const run_budget* budget) {
+                 const run_budget* budget, round_journal* journal,
+                 std::uint64_t app_fingerprint) {
     RECLOUD_SPAN("assess.batch");
     RECLOUD_COUNTER_INC("assess.batches");
+    if (journal != nullptr) {
+        const journal_key key{.seed = sampler.seed,
+                              .epoch = epoch,
+                              .rounds = rounds,
+                              .app = app_fingerprint};
+        if (const std::optional<std::size_t> reliable =
+                journal->replay_or_begin(key, judge, budget)) {
+            results.merge(*reliable, rounds);
+            return;
+        }
+    }
     const std::unique_ptr<failure_sampler> substream =
         sampler.fork(substream_id(epoch, batch));
     result_accumulator tally;
     judge_rounds(*substream, rounds, judge, tally, journal, budget);
+    if (journal != nullptr) {
+        journal->finish(*judge.cache);
+    }
     results.merge(tally.reliable_rounds(), tally.rounds());
 }
-
-/// One assess() call as every worker sees it.
-struct parallel_backend::assessment {
-    const application& app;
-    const deployment_plan& plan;
-    std::size_t rounds = 0;
-    std::size_t batches = 0;
-    std::uint64_t epoch = 0;
-    /// The reset seed when the worker journals may record or replay.
-    std::optional<std::uint64_t> journal_seed;
-    std::uint64_t app_fingerprint = 0;
-    const run_budget* budget = nullptr;
-
-    [[nodiscard]] std::size_t batch_size(std::size_t b,
-                                         std::size_t batch_rounds) const {
-        return std::min(batch_rounds, rounds - b * batch_rounds);
-    }
-};
 
 parallel_backend::parallel_backend(std::size_t component_count,
                                    const fault_tree_forest* forest,
@@ -140,65 +138,14 @@ parallel_backend::parallel_backend(std::size_t component_count,
         options_.threads != 0
             ? options_.threads
             : std::max(1u, std::thread::hardware_concurrency());
-    workers_.reserve(workers);
+    contexts_.reserve(workers);
     for (std::size_t w = 0; w < workers; ++w) {
-        workers_.push_back(std::make_unique<worker>(
-            judge_context{component_count, forest, make_oracle(),
-                          options_.verdict_cache}));
+        contexts_.push_back(std::make_unique<judge_context>(
+            component_count, forest, make_oracle(), options_.verdict_cache));
     }
     if (workers > 1) {
-        pool_.emplace(workers);
+        pool_.emplace(workers - 1);
     }
-}
-
-result_accumulator parallel_backend::run_worker(std::size_t w,
-                                                const assessment& job,
-                                                std::atomic<bool>& aborted) {
-    judge_context& context = workers_[w]->context;
-    const std::size_t workers = workers_.size();
-    const std::size_t batch_rounds = options_.batch_rounds;
-    requirement_evaluator evaluator{job.app, job.plan};
-    const round_judge judge = context.judge(job.plan, evaluator);
-    verdict_cache* cache = judge.cache;
-    if (cache != nullptr) {
-        cache->bind(job.app, job.plan);
-    }
-    result_accumulator results;
-    round_journal* journal = nullptr;
-    try {
-        if (job.journal_seed.has_value() && cache != nullptr) {
-            std::size_t share = 0;
-            for (std::size_t b = w; b < job.batches; b += workers) {
-                share += job.batch_size(b, batch_rounds);
-            }
-            const journal_key key{.seed = *job.journal_seed,
-                                  .epoch = job.epoch,
-                                  .rounds = share,
-                                  .app = job.app_fingerprint};
-            if (std::optional<result_accumulator> replayed =
-                    workers_[w]->journal.replay_or_begin(
-                        key, *cache, context.rs, *context.oracle, job.plan,
-                        evaluator, job.budget, batch_rounds)) {
-                return *replayed;
-            }
-            journal = &workers_[w]->journal;
-        }
-        for (std::size_t b = w; b < job.batches; b += workers) {
-            if (aborted.load(std::memory_order_relaxed)) {
-                return results;  // a recording journal stays unfinished
-            }
-            judge_batch(*sampler_->description(), job.epoch, b,
-                        job.batch_size(b, batch_rounds), judge, results,
-                        journal, job.budget);
-        }
-    } catch (const search_preempted&) {
-        aborted.store(true, std::memory_order_relaxed);
-        return results;
-    }
-    if (journal != nullptr) {
-        journal->finish();
-    }
-    return results;
 }
 
 result_accumulator parallel_backend::run_epoch(const application& app,
@@ -208,53 +155,74 @@ result_accumulator parallel_backend::run_epoch(const application& app,
     RECLOUD_COUNTER_ADD("assess.rounds", rounds);
     ++epoch_;
     const std::size_t batch_rounds = options_.batch_rounds;
-    const assessment job{
-        .app = app,
-        .plan = plan,
-        .rounds = rounds,
-        .batches = (rounds + batch_rounds - 1) / batch_rounds,
-        .epoch = epoch_,
-        // CRN journals (DESIGN.md §11) need a known stream: without a reset
-        // nothing is recorded or replayed.
-        .journal_seed = reset_seed_,
-        .app_fingerprint =
-            reset_seed_.has_value() ? application_fingerprint(app) : 0,
-        .budget = budget_};
+    const std::size_t batches = (rounds + batch_rounds - 1) / batch_rounds;
+    // CRN journals (DESIGN.md §11) need a known stream: without a reset
+    // nothing is recorded or replayed.
+    const std::uint64_t app_fingerprint =
+        stream_reset_ ? application_fingerprint(app) : 0;
+    journals_.resize(batches);
 
-    // Worker w judges batches w, w+W, ... Batch b's rounds come from
-    // substream (epoch, b) whichever worker runs it, and the per-batch
+    // Each claimer binds its context, then judges the next unclaimed batch
+    // until none is left. Batch b's rounds come from substream (epoch, b)
+    // and its journal is journals_[b] whoever claims it, and the per-batch
     // replicates are summed — addition commutes, so the schedule cannot
     // affect the result.
     //
-    // Lifecycle: workers poll the armed budget inside their batches; the
-    // first to see it fire raises `aborted` so siblings stop at their next
-    // batch boundary too. Every worker finishes (the master must not outrun
-    // tasks holding references to this frame), then the whole partial tally
-    // is discarded by throwing search_preempted.
+    // Lifecycle: claimers poll the armed budget inside their batches; the
+    // first to see it fire (or to fail) raises `aborted` so the others stop
+    // at their next claim. The caller collects every task (they hold
+    // references to this frame) before it rethrows, so a preempted epoch's
+    // partial tally is discarded.
+    std::atomic<std::size_t> next{0};
     std::atomic<bool> aborted{false};
+    const auto claim = [&](judge_context& context) {
+        requirement_evaluator evaluator{app, plan};
+        const round_judge judge = context.judge(plan, evaluator);
+        if (judge.cache != nullptr) {
+            judge.cache->bind(app, plan);
+        }
+        const bool journaled = stream_reset_ && judge.cache != nullptr;
+        result_accumulator results;
+        try {
+            for (std::size_t b = next.fetch_add(1, std::memory_order_relaxed);
+                 b < batches && !aborted.load(std::memory_order_relaxed);
+                 b = next.fetch_add(1, std::memory_order_relaxed)) {
+                judge_batch(*sampler_->description(), epoch_, b,
+                            std::min(batch_rounds, rounds - b * batch_rounds),
+                            judge, results, budget_,
+                            journaled ? &journals_[b] : nullptr,
+                            app_fingerprint);
+            }
+        } catch (...) {
+            aborted.store(true, std::memory_order_relaxed);
+            throw;
+        }
+        return results;
+    };
+    const std::size_t claimers = std::min(contexts_.size(), batches);
+    std::vector<std::future<result_accumulator>> tasks;
+    for (std::size_t t = 1; t < claimers; ++t) {
+        tasks.push_back(pool_->submit(
+            [&claim, context = contexts_[t].get()] { return claim(*context); }));
+    }
     result_accumulator results;
-    const std::size_t active = std::min(workers_.size(), job.batches);
-    if (!pool_.has_value()) {
-        if (active > 0) {
-            results = run_worker(0, job, aborted);
-        }
-    } else {
-        std::vector<std::future<result_accumulator>> futures;
-        futures.reserve(active);
-        for (std::size_t w = 0; w < active; ++w) {
-            futures.push_back(pool_->submit([this, w, &job, &aborted] {
-                return run_worker(w, job, aborted);
-            }));
-        }
-        for (auto& future : futures) {
-            future.wait();
-        }
-        for (auto& future : futures) {
-            results.merge(future.get());
+    std::exception_ptr failure;
+    try {
+        results = claim(*contexts_[0]);
+    } catch (...) {
+        failure = std::current_exception();
+    }
+    for (std::future<result_accumulator>& task : tasks) {
+        try {
+            results.merge(task.get());
+        } catch (...) {
+            if (failure == nullptr) {
+                failure = std::current_exception();
+            }
         }
     }
-    if (aborted.load(std::memory_order_relaxed)) {
-        throw search_preempted{};
+    if (failure != nullptr) {
+        std::rethrow_exception(failure);
     }
     return results;
 }
@@ -262,7 +230,7 @@ result_accumulator parallel_backend::run_epoch(const application& app,
 void parallel_backend::reset_stream(std::uint64_t seed) {
     sampler_->reset(seed);
     epoch_ = 0;
-    reset_seed_ = seed;
+    stream_reset_ = true;
 }
 
 const verdict_cache_stats* parallel_backend::cache_stats() const noexcept {
@@ -271,9 +239,9 @@ const verdict_cache_stats* parallel_backend::cache_stats() const noexcept {
         return nullptr;
     }
     cache_stats_ = {};
-    for (const std::unique_ptr<worker>& w : workers_) {
-        if (w->context.cache) {
-            cache_stats_.accumulate(w->context.cache->stats());
+    for (const std::unique_ptr<judge_context>& context : contexts_) {
+        if (context->cache) {
+            cache_stats_.accumulate(context->cache->stats());
         }
     }
     return &cache_stats_;

@@ -22,9 +22,9 @@
 //
 // Two executors implement it, both through judge_batch:
 //
-//   * parallel_backend  — W in-process workers judge batches w, w+W, ...;
-//     with one worker (assessment_backend_kind::serial) it runs inline on
-//     the caller's thread;
+//   * parallel_backend  — the caller and W - 1 pool threads claim batches
+//     from one counter; with one worker (assessment_backend_kind::serial)
+//     the caller claims them all;
 //   * assessment_engine — the master ships batch descriptors over the
 //     MapReduce-style wire-format engine and its workers judge them
 //     (declared in exec/engine.hpp to keep assess/ independent of exec/).
@@ -34,7 +34,6 @@
 // recloud_options::common_random_numbers whatever executes the rounds.
 #pragma once
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -83,12 +82,17 @@ struct judge_context {
 /// Judges batch `batch` of assessment `epoch`: the `rounds` rounds of
 /// sampler.fork(substream_id(epoch, batch)), judged through judge_rounds
 /// and merged into `results` as one replicate. The one way every executor
-/// turns a batch into counts.
+/// turns a batch into counts. `journal` (nullable; it needs `judge.cache`)
+/// is the batch's CRN journal, keyed by (sampler.seed, epoch, rounds,
+/// `app_fingerprint`): it replays a complete pass held under that key
+/// instead of sampling, and otherwise records the batch as it is judged.
+/// `budget` (nullable) is polled as judge_rounds and the replay do.
 void judge_batch(const sampler_description& sampler, std::uint64_t epoch,
                  std::uint64_t batch, std::size_t rounds,
                  const round_judge& judge, result_accumulator& results,
+                 const run_budget* budget = nullptr,
                  round_journal* journal = nullptr,
-                 const run_budget* budget = nullptr);
+                 std::uint64_t app_fingerprint = 0);
 
 class assessment_backend {
 public:
@@ -150,8 +154,8 @@ protected:
 };
 
 struct parallel_backend_options {
-    /// Workers; 0 = std::thread::hardware_concurrency(). One worker runs
-    /// inline on the caller's thread (the serial backend).
+    /// Workers, the caller included; 0 = std::thread::hardware_concurrency().
+    /// One worker is the caller alone (the serial backend).
     std::size_t threads = 0;
     /// Rounds per substream batch — the deterministic work unit. Part of the
     /// determinism contract: changing it changes which substream samples
@@ -164,15 +168,16 @@ struct parallel_backend_options {
     verdict_cache_options verdict_cache{};
 };
 
-/// The in-process executor of the batch scheme. Batch b always runs on
-/// worker b mod W, which owns its route-and-check context (round_state,
-/// oracle from the factory, private verdict cache).
+/// The in-process executor of the batch scheme. The caller and W - 1 pool
+/// threads claim batches from one counter; each claimer judges on its own
+/// route-and-check context (round_state, oracle from the factory, private
+/// verdict cache).
 ///
-/// After a reset_stream(seed), when the verdict cache is on, each worker
-/// keeps ONE CRN round journal of all its batches (DESIGN.md §11), keyed by
-/// (seed, epoch, the worker's total rounds, application shape): a later
-/// assessment of the same batches replays the journal through the worker's
-/// private cache instead of forking and sampling them.
+/// After a reset_stream(seed), when the verdict cache is on, every batch
+/// has ONE CRN round journal (DESIGN.md §11), kept by batch id and keyed by
+/// (seed, epoch, the batch's rounds, application shape): a later
+/// assessment of the same batch replays it through the claiming worker's
+/// cache instead of forking and sampling the batch.
 class parallel_backend final : public assessment_backend {
 public:
     /// `forest` may be nullptr; the sampler must outlive the backend and
@@ -193,34 +198,25 @@ public:
         const noexcept override;
 
     [[nodiscard]] std::size_t workers() const noexcept {
-        return workers_.size();
+        return contexts_.size();
     }
     [[nodiscard]] std::size_t batch_rounds() const noexcept {
         return options_.batch_rounds;
     }
 
 private:
-    struct worker {
-        judge_context context;
-        round_journal journal;  ///< of all this worker's batches
-    };
-    struct assessment;
-
     [[nodiscard]] result_accumulator run_epoch(const application& app,
                                                const deployment_plan& plan,
                                                std::size_t rounds) override;
-    /// Judges worker `w`'s share of the assessment; raises `aborted` (and
-    /// returns a partial tally) when the budget fires or a sibling aborted.
-    [[nodiscard]] result_accumulator run_worker(std::size_t w,
-                                                const assessment& job,
-                                                std::atomic<bool>& aborted);
 
     failure_sampler* sampler_;
     parallel_backend_options options_;
-    std::vector<std::unique_ptr<worker>> workers_;
-    std::optional<thread_pool> pool_;  ///< engaged iff more than one worker
+    /// One per worker; the caller claims on the first.
+    std::vector<std::unique_ptr<judge_context>> contexts_;
+    std::vector<round_journal> journals_;  ///< by batch id
+    std::optional<thread_pool> pool_;  ///< the W - 1 claimers beside the caller
     std::uint64_t epoch_ = 0;  ///< assessments since construction/reset
-    std::optional<std::uint64_t> reset_seed_;  ///< of the last reset_stream()
+    bool stream_reset_ = false;  ///< whether reset_stream() named the stream
     mutable verdict_cache_stats cache_stats_{};  ///< scratch for cache_stats()
 };
 

@@ -17,20 +17,34 @@ std::uint64_t hash_ids(std::span<const component_id> ids) noexcept {
     return hash;
 }
 
+/// A CSR index over component ids: values[begin[c]..begin[c + 1]) are the
+/// values `pairs` pairs with c, in its order. `pairs(fn)` calls
+/// fn(component, value) for every pair.
+template <typename Pairs>
+void build_index(std::size_t components, const Pairs& pairs,
+                 std::vector<std::uint32_t>& begin,
+                 std::vector<std::uint32_t>& values) {
+    begin.assign(components + 1, 0);
+    pairs([&](component_id c, std::uint32_t) { ++begin[c + 1]; });
+    std::partial_sum(begin.begin(), begin.end(), begin.begin());
+    values.resize(begin.back());
+    std::vector<std::uint32_t> fill(begin.begin(), begin.end() - 1);
+    pairs([&](component_id c, std::uint32_t value) {
+        values[fill[c]++] = value;
+    });
+}
+
 }  // namespace
 
-std::optional<result_accumulator> round_journal::replay_or_begin(
-    const journal_key& key, verdict_cache& cache, round_state& rs,
-    reachability_oracle& oracle, const deployment_plan& plan,
-    requirement_evaluator& evaluator, const run_budget* budget,
-    std::size_t batch_rounds) {
+std::optional<std::size_t> round_journal::replay_or_begin(
+    const journal_key& key, const round_judge& judge,
+    const run_budget* budget) {
     if (valid_ && key == key_) {
-        if (std::optional<result_accumulator> replayed = replay(
-                cache, rs, oracle, plan, evaluator, budget, batch_rounds)) {
-            return replayed;
+        if (const std::optional<std::size_t> reliable = replay(judge, budget)) {
+            return reliable;
         }
     }
-    begin(key, plan);
+    begin(key, judge.plan);
     return std::nullopt;
 }
 
@@ -41,7 +55,7 @@ void round_journal::begin(const journal_key& key, const deployment_plan& plan) {
     groups_.clear();
     round_group_.clear();
     round_group_.reserve(key.rounds);
-    residue_index_.clear();
+    residue_.clear();
     index_.clear();
     verdict_plan_ = plan.hosts;
     verdicts_stale_ = false;
@@ -79,36 +93,46 @@ void round_journal::record(std::span<const component_id> failed,
     g.cls = std::min(g.cls, cache.last_class());
     round_group_.push_back(id);
 
-    // Off-support residue, inverted: component -> the rounds it failed in
-    // while outside the recording plan's support. Replay probes this with
-    // the new binding's support additions only. Duplicate raw occurrences
-    // stay duplicated so a merged replay key matches the full-pass key
-    // exactly.
+    // Off-support residue: the components that failed in this round while
+    // outside the recording plan's support. Duplicate raw occurrences stay
+    // duplicated so a merged replay key matches the full-pass key exactly.
     for (const component_id c : failed) {
         if (!cache.in_support(c)) {
-            residue_index_[c].push_back(round);
+            residue_.emplace_back(c, round);
         }
     }
 }
 
+void round_journal::finish(const verdict_cache& cache) {
+    // Inverted: component -> the rounds it failed in while off-support.
+    // Replay probes it with the new binding's support additions only.
+    build_index(
+        cache.support().component_count(),
+        [&](const auto& fn) {
+            for (const auto& [c, round] : residue_) {
+                fn(c, round);
+            }
+        },
+        residue_begin_, residue_rounds_);
+    residue_.clear();
+    residue_.shrink_to_fit();  // the index holds it now
+    valid_ = true;
+}
+
 void round_journal::index_groups(verdict_cache& cache) {
-    // CSR over component ids: component -> the groups whose key holds it.
-    const std::size_t components = cache.support().component_count();
-    component_begin_.assign(components + 1, 0);
-    for (const component_id c : keys_) {
-        ++component_begin_[c + 1];
-    }
-    for (std::size_t c = 0; c < components; ++c) {
-        component_begin_[c + 1] += component_begin_[c];
-    }
-    component_groups_.resize(keys_.size());
-    std::vector<std::uint32_t> fill(component_begin_.begin(),
-                                    component_begin_.end() - 1);
+    // Component -> the groups whose key holds it.
+    build_index(
+        cache.support().component_count(),
+        [&](const auto& fn) {
+            for (std::uint32_t g = 0; g < groups_.size(); ++g) {
+                for (const component_id c : key_of(groups_[g])) {
+                    fn(c, g);
+                }
+            }
+        },
+        component_begin_, component_groups_);
     unclean_groups_.clear();
     for (std::uint32_t g = 0; g < groups_.size(); ++g) {
-        for (const component_id c : key_of(groups_[g])) {
-            component_groups_[fill[c]++] = g;
-        }
         if (groups_[g].cls == round_class::unclean) {
             unclean_groups_.push_back(g);
         }
@@ -147,11 +171,10 @@ void round_journal::select_rejudge(const verdict_support& support,
                    rejudge_.end());
 }
 
-std::optional<result_accumulator> round_journal::replay(
-    verdict_cache& cache, round_state& rs, reachability_oracle& oracle,
-    const deployment_plan& plan, requirement_evaluator& evaluator,
-    const run_budget* budget, std::size_t batch_rounds) {
+std::optional<std::size_t> round_journal::replay(const round_judge& judge,
+                                                 const run_budget* budget) {
     throw_if_preempted(budget);  // before anything moves
+    verdict_cache& cache = *judge.cache;
 
     // Pass 1 (no judging): which recorded rounds are dirty under the new
     // plan — some off-support residue entered the new support (it belongs
@@ -162,12 +185,9 @@ std::optional<result_accumulator> round_journal::replay(
     const std::size_t churn_limit = key_.rounds / 4;
     dirty_pairs_.clear();
     for (const component_id c : cache.bound_support_additions()) {
-        const auto it = residue_index_.find(c);
-        if (it == residue_index_.end()) {
-            continue;
-        }
-        for (const std::uint32_t round : it->second) {
-            dirty_pairs_.emplace_back(round, c);
+        for (std::uint32_t i = residue_begin_[c]; i < residue_begin_[c + 1];
+             ++i) {
+            dirty_pairs_.emplace_back(residue_rounds_[i], c);
         }
     }
     if (dirty_pairs_.size() > churn_limit) {
@@ -186,7 +206,7 @@ std::optional<result_accumulator> round_journal::replay(
             dirty_pool_.push_back(dirty_pairs_[i].second);
         }
         dirty_rounds_.push_back(
-            {round, round_group_[round], begin,
+            {round_group_[round], begin,
              static_cast<std::uint32_t>(dirty_pool_.size()) - begin});
     }
     if (dirty_rounds_.size() > churn_limit) {
@@ -199,7 +219,7 @@ std::optional<result_accumulator> round_journal::replay(
     if (!indexed_) {
         index_groups(cache);
     }
-    select_rejudge(cache.support(), plan);
+    select_rejudge(cache.support(), judge.plan);
     RECLOUD_COUNTER_INC("assess.journal_replays");
     RECLOUD_COUNTER_ADD("assess.replay_groups", groups_.size());
     RECLOUD_COUNTER_ADD("assess.replay_rejudged", rejudge_.size());
@@ -210,11 +230,12 @@ std::optional<result_accumulator> round_journal::replay(
             throw_if_preempted(budget);
         }
         group& entry = groups_[rejudge_[i]];
-        entry.verdict = cached_reliable_in_round(&cache, key_of(entry), rs,
-                                                 oracle, plan, evaluator);
+        entry.verdict =
+            cached_reliable_in_round(&cache, key_of(entry), judge.rs,
+                                     judge.oracle, judge.plan, judge.evaluator);
     }
     verdicts_stale_ = false;
-    verdict_plan_ = plan.hosts;
+    verdict_plan_ = judge.plan.hosts;
 
     // Pass 3: each dirty round trades its group's verdict for its own,
     // judged with its residue merged into the group key (the seam's lookup
@@ -226,32 +247,23 @@ std::optional<result_accumulator> round_journal::replay(
         merged_.assign(key.begin(), key.end());
         const auto residue = dirty_pool_.begin() + round.begin;
         merged_.insert(merged_.end(), residue, residue + round.length);
-        round.verdict =
-            cached_reliable_in_round(&cache, merged_, rs, oracle, plan, evaluator);
+        round.verdict = cached_reliable_in_round(
+            &cache, merged_, judge.rs, judge.oracle, judge.plan,
+            judge.evaluator);
     }
-    return batch_tallies(batch_rounds);
+    return reliable_rounds();
 }
 
-result_accumulator round_journal::batch_tallies(
-    std::size_t batch_rounds) const {
-    // dirty_rounds_ is in round order, so each batch takes its dirty rounds
-    // off the front.
-    result_accumulator pass;
-    const std::size_t rounds = round_group_.size();
-    auto dirty = dirty_rounds_.begin();
-    for (std::size_t begin = 0; begin < rounds; begin += batch_rounds) {
-        const std::size_t end = std::min(rounds, begin + batch_rounds);
-        std::size_t reliable = 0;
-        for (std::size_t i = begin; i < end; ++i) {
-            reliable += groups_[round_group_[i]].verdict ? 1 : 0;
-        }
-        for (; dirty != dirty_rounds_.end() && dirty->round < end; ++dirty) {
-            reliable = reliable - (groups_[dirty->group].verdict ? 1 : 0) +
-                       (dirty->verdict ? 1 : 0);
-        }
-        pass.merge(reliable, end - begin);
+std::size_t round_journal::reliable_rounds() const {
+    std::size_t reliable = 0;
+    for (const std::uint32_t g : round_group_) {
+        reliable += groups_[g].verdict ? 1 : 0;
     }
-    return pass;
+    for (const dirty_round& round : dirty_rounds_) {
+        reliable = reliable - (groups_[round.group].verdict ? 1 : 0) +
+                   (round.verdict ? 1 : 0);
+    }
+    return reliable;
 }
 
 }  // namespace recloud

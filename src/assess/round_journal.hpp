@@ -1,6 +1,6 @@
 // CRN round journal (DESIGN.md §11): under common random numbers every
 // candidate plan is assessed on the same failure stream, so one full pass
-// over a freshly-reset stream can stand in for sampling it again.
+// over a batch of a freshly-reset stream can stand in for sampling it again.
 //
 // A recording pass stores, per round, the support-filtered signature
 // (deduplicated into groups with multiplicities, each group with its
@@ -18,15 +18,14 @@
 //     cannot change (the verdict cache's retention rule, swap_delta).
 //     Through an index from component to groups only the unclean groups
 //     and the groups whose key meets the delta are judged again; the
-//     per-batch tallies are then read off the rounds' group verdicts.
+//     batch's tally is then read off the rounds' group verdicts.
 // Every verdict still flows through cached_reliable_in_round, so replayed
 // stats are bit-identical to the full pass by the same support-filtering
 // invariant the verdict cache itself rests on.
 //
-// One journal describes one stream. Its owner decides which stream that is
-// and keeps the journal next to the verdict cache that records and replays
-// it: each worker of the batched backend owns one for the batches it always
-// runs (assess/backend.hpp).
+// One journal describes one batch. The batched backend keeps one per batch
+// id (assess/backend.hpp); whichever worker claims the batch records or
+// replays it through its own verdict cache.
 #pragma once
 
 #include <cstddef>
@@ -38,24 +37,16 @@
 #include <vector>
 
 #include "app/deployment.hpp"
-#include "app/requirement_eval.hpp"
+#include "assess/assessor.hpp"
 #include "assess/verdict_cache.hpp"
 #include "core/run_budget.hpp"
-#include "faults/round_state.hpp"
-#include "routing/oracle.hpp"
-#include "sampling/result_stats.hpp"
 
 namespace recloud {
 
-/// Rounds (or journal groups) between run_budget polls in the assessment
-/// inner loops: frequent enough to bound preemption latency to a sliver of
-/// route-and-check work, sparse enough that the clock read vanishes in the
-/// noise. An un-armed poll (budget == nullptr) is a single pointer test.
-inline constexpr std::size_t budget_poll_stride = 256;
-
-/// Which stream a journal holds: the reset seed, the assessment epoch since
-/// that reset, the rounds of the recorded pass, and the application shape
-/// (application_fingerprint) whose support filtered the signatures.
+/// Which batch a journal holds, beside the batch id its owner files it
+/// under: the reset seed, the assessment epoch since that reset, the
+/// batch's rounds, and the application shape (application_fingerprint)
+/// whose support filtered the signatures.
 struct journal_key {
     std::uint64_t seed = 0;
     std::uint64_t epoch = 0;
@@ -67,25 +58,22 @@ struct journal_key {
 
 class round_journal {
 public:
-    /// The one protocol of the journal, called with `cache` already bound
-    /// to (app, plan) and `key` naming the stream about to be judged. When a
-    /// COMPLETE pass recorded under `key` is held and at most a quarter of
-    /// its rounds turn dirty under `plan`, judges the journal instead of the
-    /// stream and returns the tally — bit-identical to a full pass: one
-    /// replicate per consecutive `batch_rounds` rounds (the last may be
-    /// short), exactly as a full pass merges its batches. Otherwise
-    /// starts recording under `key` and returns nullopt: the caller samples
-    /// the stream, calls record() after judging each round and finish() after
-    /// the last one. A pass abandoned midway (preemption) stays invalid and
-    /// is never replayed. `budget` (nullable) is polled once before a replay
-    /// touches anything and every budget_poll_stride groups it judges again;
-    /// a preempt among those leaves the pass valid but its group verdicts
+    /// The one protocol of the journal, called with `judge.cache` already
+    /// bound to (app, plan) and `key` naming the batch about to be judged.
+    /// When a COMPLETE pass recorded under `key` is held and at most a
+    /// quarter of its rounds turn dirty under `judge.plan`, judges the
+    /// journal instead of the stream and returns the batch's reliable rounds
+    /// — bit-identical to a full pass. Otherwise starts recording under
+    /// `key` and returns nullopt: the caller samples the batch, calls
+    /// record() after judging each round and finish() after the last one.
+    /// A pass abandoned midway (preemption) stays invalid and is never
+    /// replayed. `budget` (nullable) is polled once before a replay touches
+    /// anything and every budget_poll_stride groups it judges again; a
+    /// preempt among those leaves the pass valid but its group verdicts
     /// stale, so the next replay judges every group.
-    [[nodiscard]] std::optional<result_accumulator> replay_or_begin(
-        const journal_key& key, verdict_cache& cache, round_state& rs,
-        reachability_oracle& oracle, const deployment_plan& plan,
-        requirement_evaluator& evaluator, const run_budget* budget,
-        std::size_t batch_rounds);
+    [[nodiscard]] std::optional<std::size_t> replay_or_begin(
+        const journal_key& key, const round_judge& judge,
+        const run_budget* budget);
 
     /// Records the pass's next round right after the seam judged `failed`
     /// (the raw sampled set) through `cache` as `verdict`: last_key() and
@@ -94,8 +82,9 @@ public:
     void record(std::span<const component_id> failed, bool verdict,
                 const verdict_cache& cache);
 
-    /// Marks the pass begun by replay_or_begin() complete.
-    void finish() noexcept { valid_ = true; }
+    /// Marks the pass begun by replay_or_begin() complete and indexes its
+    /// off-support residue by component (`cache` is the one record() saw).
+    void finish(const verdict_cache& cache);
 
 private:
     struct group {
@@ -106,7 +95,6 @@ private:
         round_class cls = round_class::clean;
     };
     struct dirty_round {
-        std::uint32_t round = 0;
         std::uint32_t group = 0;
         std::uint32_t begin = 0;
         std::uint32_t length = 0;
@@ -114,15 +102,13 @@ private:
     };
 
     void begin(const journal_key& key, const deployment_plan& plan);
-    /// nullopt (nothing judged) when churn exceeds a quarter of the rounds.
-    [[nodiscard]] std::optional<result_accumulator> replay(
-        verdict_cache& cache, round_state& rs, reachability_oracle& oracle,
-        const deployment_plan& plan, requirement_evaluator& evaluator,
-        const run_budget* budget, std::size_t batch_rounds);
-    /// The replayed pass as one replicate per `batch_rounds` rounds, from
-    /// the kept group verdicts and the dirty rounds' own.
-    [[nodiscard]] result_accumulator batch_tallies(
-        std::size_t batch_rounds) const;
+    /// The replayed pass's reliable rounds, or nullopt (nothing judged) when
+    /// churn exceeds a quarter of the rounds.
+    [[nodiscard]] std::optional<std::size_t> replay(const round_judge& judge,
+                                                    const run_budget* budget);
+    /// The replayed pass's reliable rounds, from the kept group verdicts and
+    /// the dirty rounds' own.
+    [[nodiscard]] std::size_t reliable_rounds() const;
     /// First replay of a pass: builds the component -> groups index and the
     /// unclean list, and drops the cache entries the pass stored.
     void index_groups(verdict_cache& cache);
@@ -139,8 +125,11 @@ private:
     std::vector<component_id> keys_;          ///< group-key arena
     std::vector<group> groups_;
     std::vector<std::uint32_t> round_group_;  ///< per round
-    std::unordered_map<component_id, std::vector<std::uint32_t>>
-        residue_index_;  ///< off-support component -> its rounds
+    /// Off-support (component, round) occurrences while recording;
+    /// finish() turns them into the CSR residue index below.
+    std::vector<std::pair<component_id, std::uint32_t>> residue_;
+    std::vector<std::uint32_t> residue_begin_;  ///< CSR offsets by id
+    std::vector<std::uint32_t> residue_rounds_;
     std::unordered_map<std::uint64_t, std::vector<std::uint32_t>>
         index_;  ///< key hash -> candidate group ids (exact-checked)
 

@@ -175,9 +175,10 @@ struct verdict_cache_stats {
     std::uint64_t cross_plan_hits = 0;  ///< hits served by retained entries
     std::uint64_t retained_entries = 0;  ///< entries kept across warm rebinds
     std::uint64_t support_size = 0;  ///< of the current binding (not summed)
-    /// CRN journal groups replayed in front of this cache, and how many of
-    /// them were judged again (round_journal; the engine does not journal,
-    /// so its workers never report these).
+    /// CRN journal groups replayed in front of this cache — by the batch
+    /// journals (round_journal) of the batches its worker claimed — and how
+    /// many of them were judged again. The engine does not journal, so its
+    /// workers never report these.
     std::uint64_t replay_groups = 0;
     std::uint64_t replay_rejudged = 0;
 

@@ -48,7 +48,7 @@ class assessment_engine;  // exec/engine.hpp
 struct engine_stats;   // exec/engine.hpp
 
 enum class assessment_backend_kind : std::uint8_t {
-    serial,    ///< the parallel backend with one inline worker (the default)
+    serial,    ///< the parallel backend with the caller alone (the default)
     parallel,  ///< thread pool; the same stats as serial at any thread count
     engine,    ///< MapReduce-style wire-format engine (§3.2.1, Figure 12)
 };

@@ -755,8 +755,8 @@ private:
     }
 
     /// Folds one worker's harvest into this process: metric DELTAS into the
-    /// global registry (the worker reset its own), trace spans into the
-    /// tracer (moved, shipped exactly once), and the cache counters' growth
+    /// global registry (the worker reset its own), trace spans and drop
+    /// counts into the tracer (moved, shipped exactly once), and the cache counters' growth
     /// since that worker's previous harvest into its slot's running sum and
     /// the fleet's. Growths from a respawned process just keep adding.
     void fold_harvest(worker_telemetry t) {
@@ -766,7 +766,8 @@ private:
         const std::uint64_t trace_dropped = t.trace.dropped;
         obs::tracer& tracer = obs::tracer::global();
         if (tracer.enabled() &&
-            (!t.trace.spans.empty() || !t.trace.thread_names.empty())) {
+            (!t.trace.spans.empty() || !t.trace.thread_names.empty() ||
+             t.trace.dropped != 0)) {
             tracer.add_remote_capture(std::move(t.trace));
         }
         const std::lock_guard lock{fleet_mu_};

@@ -98,6 +98,29 @@ struct tracer::impl {
         }
         return *t_ring;
     }
+
+    // The totals of the merged export: the local rings plus the attached
+    // remote captures. Callers hold `mutex`.
+    [[nodiscard]] std::uint64_t captured_total() const {
+        std::uint64_t total = 0;
+        for (const auto& r : rings) {
+            total += r->count.load(std::memory_order_acquire);
+        }
+        for (const process_capture& capture : remote) {
+            total += capture.spans.size();
+        }
+        return total;
+    }
+    [[nodiscard]] std::uint64_t dropped_total() const {
+        std::uint64_t total = 0;
+        for (const auto& r : rings) {
+            total += r->dropped.load(std::memory_order_relaxed);
+        }
+        for (const process_capture& capture : remote) {
+            total += capture.dropped;
+        }
+        return total;
+    }
 };
 
 tracer::tracer() : impl_(new impl()) {}
@@ -198,20 +221,12 @@ void tracer::add_remote_capture(process_capture capture) {
 
 std::uint64_t tracer::dropped() const noexcept {
     const std::lock_guard lock{impl_->mutex};
-    std::uint64_t total = 0;
-    for (const auto& r : impl_->rings) {
-        total += r->dropped.load(std::memory_order_relaxed);
-    }
-    return total;
+    return impl_->dropped_total();
 }
 
 std::uint64_t tracer::captured() const noexcept {
     const std::lock_guard lock{impl_->mutex};
-    std::uint64_t total = 0;
-    for (const auto& r : impl_->rings) {
-        total += r->count.load(std::memory_order_acquire);
-    }
-    return total;
+    return impl_->captured_total();
 }
 
 namespace {
@@ -285,10 +300,8 @@ std::string tracer::export_chrome_trace() const {
         impl_->epoch_ns.load(std::memory_order_relaxed);
     std::string out = "{\"traceEvents\":[";
     bool first = true;
-    std::uint64_t dropped_total = 0;
     append_meta(out, first, local_pid, 0, "process_name", "recloud");
     for (const auto& r : impl_->rings) {
-        dropped_total += r->dropped.load(std::memory_order_relaxed);
         if (!r->thread_name.empty()) {
             append_meta(out, first, local_pid, r->tid, "thread_name",
                         r->thread_name);
@@ -301,7 +314,6 @@ std::string tracer::export_chrome_trace() const {
         }
     }
     for (const auto& capture : impl_->remote) {
-        dropped_total += capture.dropped;
         append_meta(out, first, capture.pid, 0, "process_name",
                     capture.process_name);
         for (const auto& [tid, name] : capture.thread_names) {
@@ -325,7 +337,7 @@ std::string tracer::export_chrome_trace() const {
     out += "],\"displayTimeUnit\":\"ms\",\"otherData\":{\"build\":";
     out += build_info_json();
     out += ",\"dropped_events\":";
-    out += std::to_string(dropped_total);
+    out += std::to_string(impl_->dropped_total());
     out += "}}";
     return out;
 }

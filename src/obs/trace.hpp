@@ -106,9 +106,11 @@ public:
     /// reset() discards attached captures.
     void add_remote_capture(process_capture capture);
 
-    /// Events dropped to full rings since the last reset().
+    /// Events dropped to full rings since the last reset(), in this process
+    /// and in the attached remote captures: the export's dropped_events.
     [[nodiscard]] std::uint64_t dropped() const noexcept;
-    /// Events currently captured across all rings.
+    /// Events currently captured across all rings and attached remote
+    /// captures: the spans the export holds.
     [[nodiscard]] std::uint64_t captured() const noexcept;
 
     /// Chrome trace-event JSON ({"traceEvents":[...]}) with per-process /

@@ -32,10 +32,13 @@
 #include "sampling/monte_carlo.hpp"
 #include "search/neighbor.hpp"
 #include "topology/bcube.hpp"
+#include "topology/dcell.hpp"
 #include "topology/fat_tree.hpp"
+#include "topology/jellyfish.hpp"
 #include "topology/leaf_spine.hpp"
 #include "topology/links.hpp"
 #include "topology/power.hpp"
+#include "topology/vl2.hpp"
 #include "util/rng.hpp"
 
 namespace recloud {
@@ -779,18 +782,22 @@ TEST(IncrementalTrajectory, PinnedSearchAcrossBackends) {
     }
 }
 
+/// One registry counter, or 0 while the registry is off.
+std::uint64_t registry_counter(const char* name) {
+    return obs::metrics_registry::global().snapshot().value(name);
+}
+
 /// The journal_replays registry counter, or 0 while the registry is off.
 std::uint64_t journal_replays() {
-    return obs::metrics_registry::global().snapshot().value(
-        "assess.journal_replays");
+    return registry_counter("assess.journal_replays");
 }
 
 TEST(IncrementalEquivalence, ParallelBatchJournalsReplayOnlyTheirOwnStream) {
-    // Every worker keeps one CRN journal of all its batches, keyed by
-    // (reset seed, epoch, the worker's total rounds, app shape). The
-    // sequence below makes each key component differ from the held journal
-    // once; those steps must re-sample, the rest may replay, and every step
-    // must equal the uncached judge bit for bit.
+    // Every batch keeps one CRN journal, keyed by (reset seed, epoch, the
+    // batch's rounds, app shape) and replayed by whichever worker claims the
+    // batch. The sequence below makes each key component differ from the
+    // held journals once; exactly the batches whose key still matches
+    // replay, and every step must equal the uncached judge bit for bit.
     incr_fixture f;
     const application app = application::k_of_n(2, 3);
     const application other_app = application::k_of_n(1, 3);
@@ -798,24 +805,28 @@ TEST(IncrementalEquivalence, ParallelBatchJournalsReplayOnlyTheirOwnStream) {
     const deployment_plan plan_b = f.plan_for(app, 1);
     const deployment_plan other_plan = f.plan_for(other_app, 2);
     const verdict_support support = f.support();
-    // 1100 rounds in 250-round batches: the fifth batch is 100 rounds short.
+    // 1100 rounds in 250-round batches: the fifth batch is 100 rounds short;
+    // at 1200 rounds it is 200 rounds long, so only its key changes.
     constexpr std::size_t rounds = 1100;
+    constexpr std::size_t longer = 1200;
     constexpr std::size_t batch_rounds = 250;
     static_assert(rounds % batch_rounds != 0);
+    static_assert(rounds / batch_rounds == longer / batch_rounds);
 
     struct step {
         const char* name;
-        bool may_replay;
+        std::uint64_t replays;  ///< batches replayed when cached
     };
     const std::vector<step> steps = {
-        {"reset 5, plan A: records epoch 1", false},
-        {"plan A again: epoch 2 is another stream", false},
-        {"reset 7, plan A: another seed", false},
-        {"reset 5, plan B: the journals hold seed 7", false},
-        {"reset 5, plan A: replays plan B's recording", true},
-        {"reset 5, plan B, 1200 rounds: workers whose share is unchanged",
-         true},
-        {"reset 5, other app shape", false},
+        {"reset 5, plan A: records epoch 1", 0},
+        {"plan A again: epoch 2 is another stream", 0},
+        {"reset 7, plan A: another seed", 0},
+        {"reset 5, plan B: the journals hold seed 7", 0},
+        {"reset 5, plan A: replays plan B's recording", 5},
+        {"reset 5, plan B, 1200 rounds: batches 0-3 replay, the last records",
+         4},
+        {"reset 5, plan A, 1200 rounds: every batch replays", 5},
+        {"reset 5, other app shape", 0},
     };
     const auto run = [&](parallel_backend& backend) {
         std::vector<assessment_stats> out;
@@ -836,7 +847,9 @@ TEST(IncrementalEquivalence, ParallelBatchJournalsReplayOnlyTheirOwnStream) {
         backend.reset_stream(5);
         assess(app, plan_a, rounds);
         backend.reset_stream(5);
-        assess(app, plan_b, 1200);
+        assess(app, plan_b, longer);
+        backend.reset_stream(5);
+        assess(app, plan_a, longer);
         backend.reset_stream(5);
         assess(other_app, other_plan, rounds);
         return std::pair{out, replays};
@@ -858,19 +871,12 @@ TEST(IncrementalEquivalence, ParallelBatchJournalsReplayOnlyTheirOwnStream) {
             if (!reference) {
                 reference = stats;
             }
-            std::uint64_t total_replays = 0;
             for (std::size_t i = 0; i < steps.size(); ++i) {
                 SCOPED_TRACE("workers " + std::to_string(workers) +
                              " cached " + std::to_string(cached) +
                              " step " + steps[i].name);
                 expect_identical(stats[i], (*reference)[i]);
-                if (!cached || !steps[i].may_replay) {
-                    EXPECT_EQ(replays[i], 0u);
-                }
-                total_replays += replays[i];
-            }
-            if (cached) {
-                EXPECT_GT(total_replays, 0u) << "workers " << workers;
+                EXPECT_EQ(replays[i], cached ? steps[i].replays : 0u);
             }
         }
     }
@@ -939,25 +945,27 @@ private:
 
 TEST(RunBudget, PreemptedParallelAssessmentKeepsOnlyFinishedJournals) {
     // Backend-level twin of the search case below, where nothing overwrites
-    // the interrupted assessment's journals. A worker's journal covers all
-    // its batches, so a budget firing while the workers record leaves only
-    // the journals of workers that already finished their whole share
-    // valid (none with one worker): the rest re-sample. A budget
-    // firing while the workers replay only reads the journals: they stay
-    // valid and the next assessment replays. Every answer equals a backend
-    // that was never interrupted.
+    // the interrupted assessment's journals. Each batch has its own
+    // journal, so a budget firing while the workers record leaves the
+    // journals of the batches that finished before the trip complete, also
+    // with one worker: those replay and the rest re-sample. Each worker
+    // leaves at most the batch it was judging unfinished. A budget firing
+    // while the workers replay only reads the journals: they stay valid and
+    // the next assessment replays every batch. Every answer equals a
+    // backend that was never interrupted.
     incr_fixture f;
     const application app = application::k_of_n(2, 3);
     const deployment_plan plan_a = f.plan_for(app, 0);
     const deployment_plan plan_b = f.plan_for(app, 1);
     const verdict_support support = f.support();
     constexpr std::size_t rounds = 2000;
+    constexpr std::size_t batches = 8;  // of 250 rounds
     for (const std::size_t workers : {1u, 2u}) {
         SCOPED_TRACE("workers " + std::to_string(workers));
         const auto wire = std::make_shared<tripwire_oracle::wire>();
         const auto make_backend = [&](extended_dagger_sampler& sampler) {
             parallel_backend_options options{.threads = workers,
-                                             .batch_rounds = 250};
+                                             .batch_rounds = rounds / batches};
             options.verdict_cache.enabled = true;
             options.verdict_cache.support = &support;
             return std::make_unique<parallel_backend>(
@@ -989,9 +997,14 @@ TEST(RunBudget, PreemptedParallelAssessmentKeepsOnlyFinishedJournals) {
         backend->set_budget(&recording);
         wire->budget.store(&recording);
         wire->rounds_left.store(static_cast<std::int64_t>(judged_in_a / 2));
+        const std::uint64_t started_before = registry_counter("assess.batches");
         backend->reset_stream(5);
         EXPECT_THROW((void)backend->assess(app, plan_a, rounds),
                      search_preempted);
+        const std::uint64_t started =
+            registry_counter("assess.batches") - started_before;
+        ASSERT_GE(started, 1u);
+        ASSERT_LT(started, batches);  // the trip stopped the assessment
         wire->budget.store(nullptr);
         wire->rounds_left.store(std::numeric_limits<std::int64_t>::max());
         backend->set_budget(nullptr);
@@ -999,10 +1012,11 @@ TEST(RunBudget, PreemptedParallelAssessmentKeepsOnlyFinishedJournals) {
         std::uint64_t replays_before = journal_replays();
         backend->reset_stream(5);
         expect_identical(backend->assess(app, plan_b, rounds), expected_b);
+        const std::uint64_t replays = journal_replays() - replays_before;
+        EXPECT_GE(replays + workers, started);  // one unfinished per worker
+        EXPECT_LT(replays, started);
         if (workers == 1) {
-            // (A sibling may have finished its whole share before the trip;
-            // its complete journal may replay.)
-            EXPECT_EQ(journal_replays(), replays_before);
+            EXPECT_GT(replays, 0u);  // the trip came after the first batch
         }
 
         // Preempted while replaying plan B's journals for plan A.
@@ -1017,7 +1031,7 @@ TEST(RunBudget, PreemptedParallelAssessmentKeepsOnlyFinishedJournals) {
 
         backend->reset_stream(5);
         expect_identical(backend->assess(app, plan_a, rounds), expected_a);
-        EXPECT_GT(journal_replays(), replays_before);
+        EXPECT_EQ(journal_replays() - replays_before, batches);
         obs::metrics_registry::global().set_enabled(false);
     }
 }
@@ -1133,18 +1147,17 @@ struct replay_family {
     }
 };
 
-/// BCube(4, 1) with fallible links and power supplies, on the flood. Its
-/// hosts are multi-homed: they relay traffic, so they sit in the static
-/// support, and each depends on the supplies of both its switches.
-scenario_ptr make_bcube_scenario() {
+/// `topo` with fallible links and power supplies, on the flood.
+scenario_ptr make_flood_scenario(built_topology topo) {
     struct parts {
-        built_topology topo = build_bcube({.ports = 4, .levels = 1});
+        explicit parts(built_topology built) : topo(std::move(built)) {}
+        built_topology topo;
         component_registry registry{topo.graph};
         fault_tree_forest forest{topo.graph.node_count()};
         link_attachment links;
         std::optional<bfs_reachability> oracle;
     };
-    auto p = std::make_shared<parts>();
+    auto p = std::make_shared<parts>(std::move(topo));
     (void)attach_power_supplies(p->topo, p->registry, p->forest);
     p->links = attach_link_components(p->topo, p->registry);
     rng random{42};
@@ -1160,13 +1173,40 @@ scenario_ptr make_bcube_scenario() {
     return builder.freeze();
 }
 
+/// The fat-tree on its closed-form oracle and on the flood, then one small
+/// instance of every other family on the flood. BCube's and DCell's hosts
+/// are multi-homed: they relay traffic, so they sit in the static support,
+/// and each depends on the supplies of all its switches.
 std::vector<replay_family> replay_families() {
     infrastructure_options options;
     options.model_link_failures = true;
     const scenario_ptr fat_tree = make_fat_tree_scenario(4, options);
-    return {{"fat_tree_routing", fat_tree, false},
-            {"bfs_reachability", fat_tree, true},
-            {"bcube bfs_reachability", make_bcube_scenario(), true}};
+    return {
+        {"fat_tree_routing", fat_tree, false},
+        {"bfs_reachability", fat_tree, true},
+        {"bcube bfs_reachability",
+         make_flood_scenario(build_bcube({.ports = 4, .levels = 1})), true},
+        {"leaf_spine bfs_reachability",
+         make_flood_scenario(build_leaf_spine({.spines = 2,
+                                               .leaves = 4,
+                                               .hosts_per_leaf = 4,
+                                               .border_leaves = 1})),
+         true},
+        {"vl2 bfs_reachability",
+         make_flood_scenario(build_vl2({.intermediates = 2,
+                                        .aggregations = 4,
+                                        .tors = 4,
+                                        .hosts_per_tor = 4,
+                                        .border_intermediates = 1})),
+         true},
+        {"jellyfish bfs_reachability",
+         make_flood_scenario(build_jellyfish({.switches = 8,
+                                              .degree = 3,
+                                              .hosts_per_switch = 2,
+                                              .border_switches = 1})),
+         true},
+        {"dcell bfs_reachability",
+         make_flood_scenario(build_dcell({.servers_per_cell = 3})), true}};
 }
 
 bool shares_dependency(const fault_tree_forest& forest, node_id a, node_id b) {
@@ -1242,11 +1282,6 @@ std::vector<deployment_plan> swap_walk(const scenario& s, std::size_t instances,
         }
     }
     return out;
-}
-
-/// One registry counter, or 0 while the registry is off.
-std::uint64_t registry_counter(const char* name) {
-    return obs::metrics_registry::global().snapshot().value(name);
 }
 
 TEST(IncrementalReplay, RandomizedSwapWalksMatchFullPasses) {
@@ -1338,6 +1373,7 @@ TEST(IncrementalReplay, PreemptMidRejudgeLeavesVerdictsToRejudge) {
     // kept verdicts half moved to the interrupted plan. The next replay —
     // for a plan whose swap delta from the last complete one misses the
     // groups already moved — must judge every group and equal a full pass.
+    // The pass is one batch, so one journal holds every group.
     const replay_family family = replay_families()[1];
     const verdict_support support = family.support();
     const application app = application::k_of_n(4, 4);
@@ -1354,7 +1390,7 @@ TEST(IncrementalReplay, PreemptMidRejudgeLeavesVerdictsToRejudge) {
     const auto wire = std::make_shared<tripwire_oracle::wire>();
     const auto make_backend = [&](extended_dagger_sampler& sampler,
                                   bool cached) {
-        parallel_backend_options options{.threads = 1, .batch_rounds = 1000};
+        parallel_backend_options options{.threads = 1, .batch_rounds = rounds};
         options.verdict_cache.enabled = cached;
         options.verdict_cache.support = &support;
         return std::make_unique<parallel_backend>(

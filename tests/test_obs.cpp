@@ -181,6 +181,37 @@ TEST(Tracer, FullRingDropsNewestAndCountsIt) {
     tracer.reset();
 }
 
+TEST(Tracer, AccessorsCountRemoteCapturesLikeTheExport) {
+    obs::tracer& tracer = obs::tracer::global();
+    tracer.reset();
+    tracer.set_ring_capacity(4);
+    tracer.start();
+    std::thread{[&tracer] {
+        for (int i = 0; i < 6; ++i) {
+            tracer.record("local", 0, 1);
+        }
+    }}.join();
+    tracer.stop();
+    obs::process_capture worker;
+    worker.pid = 4242;
+    worker.process_name = "worker";
+    worker.dropped = 7;
+    worker.spans.push_back({.name = "remote", .tid = 1, .dur_ns = 1});
+    tracer.add_remote_capture(std::move(worker));
+    obs::process_capture spanless;  // drops only: its spans were all lost
+    spanless.pid = 4343;
+    spanless.dropped = 5;
+    tracer.add_remote_capture(std::move(spanless));
+    EXPECT_EQ(tracer.captured(), 4u + 1u);
+    EXPECT_EQ(tracer.dropped(), 2u + 7u + 5u);
+    EXPECT_NE(tracer.export_chrome_trace().find("\"dropped_events\":14"),
+              std::string::npos);
+    tracer.set_ring_capacity(std::size_t{1} << 15);
+    tracer.reset();
+    EXPECT_EQ(tracer.captured(), 0u);
+    EXPECT_EQ(tracer.dropped(), 0u);
+}
+
 TEST(Tracer, DisabledSpansRecordNothing) {
     obs::tracer& tracer = obs::tracer::global();
     tracer.reset();
