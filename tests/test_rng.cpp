@@ -2,9 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <set>
 #include <vector>
+
+#include "assess/backend.hpp"
+#include "stream_hash.hpp"
 
 namespace recloud {
 namespace {
@@ -132,6 +136,30 @@ TEST(Rng, ForkDecorrelatesStreams) {
         }
     }
     EXPECT_LT(equal, 2);
+}
+
+/// Hash of the first draws of `r`: raw outputs, the bits of uniform()
+/// and uniform_below() (normal() is left out: its libm calls may round
+/// differently on another platform).
+std::uint64_t hash_draws(rng& r) {
+    stream_hash h;
+    for (int i = 0; i < 1000; ++i) {
+        h.add(r());
+        h.add(std::bit_cast<std::uint64_t>(r.uniform()));
+        h.add(r.uniform_below(1000 + static_cast<std::uint64_t>(i)));
+    }
+    return h.value;
+}
+
+TEST(Rng, StreamIsPinned) {
+    // Every sampled bit of the system derives from this stream; a change
+    // to it changes every pinned statistic downstream.
+    rng base{12345};
+    EXPECT_EQ(hash_draws(base), 0xbe7b0e240bdb6568ULL);
+    rng substream{substream_seed(12345, substream_id(1, 3))};
+    EXPECT_EQ(hash_draws(substream), 0x3ec9f8458ff1f429ULL);
+    rng child = base.fork();
+    EXPECT_EQ(hash_draws(child), 0xf8a791ff514b34e7ULL);
 }
 
 TEST(Rng, SplitmixIsDeterministic) {

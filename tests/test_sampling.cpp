@@ -7,7 +7,9 @@
 #include <utility>
 #include <vector>
 
+#include "assess/backend.hpp"
 #include "sampling/dagger.hpp"
+#include "stream_hash.hpp"
 #include "util/stats.hpp"
 #include "sampling/extended_dagger.hpp"
 #include "sampling/injection.hpp"
@@ -158,6 +160,50 @@ INSTANTIATE_TEST_SUITE_P(AllSamplers, SamplerProperty,
                              }
                              return "unknown";
                          });
+
+// ---- pinned streams ------------------------------------------------------
+
+/// 600 components: mostly 1e-4..1e-2 (cycles of 100 to 10^4 rounds), some
+/// never failing, some in (0.5, 1) and some always failing.
+std::vector<double> pinned_probabilities() {
+    std::vector<double> probs;
+    for (std::size_t i = 0; i < 600; ++i) {
+        if (i % 97 == 0) {
+            probs.push_back(0.0);
+        } else if (i % 89 == 0) {
+            probs.push_back(1.0);
+        } else if (i % 83 == 0) {
+            probs.push_back(0.7);
+        } else {
+            probs.push_back(static_cast<double>(1 + (i * 37) % 100) * 1e-4);
+        }
+    }
+    return probs;
+}
+
+/// Hashes of a sampler's first 12 000 rounds on seed 2024, of the same on
+/// substream (1, 3), and of the parent's stream after reset(77). Each must
+/// equal the matching pin.
+template <typename Sampler>
+void expect_pinned_streams(std::uint64_t base, std::uint64_t forked,
+                           std::uint64_t after_reset) {
+    const std::vector<double> probs = pinned_probabilities();
+    Sampler sampler{probs, 2024};
+    EXPECT_EQ(hash_rounds(sampler, 12'000), base);
+    EXPECT_EQ(hash_rounds(*sampler.fork(substream_id(1, 3)), 12'000), forked);
+    sampler.reset(77);
+    EXPECT_EQ(hash_rounds(sampler, 12'000), after_reset);
+}
+
+TEST(ExtendedDagger, StreamIsPinned) {
+    expect_pinned_streams<extended_dagger_sampler>(
+        0x9faaf2faffd90e0cULL, 0x79bdf1c9ef13944cULL, 0x6a8c4113b85949e5ULL);
+}
+
+TEST(MonteCarlo, StreamIsPinned) {
+    expect_pinned_streams<monte_carlo_sampler>(
+        0x3e88ccf9ccd149c2ULL, 0x6b00c07484b953c4ULL, 0x344dc5615b42a6caULL);
+}
 
 // ---- extended dagger specifics ------------------------------------------
 
