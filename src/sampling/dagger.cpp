@@ -12,21 +12,13 @@ dagger_plan make_dagger_plan(double p) noexcept {
     } else if (p >= 1.0) {
         plan.cycle_length = 1;
     } else {
-        plan.cycle_length = static_cast<std::uint32_t>(std::floor(1.0 / p));
+        // floor(1/p) exceeds any integer type as p nears 0: compare first.
+        const double cycle = std::floor(1.0 / p);
+        plan.cycle_length = cycle < max_cycle_rounds
+                                ? static_cast<std::uint32_t>(cycle)
+                                : max_cycle_rounds;
     }
     return plan;
-}
-
-std::optional<std::uint32_t> dagger_slot(const dagger_plan& plan, double r) noexcept {
-    if (plan.cycle_length == 0) {
-        return std::nullopt;
-    }
-    // r in the i-th subinterval [i*p, (i+1)*p)  <=>  floor(r/p) == i < s.
-    const auto slot = static_cast<std::uint32_t>(r / plan.probability);
-    if (slot < plan.cycle_length) {
-        return slot;
-    }
-    return std::nullopt;  // remainder section: alive all cycle
 }
 
 }  // namespace recloud

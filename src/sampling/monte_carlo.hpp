@@ -4,6 +4,7 @@
 // the ground-truth reference in sampler property tests.
 #pragma once
 
+#include <utility>
 #include <vector>
 
 #include "sampling/sampler.hpp"
@@ -13,7 +14,13 @@ namespace recloud {
 class monte_carlo_sampler final : public forkable_sampler {
 public:
     monte_carlo_sampler(std::span<const double> probabilities, std::uint64_t seed)
-        : forkable_sampler(sampler_kind::monte_carlo, probabilities, seed) {}
+        : forkable_sampler(
+              {.kind = sampler_kind::monte_carlo,
+               .probabilities = {probabilities.begin(), probabilities.end()},
+               .seed = seed}) {}
+    /// The stream of `description` (whose kind must be monte_carlo).
+    explicit monte_carlo_sampler(sampler_description description)
+        : forkable_sampler(std::move(description)) {}
 
     void next_round(std::vector<component_id>& failed) override;
     [[nodiscard]] const char* name() const noexcept override { return "monte-carlo"; }

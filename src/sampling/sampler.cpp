@@ -1,27 +1,41 @@
 #include "sampling/sampler.hpp"
 
 #include <cmath>
+#include <utility>
 
 #include "sampling/extended_dagger.hpp"
 #include "sampling/monte_carlo.hpp"
 
 namespace recloud {
 
+namespace {
+
+std::unique_ptr<failure_sampler> sampler_of(sampler_description description) {
+    switch (description.kind) {
+        case sampler_kind::monte_carlo:
+            return std::make_unique<monte_carlo_sampler>(std::move(description));
+        case sampler_kind::extended_dagger:
+            break;
+    }
+    return std::make_unique<extended_dagger_sampler>(std::move(description));
+}
+
+}  // namespace
+
 std::unique_ptr<failure_sampler> sampler_description::fork(
     std::uint64_t stream_id) const {
-    return make_sampler(kind, probabilities, substream_seed(seed, stream_id));
+    sampler_description substream = *this;
+    substream.seed = substream_seed(seed, stream_id);
+    return sampler_of(std::move(substream));
 }
 
 std::unique_ptr<failure_sampler> make_sampler(sampler_kind kind,
                                               std::span<const double> probabilities,
                                               std::uint64_t seed) {
-    switch (kind) {
-        case sampler_kind::monte_carlo:
-            return std::make_unique<monte_carlo_sampler>(probabilities, seed);
-        case sampler_kind::extended_dagger:
-            break;
-    }
-    return std::make_unique<extended_dagger_sampler>(probabilities, seed);
+    return sampler_of(
+        {.kind = kind,
+         .probabilities = {probabilities.begin(), probabilities.end()},
+         .seed = seed});
 }
 
 void encode_sampler(byte_writer& out, const sampler_description& sampler) {
@@ -45,6 +59,9 @@ sampler_description decode_sampler(byte_reader& in,
         if (!std::isfinite(p) || p < 0.0 || p > 1.0) {
             throw serialize_error{"sampler: probability outside [0, 1]"};
         }
+    }
+    if (sampler.kind == sampler_kind::extended_dagger) {
+        sampler.cycles = std::make_shared<const dagger_table>(sampler.probabilities);
     }
     return sampler;
 }

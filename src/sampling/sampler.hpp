@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <memory>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "faults/component_registry.hpp"
@@ -25,6 +26,7 @@ enum class sampler_kind : std::uint8_t {
 };
 
 class failure_sampler;
+struct dagger_table;
 
 /// Everything a forkable sampler's stream is a pure function of: equal
 /// descriptions yield the identical stream.
@@ -32,6 +34,12 @@ struct sampler_description {
     sampler_kind kind = sampler_kind::extended_dagger;
     std::vector<double> probabilities;  ///< per component, each in [0, 1]
     std::uint64_t seed = 0;             ///< the base seed
+    /// The extended-dagger cycle table of `probabilities`, built once and
+    /// shared read-only by every fork. Extended-dagger samplers and
+    /// decode_sampler build it; a fork of a description without one builds
+    /// its own. It is derived data: whoever edits `probabilities` of a
+    /// description that has one must reset it.
+    std::shared_ptr<const dagger_table> cycles = nullptr;
 
     /// The one definition of a substream: the same kind and probabilities
     /// seeded with substream_seed(seed, stream_id).
@@ -84,11 +92,10 @@ public:
     }
 
 protected:
-    /// Copies the probability vector (the sampler outlives registry edits).
-    forkable_sampler(sampler_kind kind, std::span<const double> probabilities,
-                     std::uint64_t seed)
-        : description_{kind, {probabilities.begin(), probabilities.end()}, seed},
-          random_(seed) {}
+    /// Draws from rng(description.seed). The description owns its copy of
+    /// the probabilities (the sampler outlives registry edits).
+    explicit forkable_sampler(sampler_description description)
+        : description_(std::move(description)), random_(description_.seed) {}
 
     sampler_description description_;
     rng random_;
@@ -103,9 +110,9 @@ protected:
 /// with every stream reset, so it travels with each assessment instead.
 void encode_sampler(byte_writer& out, const sampler_description& sampler);
 
-/// Reads what encode_sampler wrote (seed 0). Throws serialize_error on an
-/// unknown kind or unless there are `component_count` probabilities, each
-/// finite and in [0, 1].
+/// Reads what encode_sampler wrote (seed 0), with its cycle table built.
+/// Throws serialize_error on an unknown kind or unless there are
+/// `component_count` probabilities, each finite and in [0, 1].
 [[nodiscard]] sampler_description decode_sampler(byte_reader& in,
                                                  std::size_t component_count);
 

@@ -3,13 +3,6 @@
 #include <cmath>
 
 namespace recloud {
-namespace {
-
-constexpr std::uint64_t rotl(std::uint64_t x, int k) noexcept {
-    return (x << k) | (x >> (64 - k));
-}
-
-}  // namespace
 
 rng::rng(std::uint64_t seed) noexcept {
     // Expand the user seed through splitmix64; this guarantees a non-zero
@@ -18,23 +11,6 @@ rng::rng(std::uint64_t seed) noexcept {
     for (auto& word : state_) {
         word = splitmix64_next(sm);
     }
-}
-
-rng::result_type rng::operator()() noexcept {
-    const std::uint64_t result = rotl(state_[1] * 5, 7) * 9;
-    const std::uint64_t t = state_[1] << 17;
-    state_[2] ^= state_[0];
-    state_[3] ^= state_[1];
-    state_[1] ^= state_[2];
-    state_[0] ^= state_[3];
-    state_[2] ^= t;
-    state_[3] = rotl(state_[3], 45);
-    return result;
-}
-
-double rng::uniform() noexcept {
-    // 53 high bits -> double in [0, 1).
-    return static_cast<double>((*this)() >> 11) * 0x1.0p-53;
 }
 
 double rng::uniform(double lo, double hi) noexcept {

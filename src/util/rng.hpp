@@ -8,6 +8,7 @@
 // can be used on top of it when convenient.
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <limits>
 
@@ -37,11 +38,24 @@ public:
         return std::numeric_limits<result_type>::max();
     }
 
-    /// Next raw 64-bit output.
-    result_type operator()() noexcept;
+    /// Next raw 64-bit output. Defined here, with uniform(), so that the
+    /// samplers' per-draw loops inline it.
+    result_type operator()() noexcept {
+        const std::uint64_t result = std::rotl(state_[1] * 5, 7) * 9;
+        const std::uint64_t t = state_[1] << 17;
+        state_[2] ^= state_[0];
+        state_[3] ^= state_[1];
+        state_[1] ^= state_[2];
+        state_[0] ^= state_[3];
+        state_[2] ^= t;
+        state_[3] = std::rotl(state_[3], 45);
+        return result;
+    }
 
     /// Uniform double in [0, 1). Uses the top 53 bits.
-    [[nodiscard]] double uniform() noexcept;
+    [[nodiscard]] double uniform() noexcept {
+        return static_cast<double>((*this)() >> 11) * 0x1.0p-53;
+    }
 
     /// Uniform double in [lo, hi).
     [[nodiscard]] double uniform(double lo, double hi) noexcept;

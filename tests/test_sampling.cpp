@@ -211,6 +211,45 @@ TEST(ExtendedDagger, BlockLengthIsLongestCycle) {
     const std::vector<double> probs{0.5, 0.01, 0.1};  // cycles 2, 100, 10
     const extended_dagger_sampler sampler{probs, 1};
     EXPECT_EQ(sampler.block_length(), 100u);
+    // ... up to the cycle cap.
+    const std::vector<double> rare{0.5, 2e-10, 0.1};
+    EXPECT_EQ(extended_dagger_sampler(rare, 1).block_length(), max_cycle_rounds);
+}
+
+TEST(DaggerPlan, CycleLengthIsCapped) {
+    // floor(1/2e-10) = 5e9 does not fit 32 bits; its cast used to wrap to
+    // 705 032 704 rounds.
+    EXPECT_EQ(make_dagger_plan(2e-10).cycle_length, max_cycle_rounds);
+    EXPECT_EQ(make_dagger_plan(1e-300).cycle_length, max_cycle_rounds);
+    EXPECT_EQ(make_dagger_plan(1.0 / (max_cycle_rounds - 1)).cycle_length,
+              max_cycle_rounds - 1);
+    // r / p is far beyond 32 bits too: the remainder, not a wrapped slot.
+    const dagger_plan plan = make_dagger_plan(1e-12);
+    EXPECT_FALSE(dagger_slot(plan, 0.999).has_value());
+    EXPECT_EQ(*dagger_slot(plan, 1e-13), 0u);
+    EXPECT_EQ(*dagger_slot(plan, 5.5e-12), 5u);
+}
+
+TEST(ExtendedDagger, CappedBlockKeepsEveryRate) {
+    // A component far rarer than 1/max_cycle_rounds caps the block instead
+    // of stretching it to 10^12 rounds; the common component keeps its
+    // rate, and the rare one still never fails in practice.
+    const std::vector<double> probs{1e-12, 1e-2};
+    extended_dagger_sampler sampler{probs, 5};
+    ASSERT_LE(sampler.block_length(), max_cycle_rounds);
+    const std::size_t rounds = 4 * std::size_t{sampler.block_length()};
+    std::vector<std::size_t> failures(probs.size(), 0);
+    std::vector<component_id> failed;
+    for (std::size_t r = 0; r < rounds; ++r) {
+        sampler.next_round(failed);
+        for (const component_id id : failed) {
+            ++failures[id];
+        }
+    }
+    EXPECT_EQ(failures[0], 0u);
+    // Dagger's count is far tighter than binomial; 5% covers it.
+    EXPECT_NEAR(static_cast<double>(failures[1]) / static_cast<double>(rounds),
+                1e-2, 5e-4);
 }
 
 TEST(ExtendedDagger, AtMostOneFailurePerCycle) {
